@@ -45,7 +45,8 @@ class _AdapterBase:
 
     name: str = ""
 
-    def _trial_rng(self, spec: FaultSpec, seed: int) -> np.random.Generator:
+    def _trial_keys(self, spec: FaultSpec) -> list:
+        """The ``spawn_rng`` keys of :meth:`_trial_rng` (seed excluded)."""
         # Model-bearing specs append the canonical model token, so their
         # streams are independent of (and cannot perturb) the historical
         # model-free keying.
@@ -55,7 +56,10 @@ class _AdapterBase:
         ]
         if spec.fault_model is not None:
             keys.append(model_token(spec.fault_model))
-        return spawn_rng(seed, *keys)
+        return keys
+
+    def _trial_rng(self, spec: FaultSpec, seed: int) -> np.random.Generator:
+        return spawn_rng(seed, *self._trial_keys(spec))
 
     def _model_faults(self, spec: FaultSpec, rng: np.random.Generator):
         """One-shot fault state drawn from the spec's registered model.

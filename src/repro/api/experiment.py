@@ -18,16 +18,20 @@ byte-identical JSON (asserted by tests/test_api.py).
 
 Execution backends are an orthogonal, *non-spec* choice: when the
 registered construction advertises the batch capability for a grid point
-(``supports_batch``/``run_batch``, see docs/fastpath.md), each seed chunk
-runs through the vectorized backend instead of the per-trial loop.  Batch
-dispatch never changes results — ``run_batch`` returns identical outcome
-sequences by contract — so batch and per-trial runs of the same spec also
-serialise byte-identically (asserted by tests/test_fastpath.py and the CI
-smoke job).
+(``supports_batch``/``run_batch``, see docs/fastpath.md), seed chunks
+run through the vectorized backend instead of the per-trial loop — for
+one-shot points, consecutive chunks in blocks of up to
+:data:`BLOCK_TRIALS` trials per kernel call, split back into chunks
+before anything is merged or journaled.  Batch dispatch never changes
+results — ``run_batch`` returns identical outcome sequences by contract
+— so batch and per-trial runs of the same spec also serialise
+byte-identically (asserted by tests/test_fastpath.py and the CI smoke
+job).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import time
@@ -50,6 +54,14 @@ logger = logging.getLogger(__name__)
 #: move float rounding in the merged ``mean_faults`` by an ulp, so it is a
 #: spec-level field with a fixed default, never derived from ``workers``.
 DEFAULT_CHUNK_SIZE = 16
+
+#: Most trials one batched kernel call is given.  On batch tiers the runner
+#: hands each run of consecutive un-journaled chunks of a one-shot point to
+#: one ``run_batch`` call, up to this many trials (a chunk this big or
+#: bigger is a block of its own), so array work amortises over more than
+#: one chunk.  Execution only: outcomes are split back at chunk boundaries,
+#: so merging, journaling and progress stay per chunk.
+BLOCK_TRIALS = 256
 
 
 def _point_from_dict(d: dict) -> "FaultSpec | LifetimeSpec | TrafficSpec":
@@ -265,27 +277,60 @@ def _cached_construction(name: str, params_items: tuple):
 
 
 def _run_chunk(task: tuple) -> dict:
-    """One work unit: ``count`` trials of one grid point, as an MCResult dict.
+    """One work unit: ``count`` trials of one grid point, as a result dict.
+
+    ``task`` is ``(name, params_items, point_dict, seed_start, count,
+    backend, max_batch_bytes)``; see :func:`_run_block`, which this runs
+    as a block of one chunk.
+    """
+    *head, count, backend, mbb = task
+    return _run_block((*head, (count,), backend, mbb))[0]
+
+
+def _run_block(task: tuple) -> list[dict]:
+    """Consecutive seed chunks of one grid point, one result dict each.
 
     Takes/returns plain picklable types so it crosses process boundaries.
-    ``backend`` is the resolved kernel tier (``"scalar"`` forces the
-    per-trial loop; ``"batch"``/``"compiled"`` dispatch to the
+    ``task`` is ``(name, params_items, point_dict, seed_start, counts,
+    backend, max_batch_bytes)``: chunk ``j`` holds the next ``counts[j]``
+    seeds.  ``backend`` is the resolved kernel tier (``"scalar"`` forces
+    the per-trial loop; ``"batch"``/``"compiled"`` dispatch to the
     construction's vectorized kernels when advertised for the point,
     falling back per-trial otherwise); outcomes are identical on every
-    tier (the batch contract), so the choice never reaches the JSON.
+    tier (the batch contract), so the choice never reaches the JSON.  A
+    batched one-shot point makes one ``run_batch`` call for the whole
+    block and splits its outcomes at the chunk boundaries; lifetime and
+    traffic points, and per-trial runs, go chunk by chunk.
     ``max_batch_bytes`` (when set) bounds the kernels' resident fault
     stacks, and the ``tier`` kwarg rides along only on the compiled tier
     — both passed only when explicit so duck-typed constructions without
     the parameters keep working.
     """
-    name, params_items, fault_spec_dict, seed_start, count, backend, mbb = task
+    name, params_items, fault_spec_dict, seed_start, counts, backend, mbb = task
     use_batch = backend != "scalar"
     kw = {} if mbb is None else {"max_batch_bytes": mbb}
     if backend == "compiled":
         kw["tier"] = "compiled"
     construction = _cached_construction(name, params_items)
     point = _point_from_dict(fault_spec_dict)
-    seeds = list(range(seed_start, seed_start + count))
+    starts = list(itertools.accumulate(counts, initial=seed_start))
+    chunks = [range(a, z) for a, z in zip(starts, starts[1:])]
+    if not isinstance(point, (LifetimeSpec, TrafficSpec)) and use_batch:
+        run_batch = getattr(construction, "run_batch", None)
+        supports = getattr(construction, "supports_batch", None)
+        if run_batch is not None and (supports is None or supports(point)):
+            outcomes = run_batch(point, list(range(seed_start, starts[-1])), **kw)
+            return [
+                aggregate_outcomes(outcomes[c.start - seed_start : c.stop - seed_start])
+                .to_dict()
+                for c in chunks
+            ]
+    return [_run_seeds(construction, name, point, list(c), use_batch, kw)
+            for c in chunks]
+
+
+def _run_seeds(construction, name, point, seeds, use_batch, kw) -> dict:
+    """One chunk's trials, per trial or on a lifetime/traffic kernel."""
     if isinstance(point, LifetimeSpec):
         lifetime_trial = getattr(construction, "lifetime_trial", None)
         if lifetime_trial is None:
@@ -306,25 +351,20 @@ def _run_chunk(task: tuple) -> dict:
             if run_tb is not None and (supports_tb is None or supports_tb(point)):
                 return aggregate_traffic(run_tb(point, seeds, **kw)).to_dict()
         return aggregate_traffic(traffic_trial(point, s) for s in seeds).to_dict()
-    if use_batch:
-        run_batch = getattr(construction, "run_batch", None)
-        supports = getattr(construction, "supports_batch", None)
-        if run_batch is not None and (supports is None or supports(point)):
-            outcomes = run_batch(point, seeds, **kw)
-            return aggregate_outcomes(outcomes).to_dict()
     mc = MonteCarlo(lambda seed: construction.trial(point, seed))
-    return mc.run(count, seed0=seed_start).to_dict()
+    return mc.run(len(seeds), seed0=seeds[0]).to_dict()
 
 
-def _run_chunk_indexed(item: tuple) -> tuple:
-    """Pool envelope around :func:`_run_chunk`: carries the chunk's grid
-    coordinates through ``imap_unordered`` (which drops input ordering)
-    and drains the worker's peak-buffer gauge for progress telemetry."""
+def _run_block_indexed(item: tuple) -> tuple:
+    """Pool envelope around :func:`_run_block`: carries the block's grid
+    coordinates (point, first chunk) through ``imap_unordered`` (which
+    drops input ordering) and drains the worker's peak-buffer gauge for
+    progress telemetry."""
     point_idx, chunk_idx, task = item
-    result = _run_chunk(task)
+    results = _run_block(task)
     from repro.fastpath.streaming import take_peak_bytes
 
-    return point_idx, chunk_idx, result, take_peak_bytes()
+    return point_idx, chunk_idx, results, take_peak_bytes()
 
 
 def _result_class(fs) -> type:
@@ -383,9 +423,11 @@ class ExperimentRunner:
     Like ``workers``, the choice is a runner property, not a spec field
     — results are byte-identical on every tier.
 
-    Execution is *streaming*: chunk tasks are generated lazily, results
-    are consumed as they complete (``imap_unordered`` when pooled) and
-    folded immediately into per-point merge accumulators, so the parent
+    Execution is *streaming*: work units (single chunks, or blocks of
+    consecutive chunks for batched one-shot points, see
+    :data:`BLOCK_TRIALS`) are generated lazily, results are consumed as
+    they complete (``imap_unordered`` when pooled) and folded chunk by
+    chunk into per-point merge accumulators, so the parent
     process never holds more than the out-of-order window of raw chunk
     dicts regardless of ``spec.trials``.  ``max_batch_bytes`` bounds
     each worker's resident fault-stack bytes (``None`` = the kernels'
@@ -428,27 +470,43 @@ class ExperimentRunner:
         self.progress_interval = progress_interval
 
     def _iter_tasks(self, spec: ExperimentSpec, skip=frozenset()):
-        """Lazily yield ``(point_idx, chunk_idx, task)`` work units.
+        """Lazily yield ``(point_idx, first_chunk_idx, task)`` work units
+        for :func:`_run_block_indexed`: consecutive chunks of one point not
+        in ``skip`` (chunks already satisfied by a resumed journal),
+        grouped up to :data:`BLOCK_TRIALS` trials for one-shot points on
+        batch tiers and one chunk each otherwise.
 
         A generator, never a materialized list: at a million trials the
         task list itself would be memory the streaming contract promises
-        not to spend.  ``skip`` drops chunks already satisfied by a
-        resumed journal.
+        not to spend.
         """
         params_items = tuple(sorted(spec.params.items()))
-        backend = self.backend
         for point_idx, fs in enumerate(spec.grid):
             fsd = fs.to_dict()
+            grouped = self.backend != "scalar" and isinstance(fs, FaultSpec)
+            cap = BLOCK_TRIALS if grouped else 1
+            block = None  # (first chunk, first seed, counts)
             for chunk_idx, start in enumerate(range(0, spec.trials, spec.chunk_size)):
-                if (point_idx, chunk_idx) in skip:
-                    continue
                 count = min(spec.chunk_size, spec.trials - start)
-                yield (
-                    point_idx,
-                    chunk_idx,
-                    (spec.construction, params_items, fsd, spec.seed0 + start,
-                     count, backend, self.max_batch_bytes),
-                )
+                skipped = (point_idx, chunk_idx) in skip
+                if block and (skipped or sum(block[2]) + count > cap):
+                    yield self._task(spec, params_items, fsd, point_idx, *block)
+                    block = None
+                if skipped:
+                    continue
+                if block is None:
+                    block = (chunk_idx, spec.seed0 + start, [])
+                block[2].append(count)
+            if block:
+                yield self._task(spec, params_items, fsd, point_idx, *block)
+
+    def _task(self, spec, params_items, fsd, point_idx, first, seed, counts) -> tuple:
+        return (
+            point_idx,
+            first,
+            (spec.construction, params_items, fsd, seed, tuple(counts),
+             self.backend, self.max_batch_bytes),
+        )
 
     def run(
         self,
@@ -476,26 +534,26 @@ class ExperimentRunner:
         for point_idx, chunk_idx in sorted(done):
             folds[point_idx].add(chunk_idx, done[(point_idx, chunk_idx)])
 
-        remaining = total - len(done)
         progress = _Progress(
             total=total, already_done=len(done), spec=spec,
             interval=self.progress_interval,
         )
         try:
-            if remaining:
+            units = sum(1 for _ in self._iter_tasks(spec, skip=done.keys()))
+            if units:
                 tasks = self._iter_tasks(spec, skip=done.keys())
-                if self.workers == 1 or remaining == 1:
+                if self.workers == 1 or units == 1:
                     # No pool spin-up cost when it could not help.
-                    results = map(_run_chunk_indexed, tasks)
+                    results = map(_run_block_indexed, tasks)
                     self._consume(results, folds, journal, progress)
                 else:
-                    workers = min(self.workers, remaining)
-                    # Dispatch in blocks to amortize IPC without letting one
+                    workers = min(self.workers, units)
+                    # Dispatch in groups to amortize IPC without letting one
                     # worker hoard the tail of the queue.
-                    blk = max(1, min(16, remaining // (workers * 4)))
+                    blk = max(1, min(16, units // (workers * 4)))
                     with multiprocessing.Pool(processes=workers) as pool:
                         results = pool.imap_unordered(
-                            _run_chunk_indexed, tasks, chunksize=blk
+                            _run_block_indexed, tasks, chunksize=blk
                         )
                         self._consume(results, folds, journal, progress)
         finally:
@@ -505,12 +563,14 @@ class ExperimentRunner:
         return ExperimentResult(spec=spec, points=points, elapsed=time.perf_counter() - t0)
 
     def _consume(self, results, folds, journal, progress) -> None:
-        """Drain chunk results as they complete: journal, fold, report."""
-        for point_idx, chunk_idx, result_dict, peak_bytes in results:
-            if journal is not None:
-                journal.append(point_idx, chunk_idx, result_dict)
-            folds[point_idx].add(chunk_idx, result_dict)
-            progress.step(int(result_dict.get("trials", 0)), peak_bytes)
+        """Drain block results as they complete: journal, fold and report
+        each chunk."""
+        for point_idx, first_chunk, result_dicts, peak_bytes in results:
+            for chunk_idx, result_dict in enumerate(result_dicts, first_chunk):
+                if journal is not None:
+                    journal.append(point_idx, chunk_idx, result_dict)
+                folds[point_idx].add(chunk_idx, result_dict)
+                progress.step(int(result_dict.get("trials", 0)), peak_bytes)
 
 
 class _Progress:

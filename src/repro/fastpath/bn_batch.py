@@ -6,21 +6,25 @@ provably redundant once a *straight* band placement validates: for
 straight bands every Lemma 6 transition is the identity, the unmasked
 rows of column 0 are the whole embedding, and validation (count, slope,
 untouching, coverage) already implies the extraction invariants.  The
-batched backend therefore:
+batched backend therefore works on a block of trials at a time:
 
-1. samples each trial's fault array from its own seed-keyed generator
-   (the *same* streams as the scalar path — RNG-compatibility contract),
-   stacked into one ``(trials, *shape)`` boolean array;
-2. reduces the stack to per-trial faulty-row profiles ``(trials, m)`` in
-   one pass and runs the (cheap, fault-count-proportional) straight-cover
-   greedy per trial;
-3. re-verifies coverage of every produced band set *batched* — a single
-   broadcasted modular comparison over all trials;
+1. derives every trial's generator for the whole block at once
+   (:func:`repro.util.rng.iter_rngs` — the *same* streams as the scalar
+   path, RNG-compatibility contract) and stacks the per-trial draws into
+   one ``(trials, *shape)`` boolean array;
+2. reduces the stack to faulty-row profiles ``(trials, m)`` and decides
+   the straight-cover greedy with array operations: empty profiles in
+   closed form, the greedy's "latest" sweep as at most ``K + 1`` gathers
+   from a next-faulty-row table, padding feasibility as a sum of free-arc
+   capacities — the scalar greedy runs only for the few trials the sweep
+   cannot accept;
+3. re-verifies coverage of every produced band set on ``(trials, m)``
+   masks (defence in depth: a mismatch demotes the trial);
 4. classifies covered trials as straight-strategy successes and delegates
    every other trial (greedy failure, paper-strategy territory,
    adversarial specs) to the scalar path, which is the ground truth.
 
-Steps 1-3 replace the per-node Python loops; step 4 guarantees the
+Steps 1-3 replace the per-trial Python loops; step 4 guarantees the
 outcome sequence is identical to the scalar backend for every seed.
 """
 
@@ -35,17 +39,23 @@ from repro.core.params import BnParams
 from repro.core.placement import _cover_rows_cyclic
 from repro.errors import ReconstructionError
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
-from repro.util.rng import spawn_rng
+from repro.util.rng import iter_rngs, spawn_rng
 
 __all__ = ["bn_bytes_per_trial", "run_bn_batch", "sample_bn_faults_batch",
            "straight_survival_batch"]
 
 
 def bn_bytes_per_trial(params: BnParams) -> int:
-    """Estimated per-trial working-set bytes of the bn survival kernel:
-    the bool fault stack slice plus the classifier's ``(K, m)`` masked
-    broadcast and the row profile (the arrays that scale with shape)."""
-    return int(np.prod(params.shape)) + (params.num_bands + 2) * params.m
+    """Per-trial working-set bytes of the bn survival kernel at its peak:
+    the bool fault stack slice plus what :func:`straight_survival_batch`
+    holds at once per trial — two bool row profiles (the trial's and the
+    sweep's copy) with two int32 sweep tables (next-fault distances and
+    gaps), then the int64 band arrays: ``K`` cover bottoms, ``K + 2`` sweep
+    bottoms and their ``K + 1`` arc gaps.  (The re-check's two bool masks
+    come after the sweep tables are freed.)  Sampling temporaries are one
+    trial's draw, whatever the slice size, so they are not per trial."""
+    m, K = params.m, params.num_bands
+    return int(np.prod(params.shape)) + 2 * m + 2 * 4 * m + 8 * (3 * K + 3)
 
 
 def sample_bn_faults_batch(
@@ -53,20 +63,131 @@ def sample_bn_faults_batch(
 ) -> np.ndarray:
     """Stack per-seed fault draws into a ``(trials, *shape)`` array.
 
-    Each slice reuses :meth:`BTorus.sample_faults` with the scalar trial's
-    generator ``spawn_rng(seed, "bn-trial", n, d)``, so slice ``i`` is
-    bit-identical to what ``BTorus.trial(p, seeds[i], q=q)`` samples.
-    ``out`` lets streaming callers reuse one preallocated buffer across
-    sub-chunks instead of allocating a fresh stack per call.
+    Each slice reuses :meth:`BTorus.sample_faults` with a generator in the
+    state of the scalar trial's ``spawn_rng(seed, "bn-trial", n, d)``
+    (derived for all seeds at once by :func:`~repro.util.rng.iter_rngs`),
+    so slice ``i`` is bit-identical to what ``BTorus.trial(p, seeds[i],
+    q=q)`` samples.  ``out`` lets streaming callers reuse one preallocated
+    buffer across sub-chunks instead of allocating a fresh stack per call.
     """
     params = torus.params
     if out is None:
         out = np.empty((len(seeds),) + params.shape, dtype=bool)
         record_buffer(out.nbytes)
-    for i, seed in enumerate(seeds):
-        rng = spawn_rng(seed, "bn-trial", params.n, params.d)
+    for i, rng in enumerate(iter_rngs(seeds, "bn-trial", params.n, params.d)):
         out[i] = torus.sample_faults(p, rng, q=q)
     return out
+
+
+def _latest_sweep(rows: np.ndarray, b: int, K: int):
+    """The "latest" variant of ``_cover_rows_cyclic`` on non-empty
+    ``(T, m)`` profiles, for all trials at once.
+
+    Returns ``(accepted, rejected, bottoms)``: ``accepted`` trials are
+    greedy successes with their sweep bottoms in ``bottoms`` (``(T, K)``
+    rows mod ``m``, unused slots repeating the first bottom); ``rejected``
+    trials are certain failures (no ``b + 1``-row gap anywhere, or the
+    sweep succeeds but padding to ``K`` bands cannot); every other trial
+    needs the scalar greedy, which also tries the "earliest" variant.
+    """
+    trials, m = rows.shape
+    # dist[t, x]: cyclic distance from row x to the first faulty row at or
+    # after it (int32: row indices of any fault stack that fits in memory).
+    col = np.arange(m, dtype=np.int32)
+    dist = np.where(rows, col, np.int32(m))
+    np.minimum.accumulate(dist[:, ::-1], axis=1, out=dist[:, ::-1])
+    first = dist[:, :1].copy()
+    wrapped = dist == m
+    dist -= col
+    np.add(dist, first, out=dist, where=wrapped)
+    del wrapped
+    # The greedy cuts the cycle after the first largest gap between
+    # consecutive faulty rows; row x's gap is 1 + dist[x + 1].
+    gaps = np.roll(dist, -1, axis=1)
+    gaps += 1
+    gaps *= rows
+    cut = gaps.argmax(axis=1)
+    widest = gaps[np.arange(trials), cut].astype(np.int64)
+    del gaps
+    start = cut + widest          # first bottom, linear coordinates
+    end = start + m               # the sweep covers rows [start, end)
+    decidable = widest >= b + 1
+
+    flat = dist.ravel()
+    base = np.arange(trials, dtype=np.int64) * m
+    sweep = np.repeat(end[:, None], K + 2, axis=1)
+    sweep[:, 0] = start
+    count = np.ones(trials, dtype=np.int64)
+    ok = decidable.copy()
+    cur, active = start, decidable
+    for k in range(1, K + 1):
+        reach = cur + b
+        nxt = reach + flat[base + reach % m]
+        active = active & (nxt < end)
+        if not active.any():
+            break
+        # Each bottom starts at the first row its predecessor leaves
+        # uncovered; exactly b rows apart breaks the b + 1 spacing.
+        ok &= ~(active & (nxt - cur == b))
+        sweep[:, k] = np.where(active, nxt, end)
+        cur = np.where(active, nxt, cur)
+        count += active
+    ok &= (count <= K) & ((count == 1) | (end - cur >= b + 1))
+    # Padding: each free arc between consecutive bottoms (and the closing
+    # arc back to start + m) fits gap // (b + 1) - 1 extra bottoms.
+    used = np.arange(K + 1) < count[:, None]
+    capacity = ((np.diff(sweep, axis=1) // (b + 1) - 1) * used).sum(axis=1)
+    feasible = capacity >= K - count
+    accepted = ok & feasible
+    rejected = ~decidable | (ok & ~feasible)
+    bottoms = np.where(used[:, :K], sweep[:, :K], sweep[:, :1]) % m
+    return accepted, rejected, bottoms
+
+
+def _straight_cover(fault_rows: np.ndarray, b: int, K: int):
+    """Vectorised ``_cover_rows_cyclic`` over ``(T, m)`` row profiles.
+
+    Returns ``(ok, bottoms)``: ``ok[t]`` is exactly whether the scalar
+    greedy succeeds on trial ``t``; ``bottoms`` is ``(T, K)`` int64 band
+    bottoms covering every faulty row of each successful trial (unused
+    slots repeat a real bottom; failed trials read 0).
+    """
+    trials, m = fault_rows.shape
+    ok = np.zeros(trials, dtype=bool)
+    bottoms = np.zeros((trials, K), dtype=np.int64)
+    nonempty = fault_rows.any(axis=1)
+    # Closed form: an empty profile succeeds iff K evenly spaced bands fit.
+    if m // K >= b + 1:
+        ok[~nonempty] = True
+        bottoms[~nonempty] = np.arange(K, dtype=np.int64) * (m // K)
+    live = np.flatnonzero(nonempty)
+    if live.size == 0:
+        return ok, bottoms
+    accepted, rejected, sweep_bottoms = _latest_sweep(fault_rows[live], b, K)
+    ok[live[accepted]] = True
+    bottoms[live[accepted]] = sweep_bottoms[accepted]
+    for t in live[~(accepted | rejected)].tolist():
+        try:
+            bottoms[t] = _cover_rows_cyclic(np.flatnonzero(fault_rows[t]), m, b, K)
+        except ReconstructionError:
+            continue
+        ok[t] = True
+    return ok, bottoms
+
+
+def _masks_cover(fault_rows: np.ndarray, bottoms: np.ndarray, b: int) -> np.ndarray:
+    """Per trial: does every faulty row lie in some band ``[bottom,
+    bottom + b)`` (cyclic)?  Built on ``(T, m)`` bool masks."""
+    trials, m = fault_rows.shape
+    starts = np.zeros((trials, m), dtype=bool)
+    starts[np.arange(trials)[:, None], bottoms] = True
+    masked = starts.copy()
+    for j in range(1, b):
+        masked[:, j:] |= starts[:, : m - j]
+        masked[:, :j] |= starts[:, m - j :]
+    del starts
+    np.greater(fault_rows, masked, out=masked)  # faulty and unmasked
+    return ~masked.any(axis=1)
 
 
 def straight_survival_batch(
@@ -75,8 +196,8 @@ def straight_survival_batch(
     """Classify a ``(trials, *shape)`` fault stack by straight-band cover.
 
     Returns ``(covered, fault_rows)``: ``covered[t]`` is True when the
-    straight-cover greedy produced a band set for trial ``t`` *and* the
-    batched re-check confirms every faulty row is masked — exactly the
+    straight-cover greedy succeeds for trial ``t`` *and* the batched
+    re-check confirms its bands mask every faulty row — exactly the
     trials where the scalar ``auto`` strategy succeeds via its straight
     fast path.  ``fault_rows`` is the ``(trials, m)`` faulty-row profile
     (reused by callers for diagnostics).
@@ -84,29 +205,16 @@ def straight_survival_batch(
     trials = faults.shape[0]
     m, b, K = params.m, params.b, params.num_bands
     fault_rows = faults.reshape(trials, m, -1).any(axis=2)
-    bottoms = np.full((trials, K), -1, dtype=np.int64)
-    greedy_ok = np.zeros(trials, dtype=bool)
-    for t in range(trials):
-        rows = np.flatnonzero(fault_rows[t])
-        try:
-            bots = _cover_rows_cyclic(rows, m, b, K)
-        except ReconstructionError:
-            continue
-        bottoms[t] = np.sort(np.asarray(bots, dtype=np.int64))
-        greedy_ok[t] = True
-    # Batched defence-in-depth: confirm the greedy's covers really mask
-    # every faulty row ((row - bottom) mod m < b for some band).  Any
-    # mismatch demotes the trial to the scalar path instead of trusting
-    # the vectorized classification.
+    greedy_ok, bottoms = _straight_cover(fault_rows, b, K)
+    # Defence in depth: confirm the covers really mask every faulty row.
+    # Any mismatch demotes the trial to the scalar path instead of
+    # trusting the vectorized classification.
     if tier == "compiled":
         from repro.fastpath.compiled import bn_cover_core
 
         covered = greedy_ok & bn_cover_core(fault_rows, bottoms, m, b)
     else:
-        masked = (
-            (np.arange(m)[None, None, :] - bottoms[:, :, None]) % m < b
-        ).any(axis=1)
-        covered = greedy_ok & ~(fault_rows & ~masked).any(axis=1)
+        covered = greedy_ok & _masks_cover(fault_rows, bottoms, b)
     return covered, fault_rows
 
 
@@ -124,9 +232,9 @@ def run_bn_batch(
 
     The fault stack streams through one preallocated buffer in seed
     slices sized by ``max_batch_bytes`` (see ``fastpath/streaming.py``),
-    so peak memory is bounded by the budget, not the chunk size.  Trials
-    are sampled and classified independently, so slicing the seed axis
-    cannot change any outcome.
+    so peak memory is bounded by the budget, not the number of seeds.
+    Trials are sampled and classified independently, so slicing the seed
+    axis cannot change any outcome.
     """
     torus = adapter.torus
     params = adapter.params
@@ -135,6 +243,7 @@ def run_bn_batch(
         from repro.faults.registry import make_fault_model
 
         model = make_fault_model(spec.fault_model)
+        model_keys = adapter._trial_keys(spec)
     outcomes: list[TrialOutcome] = []
     buf: np.ndarray | None = None
     for sub in iter_seed_slices(seeds, bn_bytes_per_trial(params), max_batch_bytes):
@@ -143,10 +252,12 @@ def run_bn_batch(
             record_buffer(buf.nbytes)
         if model is not None:
             # Same per-seed draws as the generic adapter trial: the model
-            # samples from ``_trial_rng`` (which keys in the model token).
+            # samples from its ``_trial_rng`` stream (keyed by the model
+            # token).  Model samplers are not the hot path; their generators
+            # stay per seed.
             faults = buf[: len(sub)]
             for i, seed in enumerate(sub):
-                faults[i] = model.sample(params.shape, adapter._trial_rng(spec, seed))
+                faults[i] = model.sample(params.shape, spawn_rng(seed, *model_keys))
         else:
             faults = sample_bn_faults_batch(
                 torus, spec.p, spec.q, sub, out=buf[: len(sub)]

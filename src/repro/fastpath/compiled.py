@@ -70,9 +70,11 @@ def bn_cover_core(fault_rows, bottoms, m, b):
     """Per-trial "every faulty row is masked by some band" predicate.
 
     ``fault_rows``: ``(trials, m)`` bool; ``bottoms``: ``(trials, K)``
-    int64 (rows of ``-1`` for greedy-failed trials are allowed — callers
-    AND the result with their ``greedy_ok`` mask, exactly like the numpy
-    twin in ``straight_survival_batch``).
+    int64 rows in ``[0, m)`` (greedy-failed trials' rows are arbitrary —
+    callers AND the result with their ``greedy_ok`` mask, exactly like
+    the numpy twin in ``straight_survival_batch``).  A ``-1`` would read
+    as a band at row ``m - 1``, so unused slots of a real band set repeat
+    one of its bottoms instead.
     """
     trials, rows = fault_rows.shape
     k = bottoms.shape[1]

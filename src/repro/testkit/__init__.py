@@ -41,6 +41,7 @@ _EXPORTS = {
     "OracleReport": "repro.testkit.oracles",
     "diff_values": "repro.testkit.oracles",
     "audit_embedding": "repro.testkit.oracles",
+    "batched_rng_oracle": "repro.testkit.oracles",
     "brute_force_healthiness": "repro.testkit.oracles",
     "check_routes_bfs": "repro.testkit.oracles",
     "checkpoint_resume_oracle": "repro.testkit.oracles",
@@ -49,6 +50,7 @@ _EXPORTS = {
     "repair_mode_oracle": "repro.testkit.oracles",
     "runner_backends_oracle": "repro.testkit.oracles",
     "sim_engines_oracle": "repro.testkit.oracles",
+    "straight_cover_oracle": "repro.testkit.oracles",
     "streaming_merge_oracle": "repro.testkit.oracles",
     "trial_backend_oracle": "repro.testkit.oracles",
     "GoldenCase": "repro.testkit.golden",

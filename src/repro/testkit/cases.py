@@ -9,18 +9,24 @@ to the hypothesis strategies, so tests keep a single import surface.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.api.protocol import _TRAFFIC_PATTERNS, _TRAFFIC_ROUTERS, LifetimeSpec
 from repro.faults.registry import ADVERSARY_PATTERN_NAMES
 
 __all__ = [
     "ADVERSARY_PATTERN_NAMES",
     "BN_PARAM_SETS",
+    "COVER_GEOMETRIES",
     "FAULT_MODEL_CASES",
     "NON_POW2_SHAPES",
+    "RNG_KEY_TUPLES",
+    "RNG_ROOTS",
     "ROUTER_NAMES",
     "SMALL_CONSTRUCTIONS",
     "TRAFFIC_PATTERN_NAMES",
     "UNIVERSAL_SHAPES",
+    "adversarial_row_profiles",
     "patterns_for",
     "timeline_cases",
 ]
@@ -115,3 +121,61 @@ def timeline_cases(minimum: int = 200) -> list[tuple[int, LifetimeSpec]]:
             )
     assert len(cases) >= minimum
     return cases
+
+
+#: Roots the batched RNG derivation (:func:`repro.util.rng.iter_rngs`) is
+#: checked on against ``spawn_rng``: 32-bit word boundaries, roots past 32
+#: and 64 bits (masked to their low word), negatives and numpy integers.
+RNG_ROOTS = [
+    0, 1, 2, 12345, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 5,
+    2**63 - 1, 2**70 + 3, -1, -2, -(2**31), -(2**40) - 7,
+    np.int64(7), np.int64(-9), np.int32(-5), np.uint32(2**32 - 1),
+    np.uint64(2**63 + 11),
+]
+
+#: Key tuples for the same check: the bn kernel's own ``("bn-trial", n, d)``
+#: keys, plus tuples whose entropy falls short of numpy's 4-word seed pool
+#: or overflows it.
+RNG_KEY_TUPLES = [
+    ("bn-trial", 36, 2),
+    ("bn-trial", 96, 2),
+    ("bn-trial", 36, 1),
+    (),
+    ("lifetime",),
+    ("an-nodes", 3),
+    ("a", "b", "c", "d", "e"),
+    (0, 2**32 + 4, -1, "x", 7, 9),
+]
+
+#: ``(m, b, K)`` row-cover geometries for the straight-cover classifier's
+#: exactness checks: the bn shapes of :data:`BN_PARAM_SETS`' b=3/b=4 rows
+#: plus synthetic ones, including ``m // K == b + 1`` (no slack between
+#: evenly spaced bands, so padding capacity runs out) and ``m // K == b``
+#: (K bands never fit).
+COVER_GEOMETRIES = [
+    (54, 3, 6), (128, 4, 8), (20, 3, 5), (12, 2, 4), (40, 3, 10), (30, 4, 6),
+    (17, 2, 3), (15, 3, 5),
+]
+
+
+def adversarial_row_profiles(m: int, b: int, K: int) -> np.ndarray:
+    """Faulty-row profiles ``(T, m)`` aimed at the straight-cover greedy's
+    edge cases: fault chains exactly ``b`` apart (the "latest" sweep
+    fails, the "earliest" one may not), ``K + 1`` separated clusters
+    (one band too many), full and nearly full rows (no free gap), and a
+    fault pair at every distance (exhausts padding capacity wherever
+    the geometry is tight)."""
+    sets: list[list[int]] = []
+    for length in range(2, K + 2):
+        for start in (0, m // 3):
+            sets.append([start + b * i for i in range(length)])
+    for width in (1, 2, b):
+        sets.append([j * m // (K + 1) + w for j in range(K + 1) for w in range(width)])
+    sets.append(list(range(m)))
+    sets.append(list(range(1, m)))
+    sets.append(list(range(b + 1, m)))
+    sets += [[0, gap] for gap in range(1, m)]
+    profiles = np.zeros((len(sets), m), dtype=bool)
+    for t, rows in enumerate(sets):
+        profiles[t, np.asarray(rows) % m] = True
+    return profiles

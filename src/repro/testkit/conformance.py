@@ -12,13 +12,16 @@ stack over a canonical scenario matrix:
    ``max_batch_bytes`` budget) and checkpoint/resume byte-identity with
    the journal cut at every chunk boundary;
 3. per-trial backend oracles — the vectorized kernels against the
-   scalar loops, outcome for outcome — plus the ``compiled:*`` stages
-   probing the optional JIT tier against the same scalar references
-   (reporting an explicit ``skipped`` when numba is absent, never a
-   silent pass), and the ``fault-model:*`` stages: every registered
-   fault model against an independent reference sampler, its analytic
-   expectation, and (for Byzantine models) the scalar-vs-vectorized
-   engine cross-check;
+   scalar loops, outcome for outcome, and the batched bn kernel's two
+   building blocks against their scalar references (``batched-rng``:
+   block-derived generators vs ``spawn_rng``; ``straight-cover``: the
+   vectorised classifier vs the scalar greedy) — plus the
+   ``compiled:*`` stages probing the optional JIT tier against the same
+   scalar references (reporting an explicit ``skipped`` when numba is
+   absent, never a silent pass), and the ``fault-model:*`` stages:
+   every registered fault model against an independent reference
+   sampler, its analytic expectation, and (for Byzantine models) the
+   scalar-vs-vectorized engine cross-check;
 4. the repair-mode oracle — incremental vs full-recompute lifetimes;
 5. the independent reference checkers — BFS route validity, adaptive
    routing vs healthy-subgraph reachability (plus the engines diffed
@@ -44,6 +47,7 @@ from repro.testkit.oracles import (
     OracleReport,
     adaptive_router_oracle,
     audit_embedding,
+    batched_rng_oracle,
     check_routes_bfs,
     checkpoint_resume_oracle,
     fault_model_oracle,
@@ -51,6 +55,7 @@ from repro.testkit.oracles import (
     repair_mode_oracle,
     runner_backends_oracle,
     sim_engines_oracle,
+    straight_cover_oracle,
     streaming_merge_oracle,
     trial_backend_oracle,
 )
@@ -229,7 +234,25 @@ def run_conformance(
         report.oracle = f"{report.oracle}:{construction.name}:{spec.label()}"
         done(report)
 
-    # 3a. The compiled kernel tier against the same scalar loops -----------
+    # 3a. The batched bn kernel's building blocks -------------------------
+    # Its generators come from a block-at-once derivation and its greedy
+    # from array operations; both are checked directly against the scalar
+    # references (spawn_rng, _cover_rows_cyclic + place_bands) on edge-case
+    # roots, key tuples and row profiles the trial matrix would rarely hit.
+    from repro.testkit.cases import (
+        BN_PARAM_SETS,
+        COVER_GEOMETRIES,
+        RNG_KEY_TUPLES,
+        RNG_ROOTS,
+    )
+
+    done(batched_rng_oracle(RNG_ROOTS, RNG_KEY_TUPLES))
+    done(straight_cover_oracle(
+        COVER_GEOMETRIES, BN_PARAM_SETS[:3] if quick else BN_PARAM_SETS,
+        trials=64 if quick else 256,
+    ))
+
+    # 3b. The compiled kernel tier against the same scalar loops -----------
     # One stage per hot kernel (bn survival, lifetime lockstep, traffic
     # arbitration).  Where the JIT dependency is absent these stages
     # *report* — each shows an explicit ``skipped`` line rather than
@@ -254,7 +277,7 @@ def run_conformance(
         report.oracle = f"compiled:{base}:{construction.name}:{spec.label()}"
         done(report)
 
-    # 3b. Fault models against their independent references ----------------
+    # 3c. Fault models against their independent references ----------------
     from repro.testkit.cases import FAULT_MODEL_CASES
 
     for model_dict in FAULT_MODEL_CASES:

@@ -55,6 +55,7 @@ __all__ = [
     "OracleReport",
     "adaptive_router_oracle",
     "audit_embedding",
+    "batched_rng_oracle",
     "brute_force_healthiness",
     "check_routes_bfs",
     "checkpoint_resume_oracle",
@@ -69,6 +70,7 @@ __all__ = [
     "runner_backends_oracle",
     "sim_engines_oracle",
     "sim_record",
+    "straight_cover_oracle",
     "streaming_merge_oracle",
     "trial_backend_oracle",
 ]
@@ -498,6 +500,126 @@ def trial_backend_oracle(
             _point_record(spec, a), _point_record(spec, b),
             oracle=name, left="scalar", right=tier, path=f"seed[{seeds[i]}]",
         )
+    return report
+
+
+def _rng_record(rng) -> dict:
+    """A generator's state plus its first draws (consumes them)."""
+    return {
+        "state": rng.bit_generator.state,
+        "random": rng.random(3).tolist(),
+        "integers": rng.integers(0, 2**62, 3).tolist(),
+    }
+
+
+def batched_rng_oracle(
+    roots: Sequence[int], key_tuples: Sequence[tuple]
+) -> OracleReport:
+    """The block-at-once generator derivation against ``spawn_rng``.
+
+    For every key tuple, :func:`repro.util.rng.iter_rngs` walks all
+    ``roots`` as one block; each re-seeded generator's ``state`` dict and
+    its first ``random``/``integers`` draws must equal those of a fresh
+    ``spawn_rng(root, *keys)`` — the RNG-compatibility contract the
+    batched bn kernel rests on (docs/fastpath.md).
+    """
+    from repro.util.rng import iter_rngs, spawn_rng
+
+    report = OracleReport("batched-rng", ("spawn_rng", "iter_rngs"))
+    for keys in key_tuples:
+        for root, rng in zip(roots, iter_rngs(roots, *keys)):
+            report.cases += 1
+            report.mismatches += diff_values(
+                _rng_record(spawn_rng(root, *keys)), _rng_record(rng),
+                oracle=report.oracle, left="spawn_rng", right="iter_rngs",
+                path=f"keys{list(keys)}.root[{int(root)}]",
+            )
+    return report
+
+
+def straight_cover_oracle(
+    geometries: Sequence[tuple[int, int, int]], param_sets: Sequence[dict], *,
+    trials: int = 64,
+) -> OracleReport:
+    """The vectorised straight-cover classifier against the scalar greedy.
+
+    Per ``(m, b, K)`` geometry, on ``trials`` random profiles at each row
+    density from 0 to 0.5 and on
+    :func:`~repro.testkit.cases.adversarial_row_profiles`: the vectorised
+    success flag must equal ``_cover_rows_cyclic``'s, and the bands it
+    returns must mask every faulty row.  Per bn parameter set, on fault
+    stacks built from the same kinds of profiles: a trial is covered by
+    ``straight_survival_batch`` exactly when the scalar straight placement
+    succeeds, and ``place_bands(strategy="auto")`` then returns straight
+    bands — the claim that lets the kernel skip the scalar trial.
+    """
+    from repro.core.params import BnParams
+    from repro.core.placement import _cover_rows_cyclic, place_bands
+    from repro.errors import ReconstructionError
+    from repro.fastpath.bn_batch import (
+        _masks_cover,
+        _straight_cover,
+        straight_survival_batch,
+    )
+    from repro.testkit.cases import adversarial_row_profiles
+    from repro.util.rng import spawn_rng
+
+    report = OracleReport("straight-cover", ("scalar-greedy", "vectorised"))
+
+    def profiles(m, b, K):
+        rng = spawn_rng(0, "straight-cover", m, b, K)
+        random = [rng.random((trials, m)) < p
+                  for p in (0.0, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5)]
+        return np.concatenate(random + [adversarial_row_profiles(m, b, K)])
+
+    def fail(path, expected, actual):
+        report.mismatches.append(Mismatch(
+            report.oracle, "scalar-greedy", "vectorised", path, expected, actual))
+
+    for m, b, K in geometries:
+        stack = profiles(m, b, K)
+        ok, bottoms = _straight_cover(stack, b, K)
+        masked = _masks_cover(stack, bottoms, b)
+        for t in range(len(stack)):
+            rows = np.flatnonzero(stack[t])
+            try:
+                _cover_rows_cyclic(rows, m, b, K)
+                want = True
+            except ReconstructionError:
+                want = False
+            report.cases += 1
+            path = f"(m={m},b={b},K={K}).rows{rows.tolist()}"
+            if bool(ok[t]) != want:
+                fail(f"{path}.success", want, bool(ok[t]))
+            elif want and not masked[t]:
+                fail(f"{path}.masks_every_row", True, False)
+
+    for kw in param_sets:
+        params = BnParams(**kw)
+        m, b, K = params.m, params.b, params.num_bands
+        stack = profiles(m, b, K)
+        # One fault per faulty row, in a random column of that row.
+        width = int(np.prod(params.shape)) // m
+        cols = spawn_rng(0, "straight-cover-cols", m).integers(0, width, stack.shape)
+        faults = np.zeros((len(stack), m, width), dtype=bool)
+        t_idx, r_idx = np.nonzero(stack)
+        faults[t_idx, r_idx, cols[t_idx, r_idx]] = True
+        faults = faults.reshape((len(stack),) + params.shape)
+        covered, _ = straight_survival_batch(params, faults)
+        for t in range(len(stack)):
+            report.cases += 1
+            path = f"bn(d={params.d},b={b},s={params.s},t={params.t}).trial[{t}]"
+            try:
+                place_bands(params, faults[t], strategy="straight")
+                straight = True
+            except ReconstructionError:
+                straight = False
+            if bool(covered[t]) != straight:
+                fail(f"{path}.covered", straight, bool(covered[t]))
+            elif covered[t]:
+                bands = place_bands(params, faults[t], strategy="auto")
+                if not bands.is_straight:
+                    fail(f"{path}.auto_is_straight", True, False)
     return report
 
 

@@ -37,7 +37,7 @@ class TestBnCoverCore:
         rng = spawn_rng(seed, "cover-core")
         fault_rows = rng.random((trials, m)) < 0.3
         bottoms = rng.integers(0, m, size=(trials, k)).astype(np.int64)
-        # Greedy-failed trials carry -1 rows, as in straight_survival_batch.
+        # Out-of-range rows must still reduce modulo m like the numpy twin.
         bottoms[rng.random(trials) < 0.2] = -1
         return fault_rows, bottoms, m, b
 

@@ -176,8 +176,9 @@ def test_sampler_matches_scalar_streams():
 
     params = BnParams(d=2, b=3, s=1, t=2)
     bt = BTorus(params)
-    stack = sample_bn_faults_batch(bt, 0.01, 0.001, [3, 4, 5])
-    for i, seed in enumerate([3, 4, 5]):
+    seeds = [3, 4, 5, 2**32 + 7, -3]  # roots past 32 bits and negative too
+    stack = sample_bn_faults_batch(bt, 0.01, 0.001, seeds)
+    for i, seed in enumerate(seeds):
         rng = spawn_rng(seed, "bn-trial", params.n, params.d)
         assert (stack[i] == bt.sample_faults(0.01, rng, q=0.001)).all()
 

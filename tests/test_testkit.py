@@ -447,6 +447,53 @@ class TestFaultModelOracleMutation:
         assert {m.path for m in ms} >= {"dropped", "delivered"}
 
 
+class TestBatchedBnKernelOracleMutation:
+    """The batched-rng and straight-cover stages fire on a broken kernel."""
+
+    def test_skewed_generator_derivation_fires(self, monkeypatch):
+        import repro.util.rng as rng_mod
+        from repro.testkit.oracles import batched_rng_oracle
+
+        honest = rng_mod.iter_rngs
+
+        def skewed(roots, *keys):
+            return honest([int(r) + (int(r) == 7) for r in roots], *keys)
+
+        monkeypatch.setattr(rng_mod, "iter_rngs", skewed)
+        report = batched_rng_oracle([5, 7, 9], [("bn-trial", 36, 2)])
+        assert not report.ok
+        assert {m.path.split(".")[1] for m in report.mismatches} == {"root[7]"}
+
+    def test_overeager_sweep_fires(self, monkeypatch):
+        import repro.fastpath.bn_batch as kernel
+        from repro.testkit.oracles import straight_cover_oracle
+
+        honest = kernel._latest_sweep
+
+        def accepts_everything(rows, b, K):
+            accepted, rejected, bottoms = honest(rows, b, K)
+            return ~rejected, rejected, bottoms
+
+        monkeypatch.setattr(kernel, "_latest_sweep", accepts_everything)
+        report = straight_cover_oracle([(54, 3, 6)], [], trials=32)
+        assert not report.ok
+        assert all(m.path.endswith((".success", ".masks_every_row"))
+                   for m in report.mismatches)
+
+    def test_covered_without_a_straight_placement_fires(self, monkeypatch):
+        import repro.fastpath.bn_batch as kernel
+        from repro.testkit.oracles import straight_cover_oracle
+
+        # Every trial "covered", whatever its faults.
+        monkeypatch.setattr(kernel, "_straight_cover", lambda rows, b, K: (
+            np.ones(len(rows), dtype=bool), np.zeros((len(rows), K), dtype=np.int64)))
+        monkeypatch.setattr(kernel, "_masks_cover",
+                            lambda rows, bottoms, b: np.ones(len(rows), dtype=bool))
+        report = straight_cover_oracle([], [dict(d=2, b=3, s=1, t=2)], trials=8)
+        assert not report.ok
+        assert any(m.path.endswith(".covered") for m in report.mismatches)
+
+
 # ---------------------------------------------------------------------------
 # Mutation: tamper a golden artifact
 # ---------------------------------------------------------------------------
