@@ -78,7 +78,7 @@ def test_e14_recovered_equals_pristine(benchmark, report):
             traffic=[TrafficSpec(pattern=p, messages=MESSAGES) for p in PATTERNS],
             trials=3, seed0=3, name="e14-patterns",
         )
-        result = ExperimentRunner(batch=True).run(spec)
+        result = ExperimentRunner(backend="batch").run(spec)
         rows = []
         for pt in result.points:
             r = pt.result
@@ -122,7 +122,7 @@ def test_e14_saturation_sweep(benchmark, report):
             ],
             trials=2, name="e14-saturation",
         )
-        result = ExperimentRunner(batch=True).run(spec)
+        result = ExperimentRunner(backend="batch").run(spec)
         rows = []
         for rate, pt in zip(SATURATION_RATES, result.points):
             o = pt.result.outcomes[0]  # trial 0 shown; trials agree in shape

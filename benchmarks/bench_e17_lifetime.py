@@ -54,7 +54,7 @@ def lifetime_spec_for(params: BnParams) -> ExperimentSpec:
 def test_e17_random_fault_lifetime(benchmark, report):
     def compute():
         RESULTS.mkdir(exist_ok=True)  # fresh clones lack the results dir
-        runner = ExperimentRunner(batch=True)
+        runner = ExperimentRunner(backend="batch")
         rows = []
         for params in CASES:
             result = runner.run(lifetime_spec_for(params))

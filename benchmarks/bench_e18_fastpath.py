@@ -13,17 +13,15 @@ Runs two ways:
 * ``python benchmarks/bench_e18_fastpath.py [--quick] [--check PATH]`` —
   the CI perf-regression gate.  ``--quick`` measures the headline bn
   configuration, the batched *lifetime* kernel on the same instance and
-  the batched *traffic* kernel on the e14 guest torus — once per
-  importable kernel tier, so machines with numba also gate the
-  ``compiled`` tier (min-of-N timed, a couple of seconds); ``--check``
-  compares every key present on both sides against the committed
-  baseline and exits 1 on a >30% wall-clock regression of any
-  vectorized kernel.  Because CI runners
-  and the machine that produced the baseline differ, the gate normalises
-  by the scalar kernel measured in the same process: the batched kernel
-  "regressed by 30%" when its speedup over scalar drops below
-  baseline_speedup / 1.3.  That ratio is machine-portable; raw seconds
-  are recorded for humans.
+  the batched *traffic* kernel on the e14 guest torus (min-of-N timed,
+  a couple of seconds); ``--check`` compares all three against the
+  committed baseline and exits 1 on a >30% wall-clock regression of any
+  vectorized kernel, or when either side lacks one of them.  Because CI
+  runners and the machine that produced the baseline differ, the gate
+  normalises by the scalar kernel measured in the same process: the
+  batched kernel "regressed by 30%" when its speedup over scalar drops
+  below baseline_speedup / 1.3.  That ratio is machine-portable; raw
+  seconds are recorded for humans.
 
 ``BENCH_runner.json`` is regenerated here too (same harness, same
 machine) with ``machine_cpus`` taken from the actual runner instead of a
@@ -59,20 +57,12 @@ QUICK_TRIALS = 64
 REPEATS = 3
 
 
-def _tier_kwargs(tier: str) -> dict:
-    """The kwargs that select a kernel tier (empty for the batch default,
-    mirroring how the runner only passes ``tier=`` when it is compiled)."""
-    return {} if tier == "batch" else {"tier": tier}
-
-
-def _measure(name: str, params: dict, trials: int, p: float | None = None,
-             tier: str = "batch") -> dict:
+def _measure(name: str, params: dict, trials: int, p: float | None = None) -> dict:
     """Time scalar vs batched execution of the same seeds; verify identity.
 
-    Both kernels are timed ``REPEATS`` times and the minimum is kept.
-    ``tier`` picks the vectorized rung under measurement (``"batch"`` or
-    ``"compiled"``); the scalar reference is always re-timed in the same
-    process so the recorded speedup stays machine-portable."""
+    Both kernels are timed ``REPEATS`` times and the minimum is kept; the
+    scalar reference is re-timed in the same process so the recorded
+    speedup stays machine-portable."""
     from repro.api import FaultSpec
     from repro.api.registry import get
 
@@ -81,14 +71,13 @@ def _measure(name: str, params: dict, trials: int, p: float | None = None,
         p = construction.params.paper_fault_probability
     spec = FaultSpec(p=p)
     seeds = list(range(trials))
-    kw = _tier_kwargs(tier)
-    construction.run_batch(spec, seeds[:2], **kw)  # warm both paths (+ JIT)
+    construction.run_batch(spec, seeds[:2])  # warm both paths
     construction.trial(spec, 0)
 
     batch_s = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        batch_outs = construction.run_batch(spec, seeds, **kw)
+        batch_outs = construction.run_batch(spec, seeds)
         batch_s = min(batch_s, time.perf_counter() - t0)
 
     scalar_s = float("inf")
@@ -106,7 +95,6 @@ def _measure(name: str, params: dict, trials: int, p: float | None = None,
         "construction": name,
         "params": params,
         "p": p,
-        "tier": tier,
         "trials": trials,
         "timing_repeats": REPEATS,
         "scalar_s": round(scalar_s, 4),
@@ -121,7 +109,7 @@ def _measure(name: str, params: dict, trials: int, p: float | None = None,
 LIFETIME_TRIALS = 32
 
 
-def _measure_lifetime(params: dict, trials: int, tier: str = "batch") -> dict:
+def _measure_lifetime(params: dict, trials: int) -> dict:
     """Time scalar vs batched lifetime execution of the same seeds; verify
     trial-for-trial identical first-failure records (ISSUE 3 contract)."""
     from repro.api import LifetimeSpec
@@ -130,14 +118,13 @@ def _measure_lifetime(params: dict, trials: int, tier: str = "batch") -> dict:
     construction = get("bn", **params)
     spec = LifetimeSpec()
     seeds = list(range(trials))
-    kw = _tier_kwargs(tier)
-    construction.run_lifetime_batch(spec, seeds[:2], **kw)  # warm both paths
+    construction.run_lifetime_batch(spec, seeds[:2])  # warm both paths
     construction.lifetime_trial(spec, 0)
 
     batch_s = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        batch_outs = construction.run_lifetime_batch(spec, seeds, **kw)
+        batch_outs = construction.run_lifetime_batch(spec, seeds)
         batch_s = min(batch_s, time.perf_counter() - t0)
 
     scalar_s = float("inf")
@@ -154,7 +141,6 @@ def _measure_lifetime(params: dict, trials: int, tier: str = "batch") -> dict:
     return {
         "construction": "bn",
         "params": params,
-        "tier": tier,
         "timeline": "uniform",
         "trials": trials,
         "timing_repeats": REPEATS,
@@ -172,7 +158,7 @@ TRAFFIC_SHAPE = (36, 36)
 TRAFFIC_MESSAGES = 1200
 
 
-def _measure_traffic(shape: tuple, messages: int, tier: str = "batch") -> dict:
+def _measure_traffic(shape: tuple, messages: int) -> dict:
     """Time the scalar engine vs the vectorized traffic kernel on the same
     workload; verify the SimResults are identical field for field."""
     from repro.fastpath.traffic_batch import sim_results_identical, simulate_batch
@@ -180,13 +166,12 @@ def _measure_traffic(shape: tuple, messages: int, tier: str = "batch") -> dict:
     from repro.util.rng import spawn_rng
 
     traffic = make_traffic(shape, "uniform", messages, spawn_rng(3, "e18-traffic"))
-    kw = _tier_kwargs(tier)
-    simulate_batch(shape, traffic, **kw)  # warm (+ JIT)
+    simulate_batch(shape, traffic)  # warm
 
     batch_s = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        b = simulate_batch(shape, traffic, **kw)
+        b = simulate_batch(shape, traffic)
         batch_s = min(batch_s, time.perf_counter() - t0)
 
     scalar_s = float("inf")
@@ -198,7 +183,6 @@ def _measure_traffic(shape: tuple, messages: int, tier: str = "batch") -> dict:
     return {
         "shape": list(shape),
         "pattern": "uniform",
-        "tier": tier,
         "messages": messages,
         "timing_repeats": REPEATS,
         "scalar_s": round(scalar_s, 4),
@@ -209,48 +193,63 @@ def _measure_traffic(shape: tuple, messages: int, tier: str = "batch") -> dict:
     }
 
 
-def measure_quick(tier: str = "batch") -> dict:
-    return _measure("bn", FULL_BN, QUICK_TRIALS, tier=tier)
+def measure_quick() -> dict:
+    return _measure("bn", FULL_BN, QUICK_TRIALS)
 
 
-def measure_traffic_quick(tier: str = "batch") -> dict:
-    return _measure_traffic(TRAFFIC_SHAPE, TRAFFIC_MESSAGES, tier=tier)
+def measure_traffic_quick() -> dict:
+    return _measure_traffic(TRAFFIC_SHAPE, TRAFFIC_MESSAGES)
 
 
-def measure_lifetime_quick(tier: str = "batch") -> dict:
-    return _measure_lifetime(FULL_BN, LIFETIME_TRIALS, tier=tier)
+def measure_lifetime_quick() -> dict:
+    return _measure_lifetime(FULL_BN, LIFETIME_TRIALS)
 
 
-#: The CI-gated baseline keys.  The ``*_compiled`` entries exist only in
-#: data (and baselines) recorded where numba is importable; both sides of
-#: the gate skip keys the other lacks, so a baseline from a numba-free
-#: machine still gates the batch tier on a numba-equipped runner and
-#: vice versa.
-GATE_KEYS = ("quick", "lifetime_quick", "traffic_quick",
-             "quick_compiled", "lifetime_quick_compiled",
-             "traffic_quick_compiled")
+#: The CI-gated baseline keys.
+GATE_KEYS = ("quick", "lifetime_quick", "traffic_quick")
 
 
 def measure_gate_data() -> dict:
-    """The quick gate measurements for every importable kernel tier."""
-    from repro.fastpath.dispatch import available_tiers, compiled_available
-
-    data = {
+    """The quick gate measurements, one per gated kernel."""
+    return {
         "quick": measure_quick(),
         "lifetime_quick": measure_lifetime_quick(),
         "traffic_quick": measure_traffic_quick(),
-        "tiers_measured": list(available_tiers()),
     }
-    if compiled_available():
-        data["quick_compiled"] = measure_quick(tier="compiled")
-        data["lifetime_quick_compiled"] = measure_lifetime_quick(tier="compiled")
-        data["traffic_quick_compiled"] = measure_traffic_quick(tier="compiled")
-    return data
+
+
+def check_gate(data: dict, baselines: dict) -> tuple[bool, list[str]]:
+    """Compare each gated speedup against ``baseline / TOLERANCE``.
+
+    Returns ``(ok, lines)`` with one verdict line per key of
+    :data:`GATE_KEYS`.  A key missing from the measurement or from the
+    baseline fails the gate: every gated kernel is always measured, so a
+    gap means the gate has lost coverage.
+    """
+    ok = True
+    lines = []
+    for key in GATE_KEYS:
+        if key not in data or key not in baselines:
+            side = "measurement" if key not in data else "baseline"
+            lines.append(f"perf gate [{key}]: missing from the {side} -> MISSING")
+            ok = False
+            continue
+        baseline = baselines[key]["speedup"]
+        measured = data[key]["speedup"]
+        floor = baseline / TOLERANCE
+        passed = measured >= floor
+        lines.append(
+            f"perf gate [{key}]: measured speedup {measured:.1f}x vs "
+            f"baseline {baseline:.1f}x (floor {floor:.1f}x) -> "
+            f"{'OK' if passed else 'REGRESSION'}"
+        )
+        ok = ok and passed
+    return ok, lines
 
 
 def measure_full() -> dict:
     """The committed benchmark: bn (headline) + an, plus the quick config
-    the CI gate replays (per importable tier)."""
+    the CI gate replays."""
     bn = _measure("bn", FULL_BN, FULL_TRIALS)
     an = _measure("an", FULL_AN, FULL_TRIALS, p=0.1)
     gate = measure_gate_data()
@@ -264,15 +263,12 @@ def measure_full() -> dict:
         "note": (
             "speedups are same-machine ratios and therefore portable across "
             "runners; the CI perf gate replays the `quick`, "
-            "`lifetime_quick` and `traffic_quick` configurations — plus "
-            "their `*_compiled` twins where the numba JIT tier is "
-            "importable (see `tiers_measured`) — and fails when any "
-            "measured speedup drops below speedup/1.3 (a >30% "
-            "wall-clock regression of the vectorized kernel, normalised by "
-            "the scalar kernel measured in the same process).  Keys absent "
-            "from either side of the comparison are skipped, so a baseline "
-            "recorded on a numba-free machine still gates the batch tier "
-            "everywhere.  The lifetime scalar baseline is itself the "
+            "`lifetime_quick` and `traffic_quick` configurations and "
+            "fails when any measured speedup drops below speedup/1.3 (a "
+            ">30% wall-clock regression of the vectorized kernel, "
+            "normalised by the scalar kernel measured in the same "
+            "process), or when either side lacks one of the three.  The "
+            "lifetime scalar baseline is itself the "
             "incremental OnlineRecovery path, so this gate covers both "
             "lifetime pipelines; the headline traffic measurement at full "
             "size lives in BENCH_traffic.json.  The committed *_quick "
@@ -299,13 +295,13 @@ def regenerate_runner_json() -> dict:
     seconds = {}
     dumps = {}
     for workers in (1, 4, 8):
-        runner = ExperimentRunner(workers=workers, batch=False)
+        runner = ExperimentRunner(workers=workers, backend="scalar")
         t0 = time.perf_counter()
         result = runner.run(spec)
         seconds[f"workers={workers}"] = round(time.perf_counter() - t0, 3)
         dumps[workers] = json.dumps(result.to_dict(), sort_keys=True)
     t0 = time.perf_counter()
-    batch_result = ExperimentRunner(batch=True).run(spec)
+    batch_result = ExperimentRunner(backend="batch").run(spec)
     batch_s = round(time.perf_counter() - t0, 3)
     cpus = os.cpu_count()
     return {
@@ -358,9 +354,7 @@ def test_e18_fastpath_speedup(benchmark, report):
         title="E18: scalar per-trial vs vectorized batch backend",
     )
     for key in ("bn_survival_d2_b4", "an_survival", *GATE_KEYS):
-        c = data.get(key)
-        if c is None:  # a *_compiled key on a numba-free machine
-            continue
+        c = data[key]
         table.add_row(
             [key, c.get("trials", c.get("messages")), c["scalar_s"], c["batch_s"],
              f"{c['speedup']:.1f}x", "yes" if c["outcomes_identical"] else "NO"]
@@ -398,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(data, indent=2, sort_keys=True))
 
     for key in GATE_KEYS:
-        if key in data and not data[key]["outcomes_identical"]:
+        if not data[key]["outcomes_identical"]:
             print(
                 f"FAIL: vectorized outcomes differ from scalar outcomes ({key})",
                 file=sys.stderr,
@@ -415,27 +409,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {FASTPATH_JSON} and {RUNNER_JSON}")
 
     if args.check:
-        baselines = json.loads(Path(args.check).read_text())
-        failed = False
-        for key in GATE_KEYS:
-            if key not in baselines or key not in data:
-                # Older baselines lack newer kernels' keys, and *_compiled
-                # keys exist only where numba imports; gate what both have.
-                continue
-            baseline = baselines[key]["speedup"]
-            measured = data[key]["speedup"]
-            floor = baseline / TOLERANCE
-            verdict = "OK" if measured >= floor else "REGRESSION"
-            print(
-                f"perf gate [{key}]: measured speedup {measured:.1f}x vs "
-                f"baseline {baseline:.1f}x (floor {floor:.1f}x) -> {verdict}"
-            )
-            if measured < floor:
-                failed = True
-        if failed:
+        ok, lines = check_gate(data, json.loads(Path(args.check).read_text()))
+        print("\n".join(lines))
+        if not ok:
             print(
                 "FAIL: a vectorized kernel regressed >30% relative to the "
-                "scalar kernel on this machine",
+                "scalar kernel on this machine, or is missing from a side "
+                "of the comparison",
                 file=sys.stderr,
             )
             return 1

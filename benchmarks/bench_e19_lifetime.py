@@ -52,7 +52,7 @@ def measure_survival_curves() -> dict:
         construction="bn", params=CURVE_BN, grid=grid, trials=CURVE_TRIALS,
         name="e19-survival",
     )
-    result = ExperimentRunner(batch=True).run(spec)
+    result = ExperimentRunner(backend="batch").run(spec)
     curves = {}
     for pt in result.points:
         life = pt.result

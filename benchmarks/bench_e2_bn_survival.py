@@ -7,7 +7,7 @@ as b (hence n) grows — despite the absolute fault count growing.
 
 Each case is a declarative :class:`ExperimentSpec` against the ``bn``
 registry entry, executed on the vectorized batch backend
-(``ExperimentRunner(batch=True)``); the batch path reproduces the
+(``ExperimentRunner(backend="batch")``); the batch path reproduces the
 historical driver loop's outcomes exactly (same seeds, same RNG keying,
 byte-identical JSON — the contract of repro.fastpath).
 """
@@ -39,7 +39,7 @@ def spec_for(label: str, params: BnParams, trials: int) -> ExperimentSpec:
 
 
 def test_e2_survival_at_paper_rate(benchmark, report):
-    runner = ExperimentRunner(batch=True)
+    runner = ExperimentRunner(backend="batch")
 
     def compute():
         rows = []

@@ -37,7 +37,7 @@ def test_e3_threshold_sweep(benchmark, report):
     )
 
     def compute():
-        result = ExperimentRunner(batch=True).run(spec)
+        result = ExperimentRunner(backend="batch").run(spec)
         return [ThresholdPoint(pt.fault_spec.p, pt.result) for pt in result.points]
 
     points = run_once(benchmark, compute)

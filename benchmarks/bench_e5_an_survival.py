@@ -26,7 +26,7 @@ TRIALS = 10
 
 
 def test_e5_an_survival_table(benchmark, report):
-    runner = ExperimentRunner(batch=True)
+    runner = ExperimentRunner(backend="batch")
 
     def compute():
         rows = []

@@ -126,14 +126,12 @@ class _TorusTrafficMixin:
         return True
 
     def run_traffic_batch(
-        self, spec: TrafficSpec, seeds: list, max_batch_bytes: int | None = None,
-        tier: str = "batch",
+        self, spec: TrafficSpec, seeds: list, max_batch_bytes: int | None = None
     ) -> list:
         from repro.fastpath.traffic_batch import run_traffic_batch
 
         return run_traffic_batch(
-            self.guest_shape(), spec, seeds, max_batch_bytes=max_batch_bytes,
-            tier=tier,
+            self.guest_shape(), spec, seeds, max_batch_bytes=max_batch_bytes
         )
 
 
@@ -193,14 +191,11 @@ class BnConstruction(_TorusTrafficMixin, _AdapterBase):
         return not spec.adversarial and self.strategy in ("auto", "straight")
 
     def run_batch(
-        self, spec: FaultSpec, seeds: list, max_batch_bytes: int | None = None,
-        tier: str = "batch",
+        self, spec: FaultSpec, seeds: list, max_batch_bytes: int | None = None
     ) -> list:
         from repro.fastpath.bn_batch import run_bn_batch
 
-        return run_bn_batch(
-            self, spec, seeds, max_batch_bytes=max_batch_bytes, tier=tier
-        )
+        return run_bn_batch(self, spec, seeds, max_batch_bytes=max_batch_bytes)
 
     def lifetime_trial(self, spec: LifetimeSpec, seed: int) -> LifetimeOutcome:
         """Incremental lifetime trial on the historical ``fault_lifetime``
@@ -224,13 +219,12 @@ class BnConstruction(_TorusTrafficMixin, _AdapterBase):
         )
 
     def run_lifetime_batch(
-        self, spec: LifetimeSpec, seeds: list, max_batch_bytes: int | None = None,
-        tier: str = "batch",
+        self, spec: LifetimeSpec, seeds: list, max_batch_bytes: int | None = None
     ) -> list:
         from repro.fastpath.lifetime_batch import run_bn_lifetime_batch
 
         return run_bn_lifetime_batch(
-            self, spec, seeds, max_batch_bytes=max_batch_bytes, tier=tier
+            self, spec, seeds, max_batch_bytes=max_batch_bytes
         )
 
     def guest_shape(self) -> tuple:
@@ -358,12 +352,8 @@ class AnConstruction(_TorusTrafficMixin, _AdapterBase):
         return not spec.adversarial and spec.q == 0.0 and spec.fault_model is None
 
     def run_batch(
-        self, spec: FaultSpec, seeds: list, max_batch_bytes: int | None = None,
-        tier: str = "batch",
+        self, spec: FaultSpec, seeds: list, max_batch_bytes: int | None = None
     ) -> list:
-        # The an survival kernel has no compiled core (its hot path is the
-        # bn sub-torus classifier); on the compiled tier it runs the same
-        # numpy kernel — outcomes are tier-independent either way.
         from repro.fastpath.an_batch import run_an_batch
 
         return run_an_batch(self, spec, seeds, max_batch_bytes=max_batch_bytes)

@@ -55,10 +55,10 @@ logger = logging.getLogger(__name__)
 #: spec-level field with a fixed default, never derived from ``workers``.
 DEFAULT_CHUNK_SIZE = 16
 
-#: Most trials one batched kernel call is given.  On batch tiers the runner
-#: hands each run of consecutive un-journaled chunks of a one-shot point to
-#: one ``run_batch`` call, up to this many trials (a chunk this big or
-#: bigger is a block of its own), so array work amortises over more than
+#: Most trials one batched kernel call is given.  On the batch backend the
+#: runner hands each run of consecutive un-journaled chunks of a one-shot
+#: point to one ``run_batch`` call, up to this many trials (a chunk this big
+#: or bigger is a block of its own), so array work amortises over more than
 #: one chunk.  Execution only: outcomes are split back at chunk boundaries,
 #: so merging, journaling and progress stay per chunk.
 BLOCK_TRIALS = 256
@@ -293,24 +293,20 @@ def _run_block(task: tuple) -> list[dict]:
     Takes/returns plain picklable types so it crosses process boundaries.
     ``task`` is ``(name, params_items, point_dict, seed_start, counts,
     backend, max_batch_bytes)``: chunk ``j`` holds the next ``counts[j]``
-    seeds.  ``backend`` is the resolved kernel tier (``"scalar"`` forces
-    the per-trial loop; ``"batch"``/``"compiled"`` dispatch to the
-    construction's vectorized kernels when advertised for the point,
-    falling back per-trial otherwise); outcomes are identical on every
-    tier (the batch contract), so the choice never reaches the JSON.  A
+    seeds.  ``backend`` is ``"scalar"`` (the per-trial loop) or
+    ``"batch"`` (the construction's vectorized kernels when advertised
+    for the point, per-trial otherwise); outcomes are identical on both
+    (the batch contract), so the choice never reaches the JSON.  A
     batched one-shot point makes one ``run_batch`` call for the whole
     block and splits its outcomes at the chunk boundaries; lifetime and
     traffic points, and per-trial runs, go chunk by chunk.
     ``max_batch_bytes`` (when set) bounds the kernels' resident fault
-    stacks, and the ``tier`` kwarg rides along only on the compiled tier
-    — both passed only when explicit so duck-typed constructions without
-    the parameters keep working.
+    stacks — passed only when explicit so duck-typed constructions
+    without the parameter keep working.
     """
     name, params_items, fault_spec_dict, seed_start, counts, backend, mbb = task
-    use_batch = backend != "scalar"
+    use_batch = backend == "batch"
     kw = {} if mbb is None else {"max_batch_bytes": mbb}
-    if backend == "compiled":
-        kw["tier"] = "compiled"
     construction = _cached_construction(name, params_items)
     point = _point_from_dict(fault_spec_dict)
     starts = list(itertools.accumulate(counts, initial=seed_start))
@@ -410,18 +406,11 @@ class _PointFold:
 class ExperimentRunner:
     """Execute :class:`ExperimentSpec`\\ s serially or on a process pool.
 
-    ``backend`` selects the kernel tier for each seed chunk — one of
-    ``"auto"`` (default: the best tier available here), ``"scalar"``
-    (the per-trial reference loop everywhere), ``"batch"`` (the numpy
-    kernels where a construction advertises support, per-trial
-    otherwise) or ``"compiled"`` (the numba-JIT cores; requesting it
-    where numba is absent raises
-    :class:`~repro.errors.BackendUnavailableError` at construction, not
-    mid-run — see :mod:`repro.fastpath.dispatch`).  The legacy ``batch``
-    flag maps onto the same ladder (``False`` → scalar, ``True`` →
-    batch, ``None`` → auto) and is mutually exclusive with ``backend``.
-    Like ``workers``, the choice is a runner property, not a spec field
-    — results are byte-identical on every tier.
+    ``backend`` selects the kernels for each seed chunk: ``"batch"``
+    (default: the numpy kernels where a construction advertises support,
+    per-trial otherwise) or ``"scalar"`` (the per-trial reference loop
+    everywhere).  Like ``workers``, the choice is a runner property, not
+    a spec field — results are byte-identical on both backends.
 
     Execution is *streaming*: work units (single chunks, or blocks of
     consecutive chunks for batched one-shot points, see
@@ -444,28 +433,18 @@ class ExperimentRunner:
     def __init__(
         self,
         workers: int = 1,
-        batch: bool | None = None,
         max_batch_bytes: int | None = None,
         progress_interval: float = 1.0,
-        backend: str | None = None,
+        backend: str = "batch",
     ):
-        from repro.fastpath.dispatch import resolve_backend
-
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_batch_bytes is not None and max_batch_bytes < 1:
             raise ValueError("max_batch_bytes must be >= 1")
-        if backend is not None and batch is not None:
-            raise ValueError(
-                "pass either backend= or the legacy batch= flag, not both"
-            )
-        if backend is None and batch is not None:
-            backend = "scalar" if batch is False else "batch"
+        if backend not in ("scalar", "batch"):
+            raise ValueError(f"unknown backend {backend!r}; options: scalar, batch")
         self.workers = workers
-        self.batch = batch
-        # Resolved eagerly: an unavailable explicit tier must fail at
-        # construction time (BackendUnavailableError), never mid-run.
-        self.backend = resolve_backend(backend)
+        self.backend = backend
         self.max_batch_bytes = max_batch_bytes
         self.progress_interval = progress_interval
 
@@ -474,7 +453,7 @@ class ExperimentRunner:
         for :func:`_run_block_indexed`: consecutive chunks of one point not
         in ``skip`` (chunks already satisfied by a resumed journal),
         grouped up to :data:`BLOCK_TRIALS` trials for one-shot points on
-        batch tiers and one chunk each otherwise.
+        the batch backend and one chunk each otherwise.
 
         A generator, never a materialized list: at a million trials the
         task list itself would be memory the streaming contract promises
@@ -483,7 +462,7 @@ class ExperimentRunner:
         params_items = tuple(sorted(spec.params.items()))
         for point_idx, fs in enumerate(spec.grid):
             fsd = fs.to_dict()
-            grouped = self.backend != "scalar" and isinstance(fs, FaultSpec)
+            grouped = self.backend == "batch" and isinstance(fs, FaultSpec)
             cap = BLOCK_TRIALS if grouped else 1
             block = None  # (first chunk, first seed, counts)
             for chunk_idx, start in enumerate(range(0, spec.trials, spec.chunk_size)):

@@ -426,13 +426,6 @@ class BatchCapable(Protocol):
     for the same seeds whenever ``supports_batch`` approved the spec; it
     may delegate individual hard trials back to ``trial`` to keep that
     guarantee.
-
-    Implementations may accept an optional keyword ``tier`` (``"batch"``
-    default, ``"compiled"`` for the JIT cores — see
-    :mod:`repro.fastpath.dispatch`); the runner passes it only when the
-    compiled tier was resolved, and outcomes are tier-independent under
-    the same identity contract.  The same convention applies to
-    ``run_lifetime_batch`` and ``run_traffic_batch``.
     """
 
     def supports_batch(self, spec: FaultSpec) -> bool: ...

@@ -78,26 +78,22 @@ _RUN_PARAMS = {
 
 def _make_runner(args: argparse.Namespace):
     """The experiment runner shared by run/lifetime/traffic: worker pool,
-    kernel tier and streaming memory budget are runner (non-spec)
-    choices — results are byte-identical whatever they are set to.
-    Requesting ``--backend compiled`` where the JIT dependency is absent
-    raises here (a clean fast failure), before any trial runs."""
+    backend and streaming memory budget are runner (non-spec) choices —
+    results are byte-identical whatever they are set to."""
     from repro.api import ExperimentRunner
 
     return ExperimentRunner(
-        workers=args.workers, batch=args.batch, max_batch_bytes=args.max_batch_bytes,
+        workers=args.workers, max_batch_bytes=args.max_batch_bytes,
         backend=args.backend,
     )
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """The kernel-tier flag shared by run/lifetime/traffic."""
+    """The backend flag shared by run/lifetime/traffic."""
     parser.add_argument(
-        "--backend", choices=["auto", "scalar", "batch", "compiled"], default=None,
-        help="kernel tier: scalar reference loop, numpy batch kernels, or "
-             "numba-compiled cores (auto = best available; results are "
-             "byte-identical on every tier, and an explicitly requested "
-             "unavailable tier fails fast — see docs/fastpath.md)")
+        "--backend", choices=["scalar", "batch"], default="batch",
+        help="scalar reference loop or numpy batch kernels (default: batch; "
+             "results are byte-identical on both — see docs/fastpath.md)")
 
 
 def _add_streaming_args(parser: argparse.ArgumentParser) -> None:
@@ -695,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--workers", type=int, default=1,
                        help="process-pool size (1 = serial; same results either way)")
-    p_run.add_argument("--batch", action=argparse.BooleanOptionalAction, default=None,
-                       help="legacy tier flag: --batch forces the numpy kernels, "
-                            "--no-batch the per-trial loop (prefer --backend; "
-                            "results are byte-identical either way)")
     _add_backend_arg(p_run)
     _add_streaming_args(p_run)
     p_run.add_argument("--out", type=str, default="", help="write results JSON here")
@@ -767,11 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_life.add_argument("--seed", type=int, default=0)
     p_life.add_argument("--workers", type=int, default=1,
                         help="process-pool size (1 = serial; same results either way)")
-    p_life.add_argument("--batch", action=argparse.BooleanOptionalAction, default=None,
-                        help="legacy tier flag: --batch forces the batched "
-                             "lifetime kernel, --no-batch the scalar loop "
-                             "(prefer --backend; results are byte-identical "
-                             "either way)")
     _add_backend_arg(p_life)
     _add_streaming_args(p_life)
     p_life.add_argument("--out", type=str, default="", help="write results JSON here")
@@ -838,11 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_traffic.add_argument("--seed", type=int, default=0)
     p_traffic.add_argument("--workers", type=int, default=1,
                            help="process-pool size (1 = serial; same results either way)")
-    p_traffic.add_argument("--batch", action=argparse.BooleanOptionalAction, default=None,
-                           help="legacy tier flag: --batch forces the vectorized "
-                                "simulator kernel, --no-batch the scalar engine "
-                                "(prefer --backend; results are byte-identical "
-                                "either way)")
     _add_backend_arg(p_traffic)
     _add_streaming_args(p_traffic)
     p_traffic.add_argument("--out", type=str, default="", help="write results JSON here")

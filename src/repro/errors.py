@@ -22,18 +22,6 @@ class ConstructionError(ReproError):
     """A construction could not be built (should not happen for valid params)."""
 
 
-class BackendUnavailableError(ReproError, ValueError):
-    """An explicitly requested kernel tier cannot run here.
-
-    Raised by :func:`repro.fastpath.dispatch.resolve_backend` when
-    ``backend="compiled"`` is requested but the optional JIT dependency
-    (numba) is not importable.  ``backend="auto"`` never raises — it
-    degrades to the best available tier; only an explicit request for an
-    unavailable tier fails, and it fails fast (at runner construction /
-    CLI parse time), never mid-experiment.
-    """
-
-
 class JournalError(ReproError):
     """A checkpoint chunk journal cannot be resumed.
 

@@ -16,23 +16,13 @@ runner picks.  Any trial the vectorized kernels cannot classify is
 delegated to the scalar path, so coverage is total and correctness never
 depends on the fast path alone.  See docs/fastpath.md.
 
-The batch kernels are the middle rung of a three-tier ladder
-(``scalar`` → ``batch`` → ``compiled``, see
-:mod:`repro.fastpath.dispatch`): the optional compiled tier swaps the
-hottest inner loops for numba-JIT cores (:mod:`repro.fastpath.compiled`)
-under the same identical-outcome contract, and degrades to an explicit
-fast failure — never a silently different result — where numba is
-absent.
+These kernels are the ``batch`` backend; the scalar per-trial loop is
+the ``scalar`` one.  :class:`~repro.api.experiment.ExperimentRunner`
+owns the choice (``backend="batch"`` by default), and it never reaches
+the JSON.
 """
 
 from repro.fastpath.an_batch import run_an_batch
-from repro.fastpath.dispatch import (
-    BACKENDS,
-    TIERS,
-    available_tiers,
-    compiled_available,
-    resolve_backend,
-)
 from repro.fastpath.bn_batch import (
     bn_bytes_per_trial,
     run_bn_batch,
@@ -51,13 +41,8 @@ from repro.fastpath.streaming import (
 from repro.fastpath.traffic_batch import routes_batch, run_traffic_batch, simulate_batch
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_MAX_BATCH_BYTES",
-    "TIERS",
-    "available_tiers",
     "bn_bytes_per_trial",
-    "compiled_available",
-    "resolve_backend",
     "check_healthiness_batch",
     "iter_seed_slices",
     "record_buffer",

@@ -191,7 +191,7 @@ def _masks_cover(fault_rows: np.ndarray, bottoms: np.ndarray, b: int) -> np.ndar
 
 
 def straight_survival_batch(
-    params: BnParams, faults: np.ndarray, *, tier: str = "batch"
+    params: BnParams, faults: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify a ``(trials, *shape)`` fault stack by straight-band cover.
 
@@ -209,18 +209,12 @@ def straight_survival_batch(
     # Defence in depth: confirm the covers really mask every faulty row.
     # Any mismatch demotes the trial to the scalar path instead of
     # trusting the vectorized classification.
-    if tier == "compiled":
-        from repro.fastpath.compiled import bn_cover_core
-
-        covered = greedy_ok & bn_cover_core(fault_rows, bottoms, m, b)
-    else:
-        covered = greedy_ok & _masks_cover(fault_rows, bottoms, b)
+    covered = greedy_ok & _masks_cover(fault_rows, bottoms, b)
     return covered, fault_rows
 
 
 def run_bn_batch(
     adapter, spec, seeds: Sequence[int], max_batch_bytes: int | None = None,
-    tier: str = "batch",
 ) -> list[TrialOutcome]:
     """Batched equivalent of ``[adapter.trial(spec, s) for s in seeds]``.
 
@@ -264,7 +258,7 @@ def run_bn_batch(
             )
         trials = len(sub)
         num_faults = faults.reshape(trials, -1).sum(axis=1)
-        covered, _ = straight_survival_batch(params, faults, tier=tier)
+        covered, _ = straight_survival_batch(params, faults)
         if model is not None:
             # Model specs run the *generic* scalar trial, which reports no
             # strategy or health — covered trials emit its exact outcome.
@@ -286,9 +280,7 @@ def run_bn_batch(
             # double the dominant cost of the high-fault-rate regime.
             from repro.fastpath.health import check_healthiness_batch
 
-            reports = check_healthiness_batch(
-                params, faults[covered], torus.geo, tier=tier
-            )
+            reports = check_healthiness_batch(params, faults[covered], torus.geo)
             healths = dict(zip(np.flatnonzero(covered).tolist(), reports))
         for t, seed in enumerate(sub):
             if covered[t]:

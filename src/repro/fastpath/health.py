@@ -45,18 +45,11 @@ def _window_reduce(arr: np.ndarray, width: int, axis: int, op) -> np.ndarray:
     return out
 
 
-def _longest_false_run(marked: np.ndarray, axis: int, tier: str = "batch") -> np.ndarray:
+def _longest_false_run(marked: np.ndarray, axis: int) -> np.ndarray:
     """Longest run of False along ``axis`` (linear, not cyclic) — the
-    batched equivalent of the scalar ``_linear_max_free_run``.  The
-    compiled tier flattens to ``(n, length)`` rows and runs the JIT
-    streak core; both compute the identical integer reduction."""
+    batched equivalent of the scalar ``_linear_max_free_run``."""
     marked = np.moveaxis(marked, axis, -1)
     length = marked.shape[-1]
-    if tier == "compiled":
-        from repro.fastpath.compiled import longest_false_run_core
-
-        flat = np.ascontiguousarray(marked).reshape(-1, length)
-        return longest_false_run_core(flat).reshape(marked.shape[:-1])
     idx = np.arange(length, dtype=np.int64)
     last_true = np.maximum.accumulate(np.where(marked, idx, -1), axis=-1)
     # Streak of False ending at each position; 0 wherever marked is True.
@@ -69,7 +62,6 @@ def check_healthiness_batch(
     geometry: TileGeometry | None = None,
     *,
     max_violations: int = 8,
-    tier: str = "batch",
 ) -> list[HealthReport]:
     """Check Lemma 4's conditions on a ``(T, *params.shape)`` fault stack.
 
@@ -115,7 +107,7 @@ def check_healthiness_batch(
     # Split the m node rows into (G0, tile) strips: brick at corner
     # (i, j..) covers node rows [i*tile, (i+1)*tile) — never wrapping.
     strips = brick_rows.reshape((trials, grid[0], tile) + grid[1:])
-    free_run = _longest_false_run(strips, axis=2, tier=tier)  # (T, G0, G1, ...)
+    free_run = _longest_false_run(strips, axis=2)  # (T, G0, G1, ...)
     cond1_grid = free_run >= 2 * b
     cond1_ok = cond1_grid.reshape(trials, -1).all(axis=1)
 

@@ -80,8 +80,7 @@ def _greedy_bottoms(params, rows: np.ndarray) -> np.ndarray | None:
 
 
 def run_bn_lifetime_batch(
-    adapter, spec, seeds: Sequence[int], max_batch_bytes: int | None = None,
-    tier: str = "batch",
+    adapter, spec, seeds: Sequence[int], max_batch_bytes: int | None = None
 ) -> list[LifetimeOutcome]:
     """Batched equivalent of ``[adapter.lifetime_trial(spec, s) for s in seeds]``.
 
@@ -100,13 +99,11 @@ def run_bn_lifetime_batch(
     per_trial = 16 * limit + params.m + 8 * params.num_bands
     outcomes: list[LifetimeOutcome] = []
     for sub in iter_seed_slices(seeds, per_trial, max_batch_bytes):
-        outcomes.extend(_run_lifetime_slice(adapter, spec, sub, tier=tier))
+        outcomes.extend(_run_lifetime_slice(adapter, spec, sub))
     return outcomes
 
 
-def _run_lifetime_slice(
-    adapter, spec, seeds: Sequence[int], tier: str = "batch"
-) -> list[LifetimeOutcome]:
+def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOutcome]:
     """One resident slice of the lockstep kernel (the pre-streaming body)."""
     torus = adapter.torus
     params = adapter.params
@@ -139,12 +136,7 @@ def _run_lifetime_slice(
         if not active.any():
             break
         r = rows[:, k]
-        if tier == "compiled":
-            from repro.fastpath.compiled import lifetime_step_core
-
-            covered = lifetime_step_core(r, bottoms, m, b)
-        else:
-            covered = ((r[:, None] - bottoms) % m < b).any(axis=1)
+        covered = ((r[:, None] - bottoms) % m < b).any(axis=1)
         act_idx = np.flatnonzero(active)
         fault_rows[act_idx, r[act_idx]] = True
         masked_ct[active & covered] += 1

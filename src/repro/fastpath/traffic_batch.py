@@ -237,17 +237,13 @@ def simulate_batch(
     classes: np.ndarray | None = None,
     credits: int = 0,
     byzantine=None,
-    tier: str = "batch",
 ) -> SimResult:
     """Vectorized twin of :func:`repro.sim.engine.simulate`.
 
     Same signature, same semantics — routers, health predicates, QoS
     classes, credit flow control and Byzantine plans included — and an
     identical :class:`SimResult` field for field; only the wall clock
-    differs.  ``tier="compiled"`` swaps the per-cycle arbitration
-    (lexsort + run-length reduction) for the JIT core
-    :func:`repro.fastpath.compiled.traffic_arbitrate_core` — same
-    decision sequence, so still identical.
+    differs.
     """
     nodes, lengths, routable = build_routes_batch(
         shape, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok
@@ -306,25 +302,15 @@ def simulate_batch(
         live = np.flatnonzero(entered & ~done)
         if len(live):
             wanted = links[live, pos[live]]
-            if tier == "compiled":
-                from repro.fastpath.compiled import traffic_arbitrate_core
-
-                win_pos, depth = traffic_arbitrate_core(
-                    wanted, cls[live], num_classes
-                )
-                max_queue = max(max_queue, int(depth))
-                winners = live[win_pos]
-            else:
-                # Grant each link to its lowest (class, id): primary key
-                # link, then class, then ascending live id — with one
-                # class this is exactly the historical stable argsort on
-                # the link id.
-                order = np.lexsort((live, cls[live], wanted))
-                lk = wanted[order]
-                first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
-                queue_depths = np.diff(np.r_[first, lk.size])
-                max_queue = max(max_queue, int(queue_depths.max()))
-                winners = live[order[first]]
+            # Grant each link to its lowest (class, id): primary key link,
+            # then class, then ascending live id — with one class this is
+            # exactly the historical stable argsort on the link id.
+            order = np.lexsort((live, cls[live], wanted))
+            lk = wanted[order]
+            first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
+            queue_depths = np.diff(np.r_[first, lk.size])
+            max_queue = max(max_queue, int(queue_depths.max()))
+            winners = live[order[first]]
             pos[winners] += 1
             finished = winners[pos[winners] == lengths[winners]]
             done[finished] = True
@@ -355,7 +341,7 @@ def simulate_batch(
 
 def run_traffic_batch(
     shape: tuple[int, ...], spec, seeds: Sequence[int],
-    max_batch_bytes: int | None = None, tier: str = "batch",
+    max_batch_bytes: int | None = None,
 ) -> list:
     """Batched equivalent of ``[traffic_trial(spec, s) for s in seeds]``.
 
@@ -370,9 +356,6 @@ def run_traffic_batch(
     other batch kernels (see ``fastpath/streaming.py``) and has nothing
     to bound.
     """
-    from functools import partial
-
     from repro.api.traffic import run_traffic_trial
 
-    engine = partial(simulate_batch, tier=tier)
-    return [run_traffic_trial(shape, spec, s, engine=engine) for s in seeds]
+    return [run_traffic_trial(shape, spec, s, engine=simulate_batch) for s in seeds]

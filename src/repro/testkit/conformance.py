@@ -16,12 +16,9 @@ stack over a canonical scenario matrix:
    building blocks against their scalar references (``batched-rng``:
    block-derived generators vs ``spawn_rng``; ``straight-cover``: the
    vectorised classifier vs the scalar greedy) — plus the
-   ``compiled:*`` stages probing the optional JIT tier against the same
-   scalar references (reporting an explicit ``skipped`` when numba is
-   absent, never a silent pass), and the ``fault-model:*`` stages:
-   every registered fault model against an independent reference
-   sampler, its analytic expectation, and (for Byzantine models) the
-   scalar-vs-vectorized engine cross-check;
+   ``fault-model:*`` stages: every registered fault model against an
+   independent reference sampler, its analytic expectation, and (for
+   Byzantine models) the scalar-vs-vectorized engine cross-check;
 4. the repair-mode oracle — incremental vs full-recompute lifetimes;
 5. the independent reference checkers — BFS route validity, adaptive
    routing vs healthy-subgraph reachability (plus the engines diffed
@@ -252,32 +249,7 @@ def run_conformance(
         trials=64 if quick else 256,
     ))
 
-    # 3b. The compiled kernel tier against the same scalar loops -----------
-    # One stage per hot kernel (bn survival, lifetime lockstep, traffic
-    # arbitration).  Where the JIT dependency is absent these stages
-    # *report* — each shows an explicit ``skipped`` line rather than
-    # silently vanishing, so CI can assert the tier was probed.
-    compiled_matrix = [
-        (bn, FaultSpec(p=0.02, q=1e-3)),
-        (bn, LifetimeSpec()),
-        (bn, TrafficSpec(pattern="uniform", messages=60, router="adaptive",
-                         qos_classes=3, credits=4)),
-    ]
-    if not quick:
-        compiled_matrix += [
-            (bn, FaultSpec(p=1e-3)),
-            (bn, TrafficSpec(pattern="uniform", messages=60,
-                             fault_model={"name": "byzantine", "rate": 0.1})),
-        ]
-    for construction, spec in compiled_matrix:
-        report = trial_backend_oracle(
-            construction, spec, range(n_seeds), tier="compiled"
-        )
-        base = report.oracle.replace("-compiled", "")
-        report.oracle = f"compiled:{base}:{construction.name}:{spec.label()}"
-        done(report)
-
-    # 3c. Fault models against their independent references ----------------
+    # 3b. Fault models against their independent references ----------------
     from repro.testkit.cases import FAULT_MODEL_CASES
 
     for model_dict in FAULT_MODEL_CASES:
@@ -332,12 +304,6 @@ def run_conformance(
             classes=message_classes(len(t), 2), credits=4,
         )
         report.oracle = f"sim-engines-adaptive:{shape}"
-        done(report)
-        report = sim_engines_oracle(
-            shape, t, router="adaptive", node_ok=n_ok, edge_ok=e_ok,
-            classes=message_classes(len(t), 2), credits=4, tier="compiled",
-        )
-        report.oracle = f"compiled:sim-engines-adaptive:{shape}"
         done(report)
 
     params = BnParams(d=2, b=3, s=1, t=2)

@@ -154,7 +154,7 @@ def compute_case(case: GoldenCase) -> dict:
         return scripted_session()
     from repro.api.experiment import ExperimentRunner
 
-    return ExperimentRunner(workers=1, batch=False).run(case.spec).to_dict()
+    return ExperimentRunner(workers=1, backend="scalar").run(case.spec).to_dict()
 
 
 def _canonical_text(payload: dict) -> str:

@@ -286,25 +286,19 @@ def runner_backends_oracle(spec, *, workers: int = 2) -> OracleReport:
     runner backend and diff the results down to the JSON bytes.
 
     Backends: serial scalar (the reference), serial batched, parallel
-    scalar, parallel batched — plus serial/compiled when the JIT tier is
-    importable.  Batched dispatch quietly falls back per-trial where a
-    construction lacks the capability — the point is that the *choice
-    can never reach the results*, so the fallback path is part of the
-    contract being checked.
+    scalar, parallel batched.  Batched dispatch quietly falls back
+    per-trial where a construction lacks the capability — the point is
+    that the *choice can never reach the results*, so the fallback path
+    is part of the contract being checked.
     """
     from repro.api.experiment import ExperimentRunner
-    from repro.fastpath.dispatch import compiled_available
 
     backends = [
-        ("serial/scalar", ExperimentRunner(workers=1, batch=False)),
-        ("serial/batch", ExperimentRunner(workers=1, batch=True)),
-        (f"parallel{workers}/scalar", ExperimentRunner(workers=workers, batch=False)),
-        (f"parallel{workers}/batch", ExperimentRunner(workers=workers, batch=True)),
+        ("serial/scalar", ExperimentRunner(workers=1, backend="scalar")),
+        ("serial/batch", ExperimentRunner(workers=1, backend="batch")),
+        (f"parallel{workers}/scalar", ExperimentRunner(workers=workers, backend="scalar")),
+        (f"parallel{workers}/batch", ExperimentRunner(workers=workers, backend="batch")),
     ]
-    if compiled_available():
-        backends.append(
-            ("serial/compiled", ExperimentRunner(workers=1, backend="compiled"))
-        )
     report = OracleReport("runner-backends", tuple(n for n, _ in backends))
     ref_name, ref_runner = backends[0]
     ref = ref_runner.run(spec).to_dict()
@@ -440,22 +434,14 @@ def checkpoint_resume_oracle(spec, *, workers: int = 2) -> OracleReport:
     return report
 
 
-def trial_backend_oracle(
-    construction, spec, seeds: Sequence[int], *, tier: str = "batch"
-) -> OracleReport:
+def trial_backend_oracle(construction, spec, seeds: Sequence[int]) -> OracleReport:
     """Per-trial loop vs the construction's vectorized kernel, outcome for
     outcome, for whichever pillar ``spec`` belongs to.
 
-    ``tier`` selects which rung of the kernel ladder faces the scalar
-    reference: ``"batch"`` (the default, matching the historical oracle)
-    or ``"compiled"``.  Returns a report with ``skipped`` set when the
-    construction does not advertise the matching batch capability for
-    this spec — the scalar path is then the only backend and there is
-    nothing to diff — or when ``tier="compiled"`` and the JIT dependency
-    is absent, so the skip is always explicit in conformance output.
+    Returns a report with ``skipped`` set when the construction does not
+    advertise the matching batch capability for this spec — the scalar
+    path is then the only backend and there is nothing to diff.
     """
-    from repro.fastpath.dispatch import compiled_available, compiled_unavailable_reason
-
     seeds = list(seeds)
     if isinstance(spec, LifetimeSpec):
         kind = "lifetime"
@@ -472,11 +458,8 @@ def trial_backend_oracle(
         supports = getattr(construction, "supports_batch", None)
         run = getattr(construction, "run_batch", None)
         scalar_one = construction.trial
-    name = f"{kind}-backend" if tier == "batch" else f"{kind}-backend-{tier}"
-    report = OracleReport(name, ("scalar", tier))
-    if tier == "compiled" and not compiled_available():
-        report.skipped = compiled_unavailable_reason()
-        return report
+    name = f"{kind}-backend"
+    report = OracleReport(name, ("scalar", "batch"))
     if scalar_one is None:
         report.skipped = f"{construction.name} has no {kind} capability"
         return report
@@ -486,19 +469,18 @@ def trial_backend_oracle(
             f"{spec.label()}"
         )
         return report
-    kw = {"tier": tier} if tier != "batch" else {}
-    batch = run(spec, seeds, **kw)
+    batch = run(spec, seeds)
     scalar = [scalar_one(spec, s) for s in seeds]
     if len(batch) != len(scalar):
         report.mismatches.append(
-            Mismatch(name, "scalar", tier, "outcomes.length",
+            Mismatch(name, "scalar", "batch", "outcomes.length",
                      len(scalar), len(batch))
         )
     for i, (a, b) in enumerate(zip(scalar, batch)):
         report.cases += 1
         report.mismatches += diff_values(
             _point_record(spec, a), _point_record(spec, b),
-            oracle=name, left="scalar", right=tier, path=f"seed[{seeds[i]}]",
+            oracle=name, left="scalar", right="batch", path=f"seed[{seeds[i]}]",
         )
     return report
 
@@ -697,7 +679,6 @@ def sim_engines_oracle(
     classes: np.ndarray | None = None,
     credits: int = 0,
     byzantine: Callable[[], object] | None = None,
-    tier: str = "batch",
 ) -> OracleReport:
     """Scalar store-and-forward engine vs the vectorized kernel on one
     concrete workload, diffed on the raw ``SimResult``.
@@ -709,11 +690,8 @@ def sim_engines_oracle(
     zero-arg *factory* returning a fresh
     :class:`~repro.sim.routing.ByzantinePlan` — a factory because a
     plan's RNG advances as it perturbs routes, so each engine must get
-    its own identically-seeded instance.  ``tier`` picks the kernel rung
-    under test (``"batch"`` or ``"compiled"``); the compiled rung
-    reports an explicit skip when the JIT dependency is absent.
+    its own identically-seeded instance.
     """
-    from repro.fastpath.dispatch import compiled_available, compiled_unavailable_reason
     from repro.fastpath.traffic_batch import simulate_batch
     from repro.sim.engine import simulate
 
@@ -721,17 +699,12 @@ def sim_engines_oracle(
         inject=inject, max_cycles=max_cycles, router=router,
         node_ok=node_ok, edge_ok=edge_ok, classes=classes, credits=credits,
     )
-    name = "sim-engines" if tier == "batch" else f"sim-engines-{tier}"
-    report = OracleReport(name, ("scalar", tier), cases=1)
-    if tier == "compiled" and not compiled_available():
-        report.cases = 0
-        report.skipped = compiled_unavailable_reason()
-        return report
+    report = OracleReport("sim-engines", ("scalar", "batch"), cases=1)
     a = simulate(shape, traffic,
                  byzantine=None if byzantine is None else byzantine(), **kwargs)
-    b = simulate_batch(shape, traffic, tier=tier,
+    b = simulate_batch(shape, traffic,
                        byzantine=None if byzantine is None else byzantine(), **kwargs)
-    report.mismatches += compare_sim_results(a, b, oracle=name, right=tier)
+    report.mismatches += compare_sim_results(a, b)
     return report
 
 

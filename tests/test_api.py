@@ -289,6 +289,13 @@ class TestExperimentRunner:
         b = ExperimentRunner().run(base).points[0].result
         assert (a.trials, a.successes, a.categories) == (b.trials, b.successes, b.categories)
 
+    def test_backend_is_scalar_or_batch(self):
+        assert ExperimentRunner().backend == "batch"
+        assert ExperimentRunner(backend="scalar").backend == "scalar"
+        for bad in ("gpu", "compiled", "auto"):
+            with pytest.raises(ValueError, match="options: scalar, batch"):
+                ExperimentRunner(backend=bad)
+
 
 class TestTrafficRunner:
     """TrafficSpec grid points through the runner (the fourth pillar)."""
@@ -309,9 +316,9 @@ class TestTrafficRunner:
     def test_serial_parallel_batch_byte_identical(self):
         spec = self._spec()
         dumps = [
-            json.dumps(ExperimentRunner(workers=w, batch=b).run(spec).to_dict(),
+            json.dumps(ExperimentRunner(workers=w, backend=b).run(spec).to_dict(),
                        sort_keys=True)
-            for w, b in ((1, False), (2, False), (1, True))
+            for w, b in ((1, "scalar"), (2, "scalar"), (1, "batch"))
         ]
         assert dumps[0] == dumps[1] == dumps[2]
 
@@ -324,7 +331,7 @@ class TestTrafficRunner:
             assert pt.result.outcomes == direct
 
     def test_save_load_roundtrip(self, tmp_path):
-        result = ExperimentRunner(batch=True).run(self._spec())
+        result = ExperimentRunner(backend="batch").run(self._spec())
         path = tmp_path / "traffic.json"
         result.save(path)
         again = ExperimentResult.load(path)

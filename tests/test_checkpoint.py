@@ -102,16 +102,16 @@ class TestCheckpointResume:
         return journal.read_bytes().split(b"\n")[:-1]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("batch", [None, False])
+    @pytest.mark.parametrize("backend", ["batch", "scalar"])
     def test_resume_at_every_chunk_boundary(self, tmp_path, reference,
-                                            workers, batch):
+                                            workers, backend):
         lines = self.journal_lines(tmp_path)
         journal = tmp_path / "cut.ndjson"
         for keep in range(len(lines)):  # 0 chunks .. all chunks
             journal.write_bytes(b"\n".join(lines[: keep + 1]) + b"\n")
             got = run_bytes(
                 SPEC, tmp_path, f"res{keep}",
-                runner=ExperimentRunner(workers=workers, batch=batch),
+                runner=ExperimentRunner(workers=workers, backend=backend),
                 checkpoint=journal, resume=True,
             )
             assert got == reference, f"divergence resuming after {keep} chunks"

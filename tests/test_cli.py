@@ -253,9 +253,9 @@ class TestFaultModelFlag:
 
 
 class TestBackendFlag:
-    """--backend {auto,scalar,batch,compiled} on run/lifetime/traffic
-    (docs/fastpath.md kernel tiers).  Tier choice must never reach the
-    results; an unavailable tier must fail fast with a clean exit 2."""
+    """--backend {scalar,batch} on run/lifetime/traffic (docs/fastpath.md
+    backends).  The choice must never reach the results, and any other
+    value is a clean exit 2."""
 
     def run_json(self, tmp_path, cmd, backend):
         out_path = tmp_path / f"{backend or 'default'}.json"
@@ -269,7 +269,7 @@ class TestBackendFlag:
         cmd = ["run", "--construction", "bn", "--p", "0.001,0.02",
                "--trials", "4"]
         ref = self.run_json(tmp_path, cmd, None)
-        for backend in ("auto", "scalar", "batch"):
+        for backend in ("scalar", "batch"):
             assert self.run_json(tmp_path, cmd, backend) == ref, backend
             capsys.readouterr()
 
@@ -284,23 +284,15 @@ class TestBackendFlag:
             assert self.run_json(tmp_path, cmd, "batch") == scalar, cmd
             capsys.readouterr()
 
-    def test_unavailable_compiled_tier_is_clean_error(self, capsys):
-        from repro.fastpath.dispatch import compiled_available
-
-        if compiled_available():
-            pytest.skip("numba present: compiled tier is available here")
+    def test_unknown_backend_is_clean_error(self, capsys):
         for cmd in (
             ["run", "--construction", "bn", "--p", "0.001", "--trials", "2"],
             ["lifetime", "--b", "3", "--trials", "1"],
             ["traffic", "--b", "3", "--pattern", "uniform", "--messages", "8",
              "--trials", "1"],
         ):
-            assert main([*cmd, "--backend", "compiled"]) == 2, cmd
-            err = capsys.readouterr().err
-            assert "backend 'compiled' is unavailable" in err
-            assert "numba" in err and "available tiers" in err
-
-    def test_backend_and_legacy_batch_flags_conflict(self, capsys):
-        assert main(["run", "--construction", "bn", "--p", "0.001",
-                     "--trials", "2", "--backend", "batch", "--no-batch"]) == 2
-        assert "not both" in capsys.readouterr().err
+            for backend in ("compiled", "auto"):
+                with pytest.raises(SystemExit) as exc:
+                    main([*cmd, "--backend", backend])
+                assert exc.value.code == 2, (cmd, backend)
+                assert f"invalid choice: '{backend}'" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """The docs drift gate (tools/check_docs.py).
 
 Two halves: the repo's own docs must pass the gate (the same check the
-CI lint job runs), and each of the three checks must demonstrably
+CI lint job runs), and each of the checks must demonstrably
 *fire* on an injected violation — a gate that cannot fail is not a
 gate.  The tool is loaded from its file path (tools/ is not a package)
 and pointed at synthetic repo trees via its module-level ``ROOT``.
@@ -65,7 +65,9 @@ def fake_repo(tmp_path, monkeypatch):
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "cli.py").write_text(
         'def build(sub):\n'
-        '    sub.add_parser("run", help="x")\n'
+        '    run = sub.add_parser("run", help="x")\n'
+        '    run.add_argument("--trials")\n'
+        '    run.add_argument("--color", action=argparse.BooleanOptionalAction)\n'
         '    sub.add_parser("traffic", help="x")\n'
     )
     (tmp_path / "docs" / "guide.md").write_text(
@@ -110,6 +112,19 @@ def test_stale_subcommand_fires(fake_repo):
     )
     errors = _all_errors()
     assert any("frobnicate" in e for e in errors)
+
+
+def test_stale_flag_fires(fake_repo):
+    (fake_repo / "docs" / "guide.md").write_text(
+        "# Guide\n\n```bash\nrepro-ft run --trials 2 --no-color \\\n"
+        "    --shards 4   # --comment-flag\n```\n\n"
+        "Pass `--turbo` to go faster, or `--color`.\n"
+    )
+    errors = _all_errors()
+    stale = {flag for flag in ("--shards", "--turbo", "--no-color", "--color",
+                               "--trials", "--comment-flag")
+             if any(f"`{flag}`" in e for e in errors)}
+    assert stale == {"--shards", "--turbo"}
 
 
 def test_readme_fragment_links_resolve_to_the_file(fake_repo):

@@ -1,10 +1,9 @@
-"""Doctest integration + D-recovery rendering tests."""
+"""Doctest integration tests."""
 
 from __future__ import annotations
 
 import doctest
 
-import numpy as np
 import pytest
 
 import repro.analysis.stats
@@ -29,48 +28,3 @@ def test_module_doctests(module):
     failures, tested = doctest.testmod(module, raise_on_error=False).failed, True
     assert failures == 0
 
-
-class TestRenderDn:
-    def _recovery(self, dn2_small, with_faults=True):
-        from repro.core.dn import DTorus
-        from repro.faults.adversary import adversarial_node_faults
-        from repro.util.rng import spawn_rng
-
-        dt = DTorus(dn2_small)
-        faults = (
-            adversarial_node_faults(dn2_small.shape, dn2_small.k, "random", spawn_rng(0))
-            if with_faults
-            else np.zeros(dn2_small.shape, dtype=bool)
-        )
-        return dt.recover(faults), faults
-
-    def test_renders_grid(self, dn2_small):
-        from repro.viz.dn_art import render_dn
-
-        rec, faults = self._recovery(dn2_small)
-        text = render_dn(rec, faults)
-        assert "row bands" in text
-        assert "#" in text
-        assert "!" not in text  # every fault masked
-
-    def test_faults_marked(self, dn2_small):
-        from repro.viz.dn_art import render_dn
-
-        rec, faults = self._recovery(dn2_small)
-        assert "X" in render_dn(rec, faults)
-
-    def test_band_counts_in_header(self, dn2_small):
-        from repro.viz.dn_art import render_dn
-
-        rec, _ = self._recovery(dn2_small, with_faults=False)
-        assert f"k={dn2_small.k}" in render_dn(rec)
-
-    def test_rejects_non_2d(self):
-        from repro.core.dn import DTorus
-        from repro.core.params import DnParams
-        from repro.viz.dn_art import render_dn
-
-        p = DnParams(d=1, n=20, b=2)
-        rec = DTorus(p).recover(np.zeros(p.shape, dtype=bool))
-        with pytest.raises(ValueError):
-            render_dn(rec)

@@ -10,8 +10,8 @@ Three layers of assurance, strongest first:
   field, including the bounded violation samples) and for the an
   backend's analytic classification;
 * end-to-end byte-identity of experiment JSON between
-  ``ExperimentRunner(batch=True)`` / ``batch=False`` and between the CLI
-  ``--batch`` / ``--no-batch`` flags.
+  ``ExperimentRunner(backend="batch")`` and ``backend="scalar"`` (the CLI
+  ``--backend`` twin lives in tests/test_cli.py::TestBackendFlag).
 
 Parameter pools and the per-record comparison views come from
 ``repro.testkit`` (``strategies.BN_PARAM_SETS``, ``oracles.*_record``) —
@@ -120,8 +120,8 @@ def test_lifetime_runner_batch_json_byte_identical(tmp_path):
         grid=(LifetimeSpec(),), trials=20, name="lifetime-bi",  # 2 chunks
     )
     a, b = tmp_path / "batch.json", tmp_path / "scalar.json"
-    ExperimentRunner(batch=True).run(spec).save(a)
-    ExperimentRunner(batch=False).run(spec).save(b)
+    ExperimentRunner(backend="batch").run(spec).save(a)
+    ExperimentRunner(backend="scalar").run(spec).save(b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -136,7 +136,7 @@ def test_lifetime_batch_falls_back_for_unsupported_spec():
         construction="bn", params={"d": 2, "b": 3, "s": 1, "t": 2},
         grid=(spec,), trials=3, name="fallback",
     )
-    res = ExperimentRunner(batch=True).run(es)
+    res = ExperimentRunner(backend="batch").run(es)
     assert res.points[0].result.lifetimes == [o.lifetime for o in scalar]
 
 
@@ -226,35 +226,23 @@ def _spec():
 
 def test_runner_batch_json_byte_identical(tmp_path):
     a, b = tmp_path / "batch.json", tmp_path / "scalar.json"
-    ExperimentRunner(batch=True).run(_spec()).save(a)
-    ExperimentRunner(batch=False).run(_spec()).save(b)
+    ExperimentRunner(backend="batch").run(_spec()).save(a)
+    ExperimentRunner(backend="scalar").run(_spec()).save(b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_runner_batch_dispatch_falls_back_for_unsupported():
-    """Constructions without the capability run per-trial under batch=True
-    with unchanged results."""
+    """Constructions without the capability run per-trial on the batch
+    backend with unchanged results."""
     spec = ExperimentSpec.from_grid(
         "dn", {"d": 2, "n": 70, "b": 2}, patterns=["random"], k=8, trials=4,
         name="dn-batch",
     )
-    ra = ExperimentRunner(batch=True).run(spec)
-    rb = ExperimentRunner(batch=False).run(spec)
+    ra = ExperimentRunner(backend="batch").run(spec)
+    rb = ExperimentRunner(backend="scalar").run(spec)
     assert json.dumps(ra.to_dict(), sort_keys=True) == json.dumps(
         rb.to_dict(), sort_keys=True
     )
-
-
-def test_cli_batch_flag_byte_identical(tmp_path, capsys):
-    from repro.cli import main
-
-    a, b = tmp_path / "with.json", tmp_path / "without.json"
-    args = ["run", "--construction", "bn", "--b", "3", "--p", "0.001",
-            "--trials", "4"]
-    assert main(args + ["--batch", "--out", str(a)]) == 0
-    assert main(args + ["--no-batch", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_traffic_runner_batch_json_byte_identical(tmp_path):
@@ -273,18 +261,6 @@ def test_traffic_runner_batch_json_byte_identical(tmp_path):
         trials=20, name="traffic-bi",  # 2 chunks, so parallel runs fan out
     )
     a, b = tmp_path / "batch.json", tmp_path / "scalar.json"
-    ExperimentRunner(batch=True).run(spec).save(a)
-    ExperimentRunner(batch=False, workers=2).run(spec).save(b)
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cli_traffic_batch_flag_byte_identical(tmp_path, capsys):
-    from repro.cli import main
-
-    a, b = tmp_path / "with.json", tmp_path / "without.json"
-    args = ["traffic", "--construction", "bn", "--b", "3",
-            "--pattern", "uniform", "--messages", "32", "--trials", "4"]
-    assert main(args + ["--batch", "--out", str(a)]) == 0
-    assert main(args + ["--no-batch", "--out", str(b)]) == 0
-    capsys.readouterr()
+    ExperimentRunner(backend="batch").run(spec).save(a)
+    ExperimentRunner(backend="scalar", workers=2).run(spec).save(b)
     assert a.read_bytes() == b.read_bytes()

@@ -169,9 +169,9 @@ class TestRunnerDispatch:
         # and the chunk-merge path is exercised.
         paths = {}
         for tag, runner in {
-            "w1": ExperimentRunner(workers=1, batch=False),
-            "w2": ExperimentRunner(workers=2, batch=False),
-            "batch": ExperimentRunner(workers=1, batch=True),
+            "w1": ExperimentRunner(workers=1, backend="scalar"),
+            "w2": ExperimentRunner(workers=2, backend="scalar"),
+            "batch": ExperimentRunner(workers=1, backend="batch"),
         }.items():
             p = tmp_path / f"{tag}.json"
             runner.run(_spec(trials=20)).save(p)
@@ -202,7 +202,7 @@ class TestRunnerDispatch:
             construction="dn", params={"d": 2, "n": 70, "b": 2},
             grid=(LifetimeSpec(timeline="adversarial", pattern="random"),), trials=3,
         )
-        res = ExperimentRunner(batch=True).run(spec)  # no capability: scalar path
+        res = ExperimentRunner(backend="batch").run(spec)  # no capability: scalar path
         assert res.points[0].result.trials == 3
 
     def test_from_grid_lifetimes_param(self):

@@ -9,7 +9,9 @@ beyond the standard library (the lint job installs only ruff):
    resolves to an existing file.
 3. **CLI drift** — every ``repro-ft <subcommand>`` invocation shown in a
    code span or fenced block names a subcommand the argparse tree in
-   ``src/repro/cli.py`` actually registers (parsed via ``ast``, never
+   ``src/repro/cli.py`` actually registers, and every ``--flag`` after
+   ``repro-ft`` there, or opening an inline code span, names an option
+   some ``add_argument`` call registers (parsed via ``ast``, never
    imported, so this runs without numpy installed).
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
@@ -27,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^(```|~~~)")
 _INLINE_CODE = re.compile(r"`([^`]+)`")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def doc_files() -> list[Path]:
@@ -65,22 +68,61 @@ def check_relative_links(errors: list[str]) -> None:
                 )
 
 
-def cli_subcommands() -> set[str]:
-    """Subcommand names registered in cli.py, via the AST — the lint
-    environment has no numpy, so importing the module is off-limits."""
+def _cli_calls(method: str) -> list[ast.Call]:
+    """Every ``<obj>.<method>(...)`` call in cli.py, via the AST — the
+    lint environment has no numpy, so importing the module is off-limits."""
     tree = ast.parse((ROOT / "src/repro/cli.py").read_text(encoding="utf-8"))
-    names = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_parser"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            names.add(node.args[0].value)
-    return names
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+    ]
+
+
+def _str_args(call: ast.Call) -> list[str]:
+    return [a.value for a in call.args
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+
+
+def cli_subcommands() -> set[str]:
+    """Subcommand names registered in cli.py (``add_parser``)."""
+    return {name for call in _cli_calls("add_parser") for name in _str_args(call)[:1]}
+
+
+def cli_flags() -> set[str]:
+    """``--options`` registered in cli.py (``add_argument``); a
+    ``BooleanOptionalAction`` option also registers its ``--no-`` twin."""
+    flags = set()
+    for call in _cli_calls("add_argument"):
+        negatable = any(
+            kw.arg == "action"
+            and isinstance(kw.value, ast.Attribute)
+            and kw.value.attr == "BooleanOptionalAction"
+            for kw in call.keywords
+        )
+        for name in _str_args(call):
+            if name.startswith("--"):
+                flags.add(name)
+                if negatable:
+                    flags.add("--no-" + name[2:])
+    return flags
+
+
+def _code_chunks(path: Path) -> list[tuple[bool, str]]:
+    """``(fenced, text)`` for each fenced code line and each inline code
+    span outside a fence, in document order."""
+    chunks: list[tuple[bool, str]] = []
+    in_fence = False
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if _FENCE.match(line.strip()):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            chunks.append((True, line))
+        else:
+            chunks.extend((False, span) for span in _INLINE_CODE.findall(line))
+    return chunks
 
 
 def code_text(path: Path) -> str:
@@ -89,17 +131,7 @@ def code_text(path: Path) -> str:
     CLI invocations only count inside code; prose like "the `repro-ft`
     console script" must not trip the subcommand check.
     """
-    chunks: list[str] = []
-    in_fence = False
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if _FENCE.match(line.strip()):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            chunks.append(line)
-        else:
-            chunks.extend(_INLINE_CODE.findall(line))
-    return "\n".join(chunks)
+    return "\n".join(text for _, text in _code_chunks(path))
 
 
 def invoked_subcommands(text: str) -> set[str]:
@@ -124,11 +156,34 @@ def invoked_subcommands(text: str) -> set[str]:
     return found
 
 
+def invoked_flags(text: str) -> set[str]:
+    """Every ``--flag`` on the command line after each ``repro-ft``,
+    following ``\\`` continuations and stopping at a comment or at a
+    shell ``|``, ``;`` or ``&``."""
+    text = text.replace("\\\n", " ")
+    found = set()
+    for match in re.finditer(r"\brepro-ft\b", text):
+        line = text[match.end():].split("\n", 1)[0]
+        found.update(_FLAG.findall(re.split(r"[#|;&]", line, maxsplit=1)[0]))
+    return found
+
+
+def documented_flags(path: Path) -> set[str]:
+    """Flags a doc shows as CLI options: those after ``repro-ft`` in code,
+    and the flag each inline code span opens with (``--resume``)."""
+    found = invoked_flags(code_text(path))
+    for fenced, text in _code_chunks(path):
+        if not fenced and (leading := _FLAG.match(text)):
+            found.add(leading.group())
+    return found
+
+
 def check_cli_drift(errors: list[str]) -> None:
     known = cli_subcommands()
     if not known:
         errors.append("src/repro/cli.py: found no add_parser() calls")
         return
+    flags = cli_flags()
     for path in [ROOT / "README.md", *doc_files()]:
         for sub in sorted(invoked_subcommands(code_text(path))):
             if sub not in known:
@@ -136,6 +191,11 @@ def check_cli_drift(errors: list[str]) -> None:
                     f"{path.relative_to(ROOT)}: `repro-ft {sub}` is not a "
                     f"CLI subcommand (known: {', '.join(sorted(known))})"
                 )
+        for flag in sorted(documented_flags(path) - flags):
+            errors.append(
+                f"{path.relative_to(ROOT)}: `{flag}` is not an option any "
+                f"add_argument() in src/repro/cli.py registers"
+            )
 
 
 def main() -> int:
