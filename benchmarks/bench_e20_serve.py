@@ -4,7 +4,12 @@ Boots a :class:`repro.serve.server.ReproServer` on an ephemeral port,
 drives it with the :class:`repro.serve.client.LoadGenerator` (real TCP
 sockets, concurrent clients mixing fault/repair ingest with live traffic
 queries), and records sustained requests/sec plus p50/p99 request latency
-in ``BENCH_serve.json`` at the repo root.
+in ``BENCH_serve.json`` at the repo root.  The full tier also records the
+per-layer split of a traced perfbench ``serve`` run (``stage_split``:
+route builds per query and the route, arbitration and health shares),
+for this checkout and, with ``--split-against CHECKOUT``, for another one
+such as the parent commit, each beside that checkout's untraced perfbench
+``serve`` throughput measured on the same machine.
 
 Runs two ways:
 
@@ -28,6 +33,7 @@ import argparse
 import asyncio
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -47,6 +53,20 @@ FULL_MESSAGES = 32
 #: Pathological-regression floor for the gate (absolute, deliberately far
 #: below any healthy measurement — see module doc).
 MIN_RPS = 50.0
+
+#: Per-layer metrics of perfbench's traced ``serve`` workload (defined in
+#: perfbench/README.md), recorded beside its untraced ``ops_per_s`` so a
+#: serve speed-up comes with where the query time went.
+STAGE_METRICS = (
+    "fastpath.traffic_batch.routes_calls_per_query",
+    "fastpath.traffic_batch.routes_share",
+    "fastpath.traffic_batch.arbitrate_share",
+    "sim.lifetime_traffic.health_share",
+)
+#: The perfbench run behind ``stage_split`` (from a checkout's root), once
+#: with ``--trace 0`` for ``ops_per_s`` and once with ``--trace 1``.
+SPLIT_ARGV = ("perfbench/run.py", "--workload", "serve", "--seed", "0",
+              "--seconds", "20")
 
 #: Keys a machine telemetry snapshot must carry to count as well-formed.
 TELEMETRY_KEYS = (
@@ -148,6 +168,20 @@ def measure_determinism() -> dict:
     }
 
 
+def measure_stage_split(root: Path = ROOT) -> dict:
+    """perfbench ``serve`` on the checkout at ``root``: ``ops_per_s`` of
+    an untraced run and :data:`STAGE_METRICS` of a traced one."""
+    out = {}
+    for trace, names in (("0", ("ops_per_s",)), ("1", STAGE_METRICS)):
+        proc = subprocess.run(
+            [sys.executable, *SPLIT_ARGV, "--trace", trace], cwd=root,
+            capture_output=True, text=True, check=True,
+        )
+        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+        out.update({name: round(metrics[name]["value"], 4) for name in names})
+    return out
+
+
 def check_invariants(data: dict) -> list[str]:
     """The gate: every violated serve invariant, as a human-readable line."""
     problems: list[str] = []
@@ -178,7 +212,10 @@ def check_invariants(data: dict) -> list[str]:
     return problems
 
 
-def measure(quick: bool) -> dict:
+def measure(quick: bool, split_against: Path | None = None) -> dict:
+    """The tier's loadgen bursts and the determinism check; the full tier
+    adds ``stage_split`` (after = this checkout, before = the checkout at
+    ``split_against`` when given)."""
     requests = QUICK_REQUESTS if quick else FULL_REQUESTS
     messages = QUICK_MESSAGES if quick else FULL_MESSAGES
     data = {
@@ -200,6 +237,12 @@ def measure(quick: bool) -> dict:
     }
     if not quick:
         data["full"] = measure_loadgen(requests, messages, seed=1)
+        data["stage_split"] = {
+            "command": "python3 " + " ".join(SPLIT_ARGV) + " --trace {0,1}"
+        }
+        if split_against is not None:
+            data["stage_split"]["before"] = measure_stage_split(split_against)
+        data["stage_split"]["after"] = measure_stage_split()
     return data
 
 
@@ -246,9 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", metavar="PATH",
                     help="write measurement JSON here (full mode defaults to "
                          "BENCH_serve.json)")
+    ap.add_argument("--split-against", dest="split_against", type=Path,
+                    metavar="CHECKOUT",
+                    help="full mode: also measure stage_split on another "
+                         "checkout (e.g. the parent commit) as 'before'")
     args = ap.parse_args(argv)
 
-    data = measure(quick=args.quick)
+    data = measure(quick=args.quick, split_against=args.split_against)
     summary = {k: data[k] for k in ("quick", "determinism")}
     print(json.dumps(
         {"quick": summary["quick"]["headline"],

@@ -6,12 +6,14 @@ pure-Python hot loop in the repo.  This kernel advances *all* live
 messages of one simulation in lockstep:
 
 * routes are precomputed as padded ``(M, L)`` arrays of directed-link ids
-  (``u * size + v``) by a vectorized dimension-ordered route builder that
-  loops over axes and hop offsets, never over messages;
+  (``u * size + v``) by a closed-form dimension-ordered route builder —
+  one masked numpy pass per axis over blocks of rows, never a loop over
+  messages or hops — or handed in by a caller that already built them;
 * per-cycle link arbitration is one stable sort over the live messages'
   wanted link ids — live message ids are ascending, so the first entry of
   every equal-link run *is* the scalar engine's lowest-id winner — plus a
-  run-length reduction for queue depths;
+  run-length reduction for queue depths over a preallocated boundary
+  mask;
 * winners advance, finishers record ``cycle + 1 - inject`` latencies, and
   the loop repeats until everything is delivered or ``max_cycles`` hits.
 
@@ -63,6 +65,33 @@ def sim_results_identical(a: SimResult, b: SimResult) -> bool:
     return True
 
 
+#: Rows per pass of :func:`routes_batch`.  Besides the ``(M, L)`` output it
+#: allocates only ``(ROUTE_BLOCK, d)`` legs and ``(ROUTE_BLOCK, L)``
+#: temporaries, so its peak is the output plus ``O(M * d)``, and no array
+#: but the output is big enough to fragment the heap across calls, which
+#: raised a long traffic run's peak RSS.
+ROUTE_BLOCK = 2048
+
+
+def _route_legs(codec: CoordCodec, traffic: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-axis legs of the e-cube routes of ``traffic`` rows, each
+    ``(rows, d)``: the source coordinate ``s``, the step ``sign`` (the
+    shorter way round) and ``count``, the hop count ``start`` of the
+    earlier axes, and ``base``, the node the leg leaves from (earlier axes
+    at ``dst``, the rest at ``src``)."""
+    coords = codec.unravel(traffic)
+    sc = coords[:, 0]
+    shift = coords[:, 1] - sc
+    sides = np.asarray(codec.shape, dtype=np.int64)
+    fwd = shift % sides
+    sign = np.where(2 * fwd <= sides, 1, -1)  # the n/2 tie breaks toward +
+    count = np.minimum(fwd, sides - fwd)
+    start = np.cumsum(count, axis=1) - count
+    shift *= codec.strides
+    base = traffic[:, :1] + np.cumsum(shift, axis=1) - shift
+    return sc, sign, count, start, base
+
+
 def routes_batch(
     shape: tuple[int, ...], traffic: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -70,38 +99,42 @@ def routes_batch(
 
     Returns ``(nodes, lengths)``: ``nodes[i, :lengths[i] + 1]`` is exactly
     ``dimension_ordered_route(shape, *traffic[i])`` and the padding beyond
-    it is ``-1``.  Work is ``O(d * max_side)`` numpy passes — no per-message
-    Python.
+    it is ``-1``.
+
+    Closed form: along axis ``a`` the route takes ``count`` steps of
+    ``sign`` from ``base`` (see :func:`_route_legs`).  Its leg fills
+    columns ``start + 1 .. start + count``, and column ``start + j`` holds
+    ``base + ((s + sign * j) mod n - s) * stride``.  Rows are handled in
+    blocks of :data:`ROUTE_BLOCK`, one masked numpy pass per axis per
+    block: ``O(d * M / ROUTE_BLOCK)`` numpy calls, no per-message or
+    per-hop Python, and temporaries bounded by ``O(ROUTE_BLOCK * L)``
+    beside the ``(M, L)`` output.
     """
     codec = CoordCodec(shape)
     traffic = np.asarray(traffic, dtype=np.int64).reshape(-1, 2)
     m = len(traffic)
-    src, dst = traffic[:, 0], traffic[:, 1]
-    sc = codec.unravel(src)
-    dc = codec.unravel(dst)
-    d = codec.ndim
-    dirs = np.empty((m, d), dtype=np.int64)
-    counts = np.empty((m, d), dtype=np.int64)
-    for a, n in enumerate(shape):
-        fwd = (dc[:, a] - sc[:, a]) % n
-        bwd = (sc[:, a] - dc[:, a]) % n
-        dirs[:, a] = np.where(fwd <= bwd, 1, -1)  # ties break toward +
-        counts[:, a] = np.minimum(fwd, bwd)
-    lengths = counts.sum(axis=1)
-    lmax = int(lengths.max()) if m else 0
+    blocks = [slice(r0, r0 + ROUTE_BLOCK) for r0 in range(0, m, ROUTE_BLOCK)]
+    legs = [_route_legs(codec, traffic[rows]) for rows in blocks]
+    lengths = np.zeros(m, dtype=np.int64)
+    for rows, (_, _, count, _, _) in zip(blocks, legs):
+        np.sum(count, axis=1, out=lengths[rows])
+    lmax = int(lengths.max(initial=0))
     nodes = np.full((m, lmax + 1), -1, dtype=np.int64)
-    nodes[:, 0] = src
-    offset = np.zeros(m, dtype=np.int64)
-    base = src.copy()  # flat index with finished axes at dst, the rest at src
-    for a, n in enumerate(shape):
-        stride = int(codec.strides[a])
-        cnt = counts[:, a]
-        for j in range(1, int(cnt.max(initial=0)) + 1):
-            mask = cnt >= j
-            coord = (sc[mask, a] + dirs[mask, a] * j) % n
-            nodes[mask, offset[mask] + j] = base[mask] + (coord - sc[mask, a]) * stride
-        offset += cnt
-        base += (dc[:, a] - sc[:, a]) * stride
+    nodes[:, 0] = traffic[:, 0]
+    cols = np.arange(lmax + 1)
+    for rows, (sc, sign, count, start, base) in zip(blocks, legs):
+        out = nodes[rows]
+        for a, n in enumerate(shape):
+            j = cols - start[:, a, None]
+            leg = (j >= 1) & (j <= count[:, a, None])
+            s = sc[:, a, None]
+            j *= sign[:, a, None]
+            j += s
+            j %= n
+            j -= s
+            j *= codec.strides[a]
+            j += base[:, a, None]
+            np.copyto(out, j, where=leg)
     return nodes, lengths
 
 
@@ -218,6 +251,7 @@ def _apply_byzantine_batch(plan, shape, nodes, lengths, routable):
         lmax = max(lmax, len(nr) - 1)
     out = np.full((m, lmax + 1), -1, dtype=np.int64)
     out[:, : nodes.shape[1]] = nodes
+    lengths = lengths.copy()  # may be the caller's prebuilt routes
     for i, nr in new_routes.items():
         out[i, :] = -1
         out[i, : len(nr)] = nr
@@ -237,17 +271,26 @@ def simulate_batch(
     classes: np.ndarray | None = None,
     credits: int = 0,
     byzantine=None,
+    routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SimResult:
     """Vectorized twin of :func:`repro.sim.engine.simulate`.
 
-    Same signature, same semantics — routers, health predicates, QoS
-    classes, credit flow control and Byzantine plans included — and an
-    identical :class:`SimResult` field for field; only the wall clock
-    differs.
+    Same signature plus ``routes``, same semantics — routers, health
+    predicates, QoS classes, credit flow control and Byzantine plans
+    included — and an identical :class:`SimResult` field for field; only
+    the wall clock differs.
+
+    ``routes`` is ``(nodes, lengths, routable)`` as :func:`build_routes_batch`
+    returns it for ``traffic``, passed by a caller that already built them
+    (to check them against live faults, or to sum their hops): the build
+    is skipped, ``router``/``node_ok``/``edge_ok`` are not consulted, and
+    the result is the one the same build would give.
     """
-    nodes, lengths, routable = build_routes_batch(
-        shape, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok
-    )
+    if routes is None:
+        routes = build_routes_batch(
+            shape, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok
+        )
+    nodes, lengths, routable = routes
     actions = None
     if byzantine is not None:
         nodes, lengths, actions = _apply_byzantine_batch(
@@ -278,6 +321,9 @@ def simulate_batch(
     links = nodes[:, :-1] * size + nodes[:, 1:] if m else np.empty((0, 0), np.int64)
 
     pos = np.zeros(m, dtype=np.int64)
+    # Run starts of one cycle's k sorted wanted links, plus entry k closing
+    # the last run: filled in place, so the cycle allocates no concatenation.
+    run_start = np.empty(m + 1, dtype=bool)
     # self-addressed: delivered at injection, latency 0 (unroutable rows
     # also have length 0 but never deliver — mask them out)
     done = (lengths == 0) & routable
@@ -307,10 +353,12 @@ def simulate_batch(
             # exactly the historical stable argsort on the link id.
             order = np.lexsort((live, cls[live], wanted))
             lk = wanted[order]
-            first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
-            queue_depths = np.diff(np.r_[first, lk.size])
-            max_queue = max(max_queue, int(queue_depths.max()))
-            winners = live[order[first]]
+            k = lk.size
+            run_start[0] = run_start[k] = True
+            np.not_equal(lk[1:], lk[:-1], out=run_start[1:k])
+            runs = np.flatnonzero(run_start[: k + 1])
+            max_queue = max(max_queue, int((runs[1:] - runs[:-1]).max()))
+            winners = live[order[runs[:-1]]]
             pos[winners] += 1
             finished = winners[pos[winners] == lengths[winners]]
             done[finished] = True

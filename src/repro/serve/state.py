@@ -262,8 +262,16 @@ class MachineState:
                 f"construction {self.construction_key!r} has no torus guest "
                 "(no traffic capability)"
             )
+        if messages < 0:
+            raise ValueError(f"messages must be >= 0, got {messages}")
+        if max_cycles < 0:
+            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
         from repro.api.traffic import message_classes
-        from repro.fastpath.traffic_batch import routes_batch, simulate_batch
+        from repro.fastpath.traffic_batch import (
+            build_routes_batch,
+            routes_batch,
+            simulate_batch,
+        )
         from repro.sim.routing import ROUTERS
 
         if router not in ROUTERS:
@@ -271,49 +279,49 @@ class MachineState:
         guest = tuple(int(s) for s in c.guest_shape())
         rng = spawn_rng(int(seed), "serve-traffic", pattern)
         traffic = make_traffic(guest, pattern, int(messages), rng)
+        offered = len(traffic)
         # Classes are assigned by original message id, before any
         # deliverability filtering, so a message keeps its class no matter
         # which router or fault set it meets.
         classes = message_classes(len(traffic), int(qos_classes))
         live_path = bool(live) and self._online is not None
-        lengths = None
+        # Routes are built once per query and shared by the health check,
+        # the simulation and the utilisation sum below.
         if live_path and router == "adaptive":
-            from repro.fastpath.traffic_batch import build_routes_batch
             from repro.sim.routing import embedded_predicates
 
             g_ok, ge_ok = embedded_predicates(
                 self._online.recovery.phi, self._flat, c.torus.bn.is_adjacent
             )
-            result = simulate_batch(
-                guest, traffic, max_cycles=max_cycles, router="adaptive",
-                node_ok=g_ok, edge_ok=ge_ok, classes=classes, credits=credits,
-            )
-            undeliverable = result.undeliverable
-            # Detoured routes are longer than e-cube — measure what ran.
-            _, lengths, _ = build_routes_batch(
+            nodes, lengths, routable = build_routes_batch(
                 guest, traffic, router="adaptive", node_ok=g_ok, edge_ok=ge_ok
             )
-        elif live_path:
-            from repro.sim.lifetime_traffic import route_health_mask
-
-            deliverable = route_health_mask(
-                guest, traffic, self._online.recovery.phi, self._flat,
-                c.torus.bn.is_adjacent,
-            )
-            result = simulate_batch(
-                guest, traffic[deliverable], max_cycles=max_cycles,
-                classes=None if classes is None else classes[deliverable],
-                credits=credits,
-            )
-            undeliverable = int((~deliverable).sum())
+            undeliverable = int((~routable).sum())
         else:
-            result = simulate_batch(
-                guest, traffic, max_cycles=max_cycles,
-                classes=classes, credits=credits,
-            )
+            nodes, lengths = routes_batch(guest, traffic)
+            routable = np.ones(len(traffic), dtype=bool)
             undeliverable = 0
+            if live_path:
+                from repro.sim.lifetime_traffic import route_health_mask
+
+                # Only messages whose mapped route is healthy are simulated.
+                deliverable = route_health_mask(
+                    nodes, self._online.recovery.phi, self._flat,
+                    c.torus.bn.is_adjacent,
+                )
+                undeliverable = int((~deliverable).sum())
+                traffic, nodes, lengths, routable = (
+                    traffic[deliverable], nodes[deliverable],
+                    lengths[deliverable], routable[deliverable],
+                )
+                if classes is not None:
+                    classes = classes[deliverable]
+        result = simulate_batch(
+            guest, traffic, max_cycles=max_cycles, classes=classes,
+            credits=credits, routes=(nodes, lengths, routable),
+        )
         stats = latency_stats(result)
-        stats["offered"] = int(len(traffic))
+        stats["offered"] = offered
         stats["undeliverable"] = undeliverable
         stats["cycles"] = int(result.cycles)
         stats["max_queue"] = int(result.max_queue)
@@ -323,18 +331,10 @@ class MachineState:
         if classes is not None:
             from repro.sim.metrics import per_class_stats
 
-            run_classes = classes
-            if live_path and router != "adaptive":
-                run_classes = classes[deliverable]
-            stats["per_class"] = per_class_stats(result, run_classes)
+            stats["per_class"] = per_class_stats(result, classes)
         # Utilization: busy link-cycles of delivered messages over the
         # guest's directed-link capacity for the run's span.
-        if lengths is None:
-            _, lengths = routes_batch(guest, traffic)
-            if live_path:
-                lengths = lengths[deliverable]
-        delivered_mask = result.message_latencies >= 0
-        hops = int(lengths[delivered_mask].sum()) if len(lengths) else 0
+        hops = int(lengths[result.message_latencies >= 0].sum())
         links = int(np.prod(guest)) * 2 * len(guest)
         stats["link_utilization"] = (
             hops / (links * result.cycles) if result.cycles else 0.0

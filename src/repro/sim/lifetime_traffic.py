@@ -54,33 +54,22 @@ from repro.util.rng import spawn_rng
 __all__ = ["lifetime_traffic_snapshots", "route_health_mask"]
 
 
-def route_health_mask(
-    guest_shape: tuple,
-    traffic,
-    phi,
-    fault_flat,
-    is_adjacent,
-) -> "np.ndarray":
+def route_health_mask(nodes, phi, fault_flat, is_adjacent) -> "np.ndarray":
     """Per-message deliverability on the aged machine.
 
-    Walks every message's e-cube route through the embedding ``phi``
-    (guest flat index -> host flat index) and checks each host node and
-    each host edge the route would actually use: ``mask[i]`` is True iff
-    no element of message ``i``'s mapped path is faulty or non-adjacent.
-    This is the measurement behind ``live_traffic`` snapshots — a stale or
+    ``nodes`` are the messages' padded e-cube routes
+    (:func:`repro.fastpath.traffic_batch.routes_batch`).  Each route is
+    walked through the embedding ``phi`` (guest flat index -> host flat
+    index) and each host node and host edge it would actually use is
+    checked: ``mask[i]`` is True iff no element of message ``i``'s mapped
+    path is faulty or non-adjacent.  This is the measurement behind
+    ``live_traffic`` snapshots and the daemon's live queries — a stale or
     fault-crossing embedding shows up here as undeliverable messages.
     """
-    from repro.fastpath.traffic_batch import routes_batch
+    from repro.fastpath.traffic_batch import routes_health_mask
+    from repro.sim.routing import embedded_predicates
 
-    phi = np.asarray(phi, dtype=np.int64).ravel()
-    nodes, _lengths = routes_batch(guest_shape, traffic)
-    pad = nodes < 0
-    host = phi[np.where(pad, 0, nodes)]
-    node_bad = ~pad & fault_flat[host]
-    u, v = host[:, :-1], host[:, 1:]
-    hop = ~pad[:, 1:]
-    edge_bad = hop & ~(is_adjacent(u, v) & ~fault_flat[u] & ~fault_flat[v])
-    return ~(node_bad.any(axis=1) | edge_bad.any(axis=1))
+    return routes_health_mask(nodes, *embedded_predicates(phi, fault_flat, is_adjacent))
 
 
 def lifetime_traffic_snapshots(
@@ -149,7 +138,7 @@ def lifetime_traffic_snapshots(
             # path crosses a broken element are undeliverable on the aged
             # machine; the rest are re-simulated (guest-space simulation is
             # exact for healthy mapped routes — dilation 1).
-            from repro.fastpath.traffic_batch import simulate_batch
+            from repro.fastpath.traffic_batch import routes_batch, simulate_batch
 
             if router == "adaptive":
                 # Route *around* the live fault set: each broken e-cube
@@ -167,13 +156,19 @@ def lifetime_traffic_snapshots(
                 stats = latency_stats(result)
                 stats["undeliverable"] = result.undeliverable
             else:
+                # One route build serves the health check and the simulation.
+                nodes, lengths = routes_batch(guest_shape, traffic)
                 deliverable = route_health_mask(
-                    guest_shape, traffic, online.recovery.phi, fault_flat,
-                    bt.bn.is_adjacent,
+                    nodes, online.recovery.phi, fault_flat, bt.bn.is_adjacent
+                )
+                routes = (
+                    nodes[deliverable], lengths[deliverable],
+                    np.ones(int(deliverable.sum()), dtype=bool),
                 )
                 stats = latency_stats(
                     simulate_batch(
-                        guest_shape, traffic[deliverable], max_cycles=max_cycles
+                        guest_shape, traffic[deliverable], max_cycles=max_cycles,
+                        routes=routes,
                     )
                 )
                 stats["undeliverable"] = int((~deliverable).sum())

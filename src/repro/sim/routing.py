@@ -119,10 +119,10 @@ def embedded_predicates(
 
     Guest node ``g`` is usable iff its host image ``phi[g]`` is healthy;
     guest edge ``(u, v)`` iff the host images are adjacent *and* both
-    healthy — exactly the per-element check of
-    :func:`repro.sim.lifetime_traffic.route_health_mask`, packaged as
-    predicates so the adaptive router can detour in guest space while
-    every hop it commits to is a healthy host edge.
+    healthy.  :func:`repro.sim.lifetime_traffic.route_health_mask` applies
+    them to whole e-cube routes, and the adaptive router uses them to
+    detour in guest space while every hop it commits to is a healthy host
+    edge.
     """
     phi = np.asarray(phi, dtype=np.int64).ravel()
     fault_flat = np.asarray(fault_flat, dtype=bool).ravel()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.api.protocol import LifetimeSpec
@@ -409,6 +410,82 @@ class TestDeterminism:
         adaptive = a["queries"][2]
         assert adaptive["router"] == "adaptive"
         assert [row["qos_class"] for row in adaptive["per_class"]] == [0, 1]
+
+
+class TestTrafficQueries:
+    @pytest.mark.parametrize(
+        "field,value", [("messages", -1), ("max_cycles", -5)]
+    )
+    def test_negative_field_is_a_bad_request_naming_it(self, field, value):
+        async def go() -> ServeRequestError:
+            server = await _started_server()
+            try:
+                c = await ServeClient.connect("127.0.0.1", server.port)
+                await c.request("create", machine="m", construction="bn",
+                                params=BN_PARAMS)
+                with pytest.raises(ServeRequestError) as err:
+                    await c.request("traffic", machine="m", **{field: value})
+                # The connection and the machine both survive the rejection.
+                ok = await c.request("traffic", machine="m", messages=4)
+                assert ok["offered"] == 4
+                await c.close()
+                return err.value
+            finally:
+                await _stop(server)
+
+        err = asyncio.run(go())
+        assert err.code == "bad-request"
+        assert field in str(err)
+
+    @staticmethod
+    def _machine_with_stale_faults() -> MachineState:
+        state = MachineState("m", "bn", BN_PARAMS)
+        for kind, node in scripted_events("bn", BN_PARAMS, BN_SPEC, 3):
+            state.apply_event(kind, node)
+        # Faults the embedding was never repaired around, so some e-cube
+        # routes cross them and the adaptive router has detours to search.
+        phi = np.asarray(state._online.recovery.phi).ravel()
+        state._flat[phi[[5, 77, 140]]] = True
+        return state
+
+    @pytest.mark.parametrize(
+        "construction,live,router",
+        [("bn", False, "dimension"), ("bn", True, "dimension"),
+         ("bn", True, "adaptive"), ("sparerows", True, "dimension")],
+    )
+    def test_each_path_builds_routes_once(
+        self, monkeypatch, construction, live, router
+    ):
+        from repro.fastpath import traffic_batch
+
+        if construction == "bn":
+            state = self._machine_with_stale_faults()
+            broken = state.traffic_query("uniform", 40, 1)["undeliverable"]
+            assert broken > 0
+        else:
+            state = MachineState("g", "sparerows", {"n": 8, "sigma": 2})
+        calls = {"routes_batch": 0, "adaptive_route": 0}
+
+        def counted(name):
+            real = getattr(traffic_batch, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(traffic_batch, name, wrapper)
+
+        counted("routes_batch")
+        counted("adaptive_route")
+        stats = state.traffic_query(
+            "uniform", 40, 1, live=live, router=router, qos_classes=2, credits=8
+        )
+        assert calls["routes_batch"] == 1
+        if router == "adaptive":
+            assert 0 < calls["adaptive_route"] <= broken
+            assert stats["undeliverable"] < broken
+        else:
+            assert calls["adaptive_route"] == 0
 
 
 class TestTelemetryPrimitives:

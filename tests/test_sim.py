@@ -169,15 +169,27 @@ class TestLifetimeTraffic:
             assert snap["stats"]["timed_out"] == 0
             assert 0 < snap["num_faults"] <= snap["arrivals"]
 
-    def test_live_traffic_measures_and_matches(self, bn2_small):
+    def test_live_traffic_measures_and_matches(self, bn2_small, monkeypatch):
         from repro.api.protocol import LifetimeSpec
         from repro.core.bn import BTorus
+        from repro.fastpath import traffic_batch
         from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
 
+        builds = []
+        real_routes = traffic_batch.routes_batch
+
+        def counted_routes(*args, **kwargs):
+            builds.append(1)
+            return real_routes(*args, **kwargs)
+
+        monkeypatch.setattr(traffic_batch, "routes_batch", counted_routes)
         live = lifetime_traffic_snapshots(
             BTorus(bn2_small), LifetimeSpec(), seed=0,
             checkpoints=[2], messages=60, live_traffic=True,
         )
+        # One route build per checkpoint serves the health check and the
+        # simulation.
+        assert len(builds) == 1
         assumed = lifetime_traffic_snapshots(
             BTorus(bn2_small), LifetimeSpec(), seed=0,
             checkpoints=[2], messages=60,
@@ -198,25 +210,23 @@ class TestLifetimeTraffic:
         import numpy as np
 
         from repro.core.bn import BTorus
+        from repro.fastpath.traffic_batch import routes_batch
         from repro.sim.lifetime_traffic import route_health_mask
 
         bt = BTorus(bn2_small)
         rec = bt.recover(np.zeros(bn2_small.shape, dtype=bool))
         shape = rec.guest_shape()
         traffic = make_traffic(shape, "uniform", 50, spawn_rng(9))
+        nodes, _ = routes_batch(shape, traffic)
         fault_flat = np.zeros(bt.bn.codec.size, dtype=bool)
-        healthy = route_health_mask(
-            shape, traffic, rec.phi, fault_flat, bt.bn.is_adjacent
-        )
+        healthy = route_health_mask(nodes, rec.phi, fault_flat, bt.bn.is_adjacent)
         assert healthy.all()  # pristine machine: everything deliverable
         # Break the host node under one message's source: every message
         # whose mapped route visits it (at least that one) goes dark.
         phi = np.asarray(rec.phi, dtype=np.int64).ravel()
         victim = int(phi[traffic[0, 0]])
         fault_flat[victim] = True
-        broken = route_health_mask(
-            shape, traffic, rec.phi, fault_flat, bt.bn.is_adjacent
-        )
+        broken = route_health_mask(nodes, rec.phi, fault_flat, bt.bn.is_adjacent)
         assert not broken[0]
         assert broken.sum() < len(traffic)
 

@@ -22,12 +22,15 @@ diff the conformance suite and mutation tests use.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fastpath.traffic_batch import (
+    ROUTE_BLOCK,
     routes_batch,
     sim_results_identical,
     simulate_batch,
@@ -241,6 +244,49 @@ class TestBatchKernelEquivalence:
             assert lengths[i] == len(r) - 1
             assert nodes[i, : lengths[i] + 1].tolist() == r.tolist()
             assert (nodes[i, lengths[i] + 1:] == -1).all()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (2,), (7,), (8,), (1, 4), (2, 2), (6, 5), (2, 1, 3), (4, 4, 4),
+         (2, 3, 1, 4), (3, 2, 3, 2)],
+    )
+    def test_routes_batch_matches_scalar_routes_across_blocks(self, shape):
+        """Every (src, dst) pair — so every n/2 tie on even sides — tiled and
+        shuffled past ROUTE_BLOCK rows, so rows land on both sides of the
+        block boundaries; each row must be the scalar e-cube route."""
+        size = int(np.prod(shape))
+        pairs = np.indices((size, size)).reshape(2, -1).T
+        ref = np.full((len(pairs), sum(n // 2 for n in shape) + 1), -1)
+        for k, (s, d) in enumerate(pairs):
+            r = dimension_ordered_route(shape, int(s), int(d))
+            ref[k, : len(r)] = r
+        ref = ref[:, : int((ref >= 0).sum(axis=1).max())]
+        reps = ROUTE_BLOCK // len(pairs) + 2
+        idx = spawn_rng(size, "route-blocks").permutation(np.tile(np.arange(len(pairs)), reps))
+        assert len(idx) > ROUTE_BLOCK
+        nodes, lengths = routes_batch(shape, pairs[idx])
+        np.testing.assert_array_equal(nodes, ref[idx])
+        np.testing.assert_array_equal(lengths, (ref[idx] >= 0).sum(axis=1) - 1)
+        empty_nodes, empty_lengths = routes_batch(shape, np.empty((0, 2), dtype=np.int64))
+        assert empty_nodes.shape == (0, 1) and empty_lengths.shape == (0,)
+
+    def test_routes_batch_peak_memory_is_blocked(self):
+        """The builder's peak is its output, its O(M * d) per-message legs
+        and O(ROUTE_BLOCK * L) block temporaries — never a few (M, L)
+        temporaries, which is what building all rows at once costs."""
+        shape = (36, 36)
+        traffic = make_traffic(shape, "uniform", 100_000, spawn_rng(5, "peak"))
+        tracemalloc.start()
+        try:
+            nodes, lengths = routes_batch(shape, traffic)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m, width = nodes.shape
+        legs = 8 * m * len(shape) * 8
+        block = 8 * ROUTE_BLOCK * width * 8
+        assert peak <= nodes.nbytes + lengths.nbytes + legs + block
+        assert legs + block < nodes.nbytes  # the bound is tighter than one more copy
 
     def test_edge_cases_identical(self):
         # self-addressed only, empty traffic, mixed
