@@ -14,7 +14,7 @@ import time
 
 from conftest import run_once
 
-from repro.analysis.montecarlo import MonteCarlo
+from repro.analysis.montecarlo import aggregate_outcomes
 from repro.core.bn import BTorus
 from repro.core.params import BnParams
 from repro.util.tables import Table
@@ -33,9 +33,9 @@ def test_e12_strategy_ablation(benchmark, report):
         for p in ps:
             for strategy in ("straight", "paper", "auto"):
                 t0 = time.perf_counter()
-                res = MonteCarlo(
-                    lambda seed, s=strategy: bt.trial(p, seed, strategy=s)
-                ).run(TRIALS)
+                res = aggregate_outcomes(
+                    bt.trial(p, seed, strategy=strategy) for seed in range(TRIALS)
+                )
                 dt = (time.perf_counter() - t0) / TRIALS
                 rows.append(
                     [f"{p:.1e}", strategy, f"{res.success_rate:.2f}",

@@ -21,7 +21,7 @@ Run:  python examples/wafer_yield.py
 
 from __future__ import annotations
 
-from repro.analysis.montecarlo import MonteCarlo
+from repro.analysis.montecarlo import aggregate_outcomes
 from repro.baselines.replication import ReplicatedTorus
 from repro.core import BnParams, BTorus
 from repro.core.an import ATorus, an_params_for_reliability
@@ -35,8 +35,7 @@ TRIALS = 12
 def bn_row(defect_rate: float) -> list:
     params = BnParams(d=2, b=3, s=1, t=2)
     bt = BTorus(params)
-    mc = MonteCarlo(lambda seed: bt.trial(defect_rate, seed))
-    res = mc.run(TRIALS)
+    res = aggregate_outcomes(bt.trial(defect_rate, seed) for seed in range(TRIALS))
     return [
         "B^2 (Thm 2)",
         params.n,
@@ -60,7 +59,7 @@ def an_row(defect_rate: float) -> list:
         except ReconstructionError as exc:
             return TrialOutcome(success=False, category=exc.category)
 
-    res = MonteCarlo(trial).run(TRIALS)
+    res = aggregate_outcomes(trial(seed) for seed in range(TRIALS))
     return [
         "A^2 (Thm 1)",
         params.n,
@@ -79,7 +78,7 @@ def replication_row(defect_rate: float, n: int = 72) -> list:
         ok = rt.survives(defect_rate, seed)
         return TrialOutcome(success=ok, category="ok" if ok else "supernode")
 
-    res = MonteCarlo(trial).run(TRIALS)
+    res = aggregate_outcomes(trial(seed) for seed in range(TRIALS))
     return [
         "FKP-style replication",
         n,

@@ -1,9 +1,11 @@
-"""Experiment tooling: Monte-Carlo driver, sweeps and theory predictions.
+"""Experiment tooling: Monte-Carlo aggregation, threshold estimation and
+theory predictions.
 
-Exports resolve lazily: ``repro.api.experiment`` imports the Monte-Carlo
-aggregator from this package while ``repro.analysis.sweep`` layers on top
-of the experiment runner, so an eager ``__init__`` would close an import
-cycle.
+Exports resolve lazily: the experiment runner imports
+``repro.analysis.montecarlo``, which runs this ``__init__`` first, and an
+eager one would load the Chernoff predictor and, through
+``repro.core.params``, the whole ``repro.core`` package into every
+runner import.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 _EXPORTS = {
     "wilson_interval": "repro.analysis.stats",
     "binomial_tail": "repro.analysis.stats",
-    "MonteCarlo": "repro.analysis.montecarlo",
     "MCResult": "repro.analysis.montecarlo",
-    "sweep_bn_threshold": "repro.analysis.sweep",
-    "sweep_dn_adversarial": "repro.analysis.sweep",
+    "aggregate_outcomes": "repro.analysis.montecarlo",
+    "ThresholdPoint": "repro.analysis.sweep",
+    "estimate_threshold": "repro.analysis.sweep",
     "predict_healthiness": "repro.analysis.chernoff",
     "HealthinessPrediction": "repro.analysis.chernoff",
 }

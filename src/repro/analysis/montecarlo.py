@@ -1,20 +1,22 @@
-"""Generic Monte-Carlo driver with failure-category accounting.
+"""Monte-Carlo aggregation with failure-category accounting.
 
-Every experiment in EXPERIMENTS.md runs through this driver so that
-results are reproducible (seed-tree RNG), failure modes are attributed
-(category tallies), and confidence intervals are reported uniformly.
+:func:`aggregate_outcomes` folds a stream of trial outcomes into one
+:class:`MCResult`: failure modes are attributed (category tallies) and
+confidence intervals reported uniformly.  The experiment runner folds
+every chunk of one-shot trials through it, on both backends, and the
+benches and examples that tally bespoke trials call it directly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.stats import wilson_interval
 from repro.api.outcome import TrialOutcome
 
-__all__ = ["MCMerge", "MCResult", "MonteCarlo", "aggregate_outcomes"]
+__all__ = ["MCMerge", "MCResult", "aggregate_outcomes"]
 
 
 @dataclass
@@ -144,8 +146,8 @@ class MCMerge:
 def aggregate_outcomes(outcomes: Iterable[TrialOutcome]) -> MCResult:
     """Fold a stream of trial outcomes into one :class:`MCResult`.
 
-    The single accumulation path shared by the per-trial driver and the
-    batched backends: identical outcome sequences produce identical
+    The single accumulation path shared by the runner's per-trial loop
+    and the batched backends: identical outcome sequences produce identical
     results (including the float ``mean_faults``, accumulated in stream
     order), which is what keeps batch and scalar experiment JSON
     byte-identical.  Outcomes may be any objects with ``success`` and
@@ -170,14 +172,3 @@ def aggregate_outcomes(outcomes: Iterable[TrialOutcome]) -> MCResult:
     res.mean_faults = total_faults / res.trials if res.trials else 0.0
     return res
 
-
-class MonteCarlo:
-    """Run ``trial_fn(seed) -> TrialOutcome`` over a seed range and
-    aggregate.  ``trial_fn`` may return any object with ``success`` and
-    ``category`` attributes (``TrialOutcome`` or a duck-typed equivalent)."""
-
-    def __init__(self, trial_fn: Callable[[int], TrialOutcome]) -> None:
-        self.trial_fn = trial_fn
-
-    def run(self, trials: int, *, seed0: int = 0) -> MCResult:
-        return aggregate_outcomes(self.trial_fn(seed0 + i) for i in range(trials))

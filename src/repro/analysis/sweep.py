@@ -1,86 +1,28 @@
-"""Parameter sweeps: thin declarative layers over the experiment runner.
+"""Survival-threshold estimation over a fault-probability sweep.
 
-Both sweeps build an :class:`~repro.api.experiment.ExperimentSpec` and hand
-it to :class:`~repro.api.experiment.ExperimentRunner`; pass ``workers > 1``
-to fan the trials out over a process pool.  Seed discipline is unchanged
-from the original hand-rolled loops (trial ``i`` runs with seed
-``seed0 + i`` and the constructions' historical RNG keying), so results
-are bit-for-bit what the pre-runner versions produced.
+A sweep is one :class:`~repro.api.experiment.ExperimentSpec` whose grid
+spans the probability ladder, run by
+:class:`~repro.api.experiment.ExperimentRunner`; this module only reads
+its per-point results: :class:`ThresholdPoint` pairs a probability with
+its merged result, and :func:`estimate_threshold` interpolates where
+survival crosses a level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.montecarlo import MCResult
-from repro.api.experiment import ExperimentRunner, ExperimentSpec
-from repro.api.protocol import FaultSpec
-from repro.core.params import BnParams, DnParams
 
-__all__ = ["sweep_bn_threshold", "sweep_dn_adversarial", "ThresholdPoint"]
+__all__ = ["ThresholdPoint", "estimate_threshold"]
 
 
 @dataclass
 class ThresholdPoint:
     p: float
     result: MCResult
-
-
-def sweep_bn_threshold(
-    params: BnParams,
-    p_values: Sequence[float],
-    trials: int,
-    *,
-    strategy: str = "auto",
-    check_health: bool = False,
-    seed0: int = 0,
-    workers: int = 1,
-) -> list[ThresholdPoint]:
-    """Survival rate of ``B^d_n`` across a fault-probability sweep."""
-    spec = ExperimentSpec.from_grid(
-        "bn",
-        {
-            "d": params.d, "b": params.b, "s": params.s, "t": params.t,
-            "strategy": strategy, "check_health": check_health,
-        },
-        p_values=[float(p) for p in p_values],
-        trials=trials,
-        seed0=seed0,
-        name="bn-threshold",
-    )
-    result = ExperimentRunner(workers=workers).run(spec)
-    return [
-        ThresholdPoint(p=pt.fault_spec.p, result=pt.result) for pt in result.points
-    ]
-
-
-def sweep_dn_adversarial(
-    params: DnParams,
-    patterns: Sequence[str],
-    trials: int,
-    *,
-    k: int | None = None,
-    seed0: int = 0,
-    workers: int = 1,
-) -> dict[str, MCResult]:
-    """Adversarial campaign against ``D^d_{n,k}``: for each pattern, inject
-    exactly ``k`` faults and count verified recoveries."""
-    spec = ExperimentSpec(
-        construction="dn",
-        params={"d": params.d, "n": params.n, "b": params.b},
-        grid=tuple(
-            FaultSpec(pattern=pattern, k=params.k if k is None else int(k))
-            for pattern in patterns
-        ),
-        trials=trials,
-        seed0=seed0,
-        name="dn-adversarial",
-    )
-    result = ExperimentRunner(workers=workers).run(spec)
-    return {pt.fault_spec.pattern: pt.result for pt in result.points}
 
 
 def estimate_threshold(points: list[ThresholdPoint], level: float = 0.5) -> float:

@@ -417,7 +417,7 @@ class DnConstruction(_TorusTrafficMixin, _AdapterBase):
 
     def trial(self, spec: FaultSpec, seed: int) -> TrialOutcome:
         if spec.adversarial:
-            # Same stream as the historical sweep_dn_adversarial loops.
+            # The "dn-sweep" stream the dn-adversarial golden pins.
             rng = spawn_rng(seed, "dn-sweep", spec.pattern, self.params.n, self.params.b)
         else:
             rng = self._trial_rng(spec, seed)

@@ -39,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.analysis.montecarlo import MCResult, MonteCarlo, aggregate_outcomes
+from repro.analysis.montecarlo import MCResult, aggregate_outcomes
 from repro.api.lifetime import LifetimeResult, aggregate_lifetimes
 from repro.api.protocol import FaultSpec, LifetimeSpec, TrafficSpec
 from repro.api.traffic import TrafficResult, aggregate_traffic
@@ -347,8 +347,7 @@ def _run_seeds(construction, name, point, seeds, use_batch, kw) -> dict:
             if run_tb is not None and (supports_tb is None or supports_tb(point)):
                 return aggregate_traffic(run_tb(point, seeds, **kw)).to_dict()
         return aggregate_traffic(traffic_trial(point, s) for s in seeds).to_dict()
-    mc = MonteCarlo(lambda seed: construction.trial(point, seed))
-    return mc.run(len(seeds), seed0=seeds[0]).to_dict()
+    return aggregate_outcomes(construction.trial(point, s) for s in seeds).to_dict()
 
 
 def _run_block_indexed(item: tuple) -> tuple:

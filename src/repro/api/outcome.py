@@ -4,8 +4,9 @@ Historically each construction reported results through its own ad-hoc
 shape (``BTorus.trial`` returned the original ``TrialOutcome``; the
 baselines returned bare booleans).  The unified :class:`Construction`
 protocol makes every adapter's ``trial`` return this one dataclass, so
-the Monte-Carlo driver, the experiment runner and every benchmark can
-aggregate outcomes without knowing which construction produced them.
+the experiment runner and every benchmark can aggregate outcomes (through
+``repro.analysis.montecarlo.aggregate_outcomes``) without knowing which
+construction produced them.
 
 ``TrialOutcome`` used to live in ``repro.core.bn``; it is re-exported
 from there for backwards compatibility.

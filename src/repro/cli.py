@@ -2,28 +2,29 @@
 
 Subcommands
 -----------
-``run``          generic experiment driver over any registered construction
+``run``          one-shot survival trials over any registered construction
 ``lifetime``     fault-arrival timelines driven to first recovery failure
 ``traffic``      guest-torus workload measurements (closed batch or open loop)
 ``serve``        long-lived operator daemon (event ingest, queries, telemetry)
 ``loadgen``      sustained mixed workload against a running serve daemon
 ``conformance``  differential-oracle + golden-artifact gate over all backends
 ``info``         print derived parameters of a construction
-``bn-trial``     fault-injection trials against B^d_n
-``dn-attack``    adversarial campaign against D^d_{n,k}
 ``figures``      regenerate the paper's Figure 1 / Figure 2 (ASCII)
-``route``        routing simulation on a recovered torus
 
 Primary command output (summaries, tables, figures) goes to stdout;
 status and diagnostics go through :mod:`logging` (the ``repro`` logger
 hierarchy) to stderr, with the global ``--log-level`` flag shared by the
 daemon and the one-shot commands alike.
 
-``run`` is the registry-powered front end::
+``run``, ``lifetime`` and ``traffic`` share one flag set and one run
+path: each builds its grid of spec points, and :func:`_experiment` turns
+the construction flags and the grid into an ``ExperimentSpec``, runs it
+through ``ExperimentRunner``, prints the summary and writes ``--out``::
 
     repro-ft run --construction dn --n 70 --b 2 --pattern random,diagonal \\
                  --trials 20 --workers 8 --out results.json
-    repro-ft run --construction bn --b 4 --p 0.001,0.004 --trials 100
+    repro-ft run --construction bn --p 0.00137 --check-health --trials 100
+    repro-ft traffic --construction bn --pattern transpose --messages 200
 """
 
 from __future__ import annotations
@@ -61,13 +62,14 @@ def _setup_logging(level: str, *, timestamps: bool = False) -> None:
     root.setLevel(getattr(logging, level.upper()))
 
 
-#: Factory kwargs accepted by each registered construction (CLI flag -> kwarg).
-#: Kept as a static table — deriving it from the factories' signatures would
-#: require importing repro.api.adapters at parser-build time, i.e. on every
-#: CLI invocation including `--help`, defeating the lazy-import design.
-#: Must be kept in sync with the @register factories in repro/api/adapters.py.
+#: Factory kwargs accepted by each registered construction; kwarg ``k_sub``
+#: is flag ``--k-sub``.  Kept as a static table — deriving it from the
+#: factories' signatures would require importing repro.api.adapters at
+#: parser-build time, i.e. on every CLI invocation including `--help`,
+#: defeating the lazy-import design.  Must be kept in sync with the
+#: @register factories in repro/api/adapters.py (tests/test_cli.py checks).
 _RUN_PARAMS = {
-    "bn": ("d", "b", "s", "t", "strategy"),
+    "bn": ("d", "b", "s", "t", "strategy", "check_health"),
     "an": ("d", "b", "s", "t", "k_sub", "h", "c"),
     "dn": ("d", "n", "b"),
     "alon_chung": ("n", "blowup", "kind"),
@@ -76,51 +78,70 @@ _RUN_PARAMS = {
 }
 
 
-def _make_runner(args: argparse.Namespace):
-    """The experiment runner shared by run/lifetime/traffic: worker pool,
-    backend and streaming memory budget are runner (non-spec) choices —
-    results are byte-identical whatever they are set to."""
-    from repro.api import ExperimentRunner
-
-    return ExperimentRunner(
-        workers=args.workers, max_batch_bytes=args.max_batch_bytes,
-        backend=args.backend,
-    )
+def _flag(kwarg: str) -> str:
+    return "--" + kwarg.replace("_", "-")
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """The backend flag shared by run/lifetime/traffic."""
-    parser.add_argument(
-        "--backend", choices=["scalar", "batch"], default="batch",
-        help="scalar reference loop or numpy batch kernels (default: batch; "
-             "results are byte-identical on both — see docs/fastpath.md)")
+def _construction_params(args: argparse.Namespace) -> dict:
+    """Factory kwargs from the construction flags given (``None`` = not
+    given).  A flag the chosen construction does not take is an error,
+    never silently dropped."""
+    given = {
+        key: value
+        for keys in _RUN_PARAMS.values()
+        for key in keys
+        if (value := getattr(args, key, None)) is not None
+    }
+    takes = _RUN_PARAMS[args.construction]
+    stray = [key for key in given if key not in takes]
+    if stray:
+        raise ValueError(
+            f"{_flag(stray[0])} does not apply to {args.construction}; it takes "
+            + ", ".join(_flag(key) for key in takes if hasattr(args, key))
+        )
+    return {key: given[key] for key in takes if key in given}
 
 
-def _add_streaming_args(parser: argparse.ArgumentParser) -> None:
-    """Checkpoint/resume + memory-budget flags (run/lifetime/traffic)."""
-    parser.add_argument(
-        "--checkpoint", type=str, default="",
-        help="append each completed seed chunk to this NDJSON journal so an "
-             "interrupted sweep can be resumed (see docs/scaling.md)")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="skip chunks already recorded in the --checkpoint journal; the "
-             "final JSON is byte-identical to an uninterrupted run")
-    parser.add_argument(
-        "--max-batch-bytes", dest="max_batch_bytes", type=int, default=None,
-        help="per-worker resident fault-stack byte budget for the batched "
-             "kernels (default: 64 MiB; results are identical at any budget)")
+def _experiment(args: argparse.Namespace, grid, *, name: str,
+                report=None, errors: tuple = ()) -> int:
+    """The run path shared by run/lifetime/traffic: construction flags and
+    ``grid`` -> ``ExperimentSpec`` -> runner -> summary -> ``--out``.
+
+    Bad flags, spec values, runner knobs and journals exit 2 with one
+    ``<cmd>: ...`` line, as do the extra exception types in ``errors``.
+    ``report(result)`` prints command-specific lines after the summary
+    and returns the exit code; ``--out`` is written only when it is 0.
+    """
+    from repro.api import ExperimentRunner, ExperimentSpec
+    from repro.errors import JournalError
+
+    try:
+        spec = ExperimentSpec(
+            construction=args.construction,
+            params=_construction_params(args),
+            grid=tuple(grid),
+            trials=args.trials,
+            seed0=args.seed,
+            name=args.name or name,
+        )
+        runner = ExperimentRunner(
+            workers=args.workers, max_batch_bytes=args.max_batch_bytes,
+            backend=args.backend,
+        )
+        result = runner.run(spec, checkpoint=args.checkpoint or None, resume=args.resume)
+    except (JournalError, ValueError, *errors) as exc:
+        log.error("%s: %s", args.cmd, exc)
+        return 2
+    print(result.summary())
+    code = report(result) if report is not None else 0
+    if code == 0 and args.out:
+        result.save(args.out)
+        log.info("results written to %s", args.out)
+    return code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.api import ExperimentRunner, ExperimentSpec, FaultSpec
-
-    params = {
-        key: getattr(args, key)
-        for key in _RUN_PARAMS[args.construction]
-        if getattr(args, key) is not None
-    }
-    from repro.errors import JournalError, ParameterError
+    from repro.api import FaultSpec
     from repro.faults.adversary import ADVERSARY_PATTERNS
 
     grid: list[FaultSpec] = []
@@ -148,250 +169,162 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "(--p, --pattern and/or --fault-model)"
         )
         return 2
-    spec = ExperimentSpec(
-        construction=args.construction,
-        params=params,
-        grid=tuple(grid),
-        trials=args.trials,
-        seed0=args.seed,
-        name=args.name or args.construction,
-    )
-    try:
-        result = _make_runner(args).run(
-            spec, checkpoint=args.checkpoint or None, resume=args.resume
-        )
-    except (JournalError, ParameterError, ValueError) as exc:
-        log.error("run: %s", exc)
-        return 2
-    print(result.summary())
-    if args.out:
-        result.save(args.out)
-        log.info("results written to %s", args.out)
-    return 0
+    return _experiment(args, grid, name=args.construction)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.core.params import BnParams, DnParams
 
-    if args.construction == "bn":
-        p = BnParams(d=args.d, b=args.b, s=args.s, t=args.t)
-        print(p.describe())
-        print(f"  paper fault regime p = b^-3d = {p.paper_fault_probability:.3e}")
-    else:
-        p = DnParams(d=args.d, n=args.n, b=args.b)
-        print(p.describe())
-        print(f"  tolerates any k = {p.k} node+edge faults")
-    return 0
-
-
-def _cmd_bn_trial(args: argparse.Namespace) -> int:
-    from repro.analysis.montecarlo import MonteCarlo
-    from repro.core.bn import BTorus
-    from repro.core.params import BnParams
-
-    params = BnParams(d=args.d, b=args.b, s=args.s, t=args.t)
-    bt = BTorus(params)
-    p = args.p if args.p is not None else params.paper_fault_probability
-    mc = MonteCarlo(lambda seed: bt.trial(p, seed, check_health=args.health))
-    res = mc.run(args.trials, seed0=args.seed)
-    print(params.describe())
-    print(f"p = {p:.4g}: {res.summary()}")
-    return 0
-
-
-def _cmd_dn_attack(args: argparse.Namespace) -> int:
-    from repro.analysis.sweep import sweep_dn_adversarial
-    from repro.core.params import DnParams
-    from repro.faults.adversary import ADVERSARY_PATTERNS
-
-    params = DnParams(d=args.d, n=args.n, b=args.b)
-    print(params.describe())
-    patterns = args.patterns.split(",") if args.patterns else sorted(ADVERSARY_PATTERNS)
-    results = sweep_dn_adversarial(params, patterns, args.trials, seed0=args.seed)
-    for pattern, res in results.items():
-        print(f"  {pattern:10s} {res.summary()}")
+    try:
+        if args.construction == "bn":
+            p = BnParams(d=args.d, b=args.b, s=args.s, t=args.t)
+            claim = f"paper fault regime p = b^-3d = {p.paper_fault_probability:.3e}"
+        else:
+            p = DnParams(d=args.d, n=args.n, b=args.b)
+            claim = f"tolerates any k = {p.k} node+edge faults"
+    except ValueError as exc:
+        log.error("info: %s", exc)
+        return 2
+    print(p.describe())
+    print(f"  {claim}")
     return 0
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:
-    from repro.api import ExperimentRunner, ExperimentSpec, LifetimeSpec
-    from repro.errors import JournalError, ParameterError
+    from repro.api import LifetimeSpec
 
-    params = {
-        key: getattr(args, key)
-        for key in _RUN_PARAMS[args.construction]
-        if getattr(args, key) is not None
-    }
     try:
-        if args.fault_model:
-            # A model replaces the timeline-kind knobs wholesale; the
-            # spec's own validation rejects mixing the two vocabularies.
-            lspec = LifetimeSpec(
-                fault_model=_parse_fault_model(args.fault_model),
-                timeline=args.timeline,
-                rate=args.rate,
-                burst=args.burst,
-                pattern=args.pattern,
-                k=args.k,
-                repair_rate=args.repair_rate,
-                max_steps=args.max_steps,
-            )
-        else:
-            lspec = LifetimeSpec(
-                timeline=args.timeline,
-                rate=args.rate,
-                burst=args.burst,
-                pattern=args.pattern,
-                k=args.k,
-                repair_rate=args.repair_rate,
-                max_steps=args.max_steps,
-            )
+        # A model replaces the timeline-kind knobs wholesale; the spec's
+        # own validation rejects mixing the two vocabularies.
+        lspec = LifetimeSpec(
+            fault_model=(
+                _parse_fault_model(args.fault_model) if args.fault_model else None
+            ),
+            timeline=args.timeline,
+            rate=args.rate,
+            burst=args.burst,
+            pattern=args.pattern,
+            k=args.k,
+            repair_rate=args.repair_rate,
+            max_steps=args.max_steps,
+        )
     except ValueError as exc:
         log.error("lifetime: %s", exc)
         return 2
+    # Validate the snapshot flags before the (possibly long) experiment runs.
     if args.traffic and args.construction != "bn":
-        # Validate before the (possibly long) experiment runs.
         log.error("lifetime: --traffic snapshots support bn only")
         return 2
-    spec = ExperimentSpec(
-        construction=args.construction,
-        params=params,
-        grid=(lspec,),
-        trials=args.trials,
-        seed0=args.seed,
-        name=args.name or f"{args.construction}-lifetime",
-    )
     try:
-        result = _make_runner(args).run(
-            spec, checkpoint=args.checkpoint or None, resume=args.resume
+        checkpoints = (
+            [int(x) for x in args.checkpoints.split(",")]
+            if args.checkpoints
+            else [5, 10, 20]
         )
-    except (JournalError, ParameterError, ValueError) as exc:
+    except ValueError:
+        log.error("lifetime: --checkpoints takes comma-separated arrival "
+                  "counts, got %r", args.checkpoints)
+        return 2
+    return _experiment(
+        args, [lspec], name=f"{args.construction}-lifetime",
+        report=lambda result: _lifetime_report(args, result, checkpoints),
+    )
+
+
+def _lifetime_report(args: argparse.Namespace, result, checkpoints: list) -> int:
+    """bn lifetimes only: the theory scale and, with ``--traffic``, the
+    service snapshots of the aging machine."""
+    if args.construction != "bn":
+        return 0
+    from repro.core.params import BnParams
+
+    params = result.spec.params
+    bp = BnParams(
+        d=params.get("d", 2), b=params.get("b", 3),
+        s=params.get("s", 1), t=params.get("t", 2),
+    )
+    print(f"theory scale N*b^-3d = {bp.num_nodes * bp.paper_fault_probability:.1f}")
+    if not args.traffic:
+        return 0
+    from repro.core.bn import BTorus
+    from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
+
+    try:
+        snap = lifetime_traffic_snapshots(
+            BTorus(bp), result.spec.grid[0], args.seed, checkpoints,
+            pattern=args.traffic, messages=args.messages,
+            strategy=params.get("strategy", "auto"),
+            live_traffic=args.live_traffic,
+            router=args.router,
+        )
+    except (KeyError, ValueError) as exc:
+        # e.g. bitreverse on a non-power-of-two guest
         log.error("lifetime: %s", exc)
         return 2
-    print(result.summary())
-    if args.construction == "bn":
-        from repro.core.params import BnParams
-
-        bp = BnParams(
-            d=params.get("d", 2), b=params.get("b", 3),
-            s=params.get("s", 1), t=params.get("t", 2),
+    print(
+        f"traffic snapshots ('{args.traffic}', {args.messages} messages"
+        f"{', live' if args.live_traffic else ''}"
+        f"{', adaptive' if args.router == 'adaptive' else ''}), "
+        f"trial seed {args.seed}, lifetime {snap['lifetime']}:"
+    )
+    for s in snap["snapshots"]:
+        if not s["reached"]:
+            print(f"  @{s['arrivals']:>4} arrivals: not reached "
+                  "(trial ended earlier)")
+            continue
+        st = s["stats"]
+        undeliv = (
+            f"undeliverable={st['undeliverable']} "
+            if "undeliverable" in st else ""
         )
-        print(f"theory scale N*b^-3d = {bp.num_nodes * bp.paper_fault_probability:.1f}")
-        if args.traffic:
-            from repro.core.bn import BTorus
-            from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
-
-            checkpoints = (
-                [int(x) for x in args.checkpoints.split(",")]
-                if args.checkpoints
-                else [5, 10, 20]
-            )
-            try:
-                snap = lifetime_traffic_snapshots(
-                    BTorus(bp), lspec, args.seed, checkpoints,
-                    pattern=args.traffic, messages=args.messages,
-                    strategy=params.get("strategy", "auto"),
-                    live_traffic=args.live_traffic,
-                    router=args.router,
-                )
-            except (KeyError, ValueError) as exc:
-                # e.g. bitreverse on a non-power-of-two guest
-                log.error("lifetime: %s", exc)
-                return 2
-            print(
-                f"traffic snapshots ('{args.traffic}', {args.messages} messages"
-                f"{', live' if args.live_traffic else ''}"
-                f"{', adaptive' if args.router == 'adaptive' else ''}), "
-                f"trial seed {args.seed}, lifetime {snap['lifetime']}:"
-            )
-            for s in snap["snapshots"]:
-                if not s["reached"]:
-                    print(f"  @{s['arrivals']:>4} arrivals: not reached "
-                          "(trial ended earlier)")
-                    continue
-                st = s["stats"]
-                undeliv = (
-                    f"undeliverable={st['undeliverable']} "
-                    if "undeliverable" in st else ""
-                )
-                print(
-                    f"  @{s['arrivals']:>4} arrivals: faults={s['num_faults']} "
-                    f"p50={st['p50']:g} p99={st['p99']:g} "
-                    f"timed_out={st['timed_out']} {undeliv}"
-                    f"pristine={'yes' if s['matches_pristine'] else 'NO'}"
-                )
-    if args.out:
-        result.save(args.out)
-        log.info("results written to %s", args.out)
+        print(
+            f"  @{s['arrivals']:>4} arrivals: faults={s['num_faults']} "
+            f"p50={st['p50']:g} p99={st['p99']:g} "
+            f"timed_out={st['timed_out']} {undeliv}"
+            f"pristine={'yes' if s['matches_pristine'] else 'NO'}"
+        )
     return 0
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    from repro.api import ExperimentRunner, ExperimentSpec, TrafficSpec
-    from repro.errors import JournalError, ParameterError
+    from repro.api import TrafficSpec
 
-    params = {
-        key: getattr(args, key)
-        for key in _RUN_PARAMS[args.construction]
-        if getattr(args, key) is not None
-    }
-    grid: list[TrafficSpec] = []
     try:
         fault_model = (
             _parse_fault_model(args.fault_model) if args.fault_model else None
         )
-        for pattern in args.pattern.split(","):
-            if args.rate:
-                for rate in args.rate.split(","):
-                    grid.append(
-                        TrafficSpec(
-                            pattern=pattern,
-                            injection=args.injection,
-                            rate=float(rate),
-                            cycles=args.cycles,
-                            warmup=args.warmup,
-                            max_cycles=args.max_cycles,
-                            router=args.router,
-                            qos_classes=args.qos_classes,
-                            credits=args.credits,
-                            fault_model=fault_model,
-                        )
-                    )
-            else:
-                grid.append(
-                    TrafficSpec(
-                        pattern=pattern,
-                        messages=args.messages,
-                        max_cycles=args.max_cycles,
-                        router=args.router,
-                        qos_classes=args.qos_classes,
-                        credits=args.credits,
-                        fault_model=fault_model,
-                    )
-                )
+        # --rate switches every pattern to the open-loop model, one point
+        # per rate; without it each pattern is one closed batch.
+        loops = (
+            [
+                {"injection": args.injection, "rate": float(rate),
+                 "cycles": args.cycles, "warmup": args.warmup}
+                for rate in args.rate.split(",")
+            ]
+            if args.rate
+            else [{"messages": args.messages}]
+        )
+        grid = [
+            TrafficSpec(
+                pattern=pattern,
+                max_cycles=args.max_cycles,
+                router=args.router,
+                qos_classes=args.qos_classes,
+                credits=args.credits,
+                fault_model=fault_model,
+                **loop,
+            )
+            for pattern in args.pattern.split(",")
+            for loop in loops
+        ]
     except ValueError as exc:
         log.error("traffic: invalid traffic point: %s", exc)
         return 2
-    spec = ExperimentSpec(
-        construction=args.construction,
-        params=params,
-        grid=tuple(grid),
-        trials=args.trials,
-        seed0=args.seed,
-        name=args.name or f"{args.construction}-traffic",
+    # The runner raises TypeError for a construction without the traffic
+    # capability (alon_chung): a usage error here, a bug anywhere else.
+    return _experiment(
+        args, grid, name=f"{args.construction}-traffic", errors=(TypeError,)
     )
-    try:
-        result = _make_runner(args).run(
-            spec, checkpoint=args.checkpoint or None, resume=args.resume
-        )
-    except (JournalError, ParameterError, TypeError, ValueError) as exc:
-        log.error("traffic: %s", exc)
-        return 2
-    print(result.summary())
-    if args.out:
-        result.save(args.out)
-        log.info("results written to %s", args.out)
-    return 0
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
@@ -427,48 +360,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(fig.text)
         print(f"  meta: {fig.meta}")
         print()
-    return 0
-
-
-def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.core.bn import BTorus
-    from repro.core.params import BnParams
-    from repro.sim import latency_stats, make_traffic, simulate
-    from repro.util.rng import spawn_rng
-
-    from repro.errors import ReconstructionError
-
-    params = BnParams(d=2, b=args.b, s=args.s, t=args.t)
-    bt = BTorus(params)
-    rec = None
-    faults = None
-    rng = spawn_rng(args.seed, "cli-route")
-    for attempt in range(10):  # tiny instances occasionally draw a bad set
-        rng = spawn_rng(args.seed + attempt, "cli-route")
-        faults = bt.sample_faults(params.paper_fault_probability, rng)
-        try:
-            rec = bt.recover(faults)
-            break
-        except ReconstructionError as exc:
-            log.warning(
-                "seed %d: unrecoverable draw (%s); retrying",
-                args.seed + attempt, exc.category,
-            )
-    if rec is None:
-        log.error("no recoverable draw in 10 attempts")
-        return 1
-    shape = rec.guest_shape()
-    try:
-        traffic = make_traffic(shape, args.pattern, args.messages, rng)
-    except (KeyError, ValueError) as exc:
-        # e.g. bitreverse on a non-power-of-two guest, unknown pattern
-        log.error("route: %s", exc)
-        return 2
-    stats = latency_stats(simulate(shape, traffic))
-    print(f"recovered {shape} torus from {int(faults.sum())} faults; "
-          f"routing '{args.pattern}':")
-    for k, v in stats.items():
-        print(f"  {k:10s} {v}")
     return 0
 
 
@@ -630,13 +521,40 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _add_construction_args(parser: argparse.ArgumentParser) -> None:
-    """Construction-sizing flags shared by ``run`` and ``lifetime``.
+def _add_experiment_args(parser: argparse.ArgumentParser, *, trials: int,
+                         construction: str | None = "bn") -> None:
+    """The flag set ``run``, ``lifetime`` and ``traffic`` share.
 
-    One flag per factory kwarg named in :data:`_RUN_PARAMS`; ``None``
-    defaults mean "not passed to the factory".  A single definition keeps
-    the two subcommands from drifting apart.
+    ``construction=None`` makes ``--construction`` required.  The sizing
+    flags are one per factory kwarg named in :data:`_RUN_PARAMS`; their
+    ``None`` defaults mean "not passed to the factory".
     """
+    parser.add_argument("--construction", choices=sorted(_RUN_PARAMS),
+                        default=construction, required=construction is None,
+                        help="construction registry key" + (
+                            f" (default: {construction})" if construction else ""))
+    parser.add_argument("--trials", type=int, default=trials)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="process-pool size (1 = serial; same results either way)")
+    parser.add_argument(
+        "--backend", choices=["scalar", "batch"], default="batch",
+        help="scalar reference loop or numpy batch kernels (default: batch; "
+             "results are byte-identical on both — see docs/fastpath.md)")
+    parser.add_argument(
+        "--checkpoint", type=str, default="",
+        help="append each completed seed chunk to this NDJSON journal so an "
+             "interrupted sweep can be resumed (see docs/scaling.md)")
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="skip chunks already recorded in the --checkpoint journal; the "
+             "final JSON is byte-identical to an uninterrupted run")
+    parser.add_argument(
+        "--max-batch-bytes", dest="max_batch_bytes", type=int, default=None,
+        help="per-worker resident fault-stack byte budget for the batched "
+             "kernels (default: 64 MiB; results are identical at any budget)")
+    parser.add_argument("--out", type=str, default="", help="write results JSON here")
+    parser.add_argument("--name", type=str, default="", help="experiment name for the report")
     parser.add_argument("--d", type=int, default=None)
     parser.add_argument("--b", type=int, default=None)
     parser.add_argument("--s", type=int, default=None)
@@ -671,10 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser(
-        "run", help="generic experiment driver over any registered construction"
+        "run", help="one-shot survival trials over any registered construction"
     )
-    p_run.add_argument("--construction", choices=sorted(_RUN_PARAMS), required=True,
-                       help="construction registry key")
+    _add_experiment_args(p_run, trials=10, construction=None)
     p_run.add_argument("--p", type=str, default="",
                        help="comma-separated node-fault probabilities")
     p_run.add_argument("--q", type=float, default=0.0, help="edge-fault probability")
@@ -687,15 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registered fault model as a grid point "
                             "(repeatable), e.g. neighbor:p=0.002 or "
                             "component:rate=0.01,width=2 — see docs/faults.md")
-    p_run.add_argument("--trials", type=int, default=10)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="process-pool size (1 = serial; same results either way)")
-    _add_backend_arg(p_run)
-    _add_streaming_args(p_run)
-    p_run.add_argument("--out", type=str, default="", help="write results JSON here")
-    p_run.add_argument("--name", type=str, default="", help="experiment name for the report")
-    _add_construction_args(p_run)
+    p_run.add_argument("--check-health", dest="check_health", action="store_true",
+                       default=None,
+                       help="bn: also check each draw's healthiness (Lemma 4) "
+                            "and report the healthy/sufficient rates")
     p_run.set_defaults(fn=_cmd_run)
 
     p_info = sub.add_parser("info", help="show derived parameters")
@@ -707,26 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--n", type=int, default=70)
     p_info.set_defaults(fn=_cmd_info)
 
-    p_bn = sub.add_parser("bn-trial", help="Monte-Carlo trials against B^d_n")
-    p_bn.add_argument("--d", type=int, default=2)
-    p_bn.add_argument("--b", type=int, default=3)
-    p_bn.add_argument("--s", type=int, default=1)
-    p_bn.add_argument("--t", type=int, default=2)
-    p_bn.add_argument("--p", type=float, default=None, help="fault probability (default: b^-3d)")
-    p_bn.add_argument("--trials", type=int, default=20)
-    p_bn.add_argument("--seed", type=int, default=0)
-    p_bn.add_argument("--health", action="store_true", help="also check healthiness")
-    p_bn.set_defaults(fn=_cmd_bn_trial)
-
-    p_dn = sub.add_parser("dn-attack", help="adversarial campaign against D^d_{n,k}")
-    p_dn.add_argument("--d", type=int, default=2)
-    p_dn.add_argument("--n", type=int, default=70)
-    p_dn.add_argument("--b", type=int, default=2)
-    p_dn.add_argument("--trials", type=int, default=5)
-    p_dn.add_argument("--seed", type=int, default=0)
-    p_dn.add_argument("--patterns", type=str, default="")
-    p_dn.set_defaults(fn=_cmd_dn_attack)
-
     p_fig = sub.add_parser("figures", help="regenerate paper Figures 1 and 2")
     p_fig.set_defaults(fn=_cmd_figures)
 
@@ -734,8 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lifetime",
         help="fault-arrival timelines driven to first recovery failure",
     )
-    p_life.add_argument("--construction", choices=sorted(_RUN_PARAMS), default="bn",
-                        help="construction registry key (default: bn)")
+    _add_experiment_args(p_life, trials=5)
     p_life.add_argument("--timeline", choices=["uniform", "bernoulli", "burst",
                                                "adversarial"], default="uniform")
     p_life.add_argument("--rate", type=float, default=0.0,
@@ -755,14 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probability each faulty node is fixed per step")
     p_life.add_argument("--max-steps", dest="max_steps", type=int, default=None,
                         help="timeline step bound (required for bernoulli/burst)")
-    p_life.add_argument("--trials", type=int, default=5)
-    p_life.add_argument("--seed", type=int, default=0)
-    p_life.add_argument("--workers", type=int, default=1,
-                        help="process-pool size (1 = serial; same results either way)")
-    _add_backend_arg(p_life)
-    _add_streaming_args(p_life)
-    p_life.add_argument("--out", type=str, default="", help="write results JSON here")
-    p_life.add_argument("--name", type=str, default="", help="experiment name")
     p_life.add_argument("--traffic", type=str, default="",
                         help="bn: route this traffic pattern on the evolving "
                              "network at --checkpoints")
@@ -778,15 +661,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default="dimension",
                         help="live snapshots: 'adaptive' detours broken routes "
                              "around the live fault set instead of refusing them")
-    _add_construction_args(p_life)
     p_life.set_defaults(fn=_cmd_lifetime)
 
     p_traffic = sub.add_parser(
         "traffic",
         help="guest-torus workload measurements (closed batch or open loop)",
     )
-    p_traffic.add_argument("--construction", choices=sorted(_RUN_PARAMS), default="bn",
-                           help="construction registry key (default: bn)")
+    _add_experiment_args(p_traffic, trials=5)
     p_traffic.add_argument("--pattern", type=str, default="uniform",
                            help="comma-separated traffic patterns")
     p_traffic.add_argument("--messages", type=int, default=200,
@@ -821,15 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "model: crash models break routes, byzantine "
                                 "nodes misroute/drop/corrupt traversing "
                                 "messages (see docs/faults.md)")
-    p_traffic.add_argument("--trials", type=int, default=5)
-    p_traffic.add_argument("--seed", type=int, default=0)
-    p_traffic.add_argument("--workers", type=int, default=1,
-                           help="process-pool size (1 = serial; same results either way)")
-    _add_backend_arg(p_traffic)
-    _add_streaming_args(p_traffic)
-    p_traffic.add_argument("--out", type=str, default="", help="write results JSON here")
-    p_traffic.add_argument("--name", type=str, default="", help="experiment name")
-    _add_construction_args(p_traffic)
     p_traffic.set_defaults(fn=_cmd_traffic)
 
     p_conf = sub.add_parser(
@@ -903,15 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--out", type=str, default="",
                         help="write the full loadgen report JSON here")
     p_load.set_defaults(fn=_cmd_loadgen)
-
-    p_route = sub.add_parser("route", help="routing sim on a recovered torus")
-    p_route.add_argument("--b", type=int, default=3)
-    p_route.add_argument("--s", type=int, default=1)
-    p_route.add_argument("--t", type=int, default=2)
-    p_route.add_argument("--pattern", default="uniform")
-    p_route.add_argument("--messages", type=int, default=200)
-    p_route.add_argument("--seed", type=int, default=0)
-    p_route.set_defaults(fn=_cmd_route)
     return ap
 
 

@@ -5,14 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.chernoff import predict_healthiness
-from repro.analysis.montecarlo import MCResult, MonteCarlo
+from repro.analysis.montecarlo import MCResult, aggregate_outcomes
 from repro.analysis.stats import binomial_tail, wilson_interval
-from repro.analysis.sweep import (
-    estimate_threshold,
-    sweep_bn_threshold,
-    sweep_dn_adversarial,
-    ThresholdPoint,
-)
+from repro.analysis.sweep import estimate_threshold, ThresholdPoint
+from repro.api import ExperimentRunner, ExperimentSpec
 from repro.core.bn import TrialOutcome
 
 
@@ -38,7 +34,7 @@ class TestStats:
         assert binomial_tail(5, 0.3, 5) == 0.0
 
 
-class TestMonteCarlo:
+class TestAggregation:
     def test_aggregation(self):
         def fn(seed):
             ok = seed % 3 != 0
@@ -46,7 +42,7 @@ class TestMonteCarlo:
                 success=ok, category="ok" if ok else "unhealthy", num_faults=seed
             )
 
-        res = MonteCarlo(fn).run(9)
+        res = aggregate_outcomes(fn(seed) for seed in range(9))
         assert res.successes == 6
         assert res.categories["unhealthy"] == 3
         assert res.mean_faults == pytest.approx(4.0)
@@ -57,28 +53,25 @@ class TestMonteCarlo:
         lo, hi = res.ci
         assert lo > 0.7 and hi == 1.0
 
-    def test_seed0_offset(self):
-        seen = []
-
-        def fn(seed):
-            seen.append(seed)
-            return TrialOutcome(success=True, category="ok")
-
-        MonteCarlo(fn).run(3, seed0=100)
-        assert seen == [100, 101, 102]
-
 
 class TestSweeps:
     def test_bn_threshold_monotone_shape(self, bn2_small):
-        pts = sweep_bn_threshold(
-            bn2_small, [bn2_small.paper_fault_probability, 0.05], trials=6
+        spec = ExperimentSpec.from_grid(
+            "bn", {"d": bn2_small.d, "b": bn2_small.b, "s": bn2_small.s,
+                   "t": bn2_small.t},
+            p_values=[bn2_small.paper_fault_probability, 0.05], trials=6,
         )
-        assert pts[0].result.success_rate >= pts[1].result.success_rate
+        low_p, high_p = (pt.result for pt in ExperimentRunner().run(spec).points)
+        assert low_p.success_rate >= high_p.success_rate
 
     def test_dn_campaign_all_ok(self, dn2_small):
-        res = sweep_dn_adversarial(dn2_small, ["random", "diagonal"], trials=3)
-        for pattern, r in res.items():
-            assert r.success_rate == 1.0, pattern
+        """Theorem 3: every trial recovers at the rated budget k."""
+        spec = ExperimentSpec.from_grid(
+            "dn", {"d": dn2_small.d, "n": dn2_small.n, "b": dn2_small.b},
+            patterns=["random", "diagonal"], k=dn2_small.k, trials=3,
+        )
+        for pt in ExperimentRunner().run(spec).points:
+            assert pt.result.success_rate == 1.0, pt.fault_spec.pattern
 
     def test_estimate_threshold_interpolates(self):
         pts = [

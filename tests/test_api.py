@@ -22,7 +22,7 @@ from repro.api import (
     available,
     get,
 )
-from repro.analysis.montecarlo import MCResult
+from repro.analysis.montecarlo import MCResult, aggregate_outcomes
 from repro.util.rng import spawn_rng
 
 #: Tiny-but-real parameters plus a tame fault point per construction.
@@ -256,6 +256,19 @@ class TestExperimentRunner:
             wins = sum(c.trial(pt.fault_spec, seed).success for seed in range(40))
             assert pt.result.successes == wins
 
+    def test_seed0_offset(self):
+        """Trial ``i`` runs with seed ``seed0 + i``."""
+        spec = ExperimentSpec.from_grid(
+            "replication", {"n": 8, "d": 2, "replication": 3},
+            p_values=[0.2], trials=20, seed0=100,
+        )
+        c = get("replication", n=8, d=2, replication=3)
+        direct = [
+            aggregate_outcomes(c.trial(spec.grid[0], seed) for seed in seeds)
+            for seeds in (range(100, 120), range(20))
+        ]
+        assert ExperimentRunner().run(spec).points[0].result == direct[0] != direct[1]
+
     def test_save_load_roundtrip(self, tmp_path):
         result = ExperimentRunner().run(self.SPEC)
         path = tmp_path / "res.json"
@@ -385,14 +398,3 @@ class TestLegacyCompat:
             assert (legacy.success, legacy.category, legacy.num_faults) == (
                 new.success, new.category, new.num_faults
             )
-
-    def test_dn_sweep_stream_unchanged(self, dn2_small):
-        from repro.analysis.sweep import sweep_dn_adversarial
-
-        res = sweep_dn_adversarial(dn2_small, ["random"], trials=3)
-        c = get("dn", d=dn2_small.d, n=dn2_small.n, b=dn2_small.b)
-        wins = sum(
-            c.trial(FaultSpec(pattern="random", k=dn2_small.k), seed).success
-            for seed in range(3)
-        )
-        assert res["random"].successes == wins

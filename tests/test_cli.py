@@ -6,11 +6,12 @@ output parses (tables render, JSON loads), not exact survival numbers.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _RUN_PARAMS, build_parser, main
 
 
 class TestParser:
@@ -22,6 +23,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert ("{run,info,figures,lifetime,traffic,conformance,serve,loadgen}"
+                in capsys.readouterr().out)
+
+
+class TestRunParams:
+    """``_RUN_PARAMS`` is a static copy of the registry's factory
+    keywords (static so that parsing never imports the adapters); these
+    tests keep the copy honest."""
+
+    @staticmethod
+    def mismatches(table: dict) -> list[str]:
+        from repro.api import available
+        from repro.api.registry import _REGISTRY
+
+        problems = []
+        if sorted(table) != list(available()):
+            problems.append(f"{sorted(table)} != registry {list(available())}")
+        for name, kwargs in table.items():
+            params = inspect.signature(_REGISTRY[name]).parameters
+            problems += [
+                f"{name}: factory has no keyword {kw!r}"
+                for kw in kwargs
+                if kw not in params
+                or params[kw].kind is not inspect.Parameter.KEYWORD_ONLY
+            ]
+        return problems
+
+    def test_matches_the_registry(self):
+        assert self.mismatches(_RUN_PARAMS) == []
+
+    def test_catches_a_misspelt_kwarg(self):
+        table = dict(_RUN_PARAMS, dn=("d", "n", "bb"))
+        assert self.mismatches(table) == ["dn: factory has no keyword 'bb'"]
+
 
 class TestInfo:
     def test_bn(self, capsys):
@@ -32,24 +70,6 @@ class TestInfo:
     def test_dn(self, capsys):
         assert main(["info", "dn", "--n", "70", "--b", "2"]) == 0
         assert "k = 8" in capsys.readouterr().out
-
-
-class TestBnTrial:
-    def test_default_params(self, capsys):
-        assert main(["bn-trial", "--trials", "2"]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_with_health(self, capsys):
-        assert main(["bn-trial", "--trials", "2", "--health"]) == 0
-        assert "healthy=" in capsys.readouterr().out
-
-
-class TestDnAttack:
-    def test_two_patterns(self, capsys):
-        assert main(["dn-attack", "--n", "70", "--b", "2", "--trials", "2",
-                     "--patterns", "random,diagonal"]) == 0
-        out = capsys.readouterr().out
-        assert "random" in out and "diagonal" in out
 
 
 class TestLifetime:
@@ -92,11 +112,9 @@ class TestTraffic:
                      "--trials", "1"]) == 2
         assert "traffic capability" in capsys.readouterr().err
 
-    def test_route_invalid_pattern_exits_cleanly(self, capsys):
+    def test_snapshot_invalid_pattern_exits_cleanly(self, capsys):
         # bitreverse on the (36, 36) guest (1296 nodes, not a power of
         # two): a clean exit-2 diagnostic, not a traceback
-        assert main(["route", "--pattern", "bitreverse", "--messages", "5"]) == 2
-        assert "power-of-two" in capsys.readouterr().err
         assert main(["lifetime", "--construction", "bn", "--b", "3",
                      "--trials", "1", "--traffic", "bitreverse",
                      "--checkpoints", "1"]) == 2
@@ -132,19 +150,17 @@ class TestFigures:
         assert "Figure 1" in out and "Figure 2" in out
 
 
-class TestRoute:
-    def test_runs(self, capsys):
-        assert main(["route", "--messages", "20", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "routing" in out and "p50" in out
-
-
 class TestRun:
     def test_bernoulli_grid(self, capsys):
         assert main(["run", "--construction", "bn", "--p", "0.001,0.004",
                      "--trials", "2"]) == 0
         out = capsys.readouterr().out
         assert "p=0.001" in out and "p=0.004" in out
+
+    def test_check_health(self, capsys):
+        assert main(["run", "--construction", "bn", "--p", "0.00137",
+                     "--check-health", "--trials", "2"]) == 0
+        assert "healthy=" in capsys.readouterr().out
 
     def test_adversarial_with_output(self, capsys, tmp_path):
         out_path = tmp_path / "res.json"
@@ -202,6 +218,52 @@ class TestRun:
         assert main(["run", "--construction", "bn", "--p", "0.001",
                      "--workers", "0", "--trials", "2"]) == 2
         assert "workers" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with one ``<cmd>: ...`` line on stderr, before
+    any trial runs — never a traceback."""
+
+    DN = ["--construction", "dn", "--n", "70", "--b", "2"]
+    EXPERIMENTS = {
+        "run": ["run", *DN, "--p", "0.001"],
+        "lifetime": ["lifetime", *DN],
+        "traffic": ["traffic", *DN, "--messages", "8"],
+    }
+
+    def usage_error(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, (out, err)
+        return err
+
+    @pytest.mark.parametrize("cmd", sorted(EXPERIMENTS))
+    def test_zero_trials(self, capsys, cmd):
+        err = self.usage_error(capsys, [*self.EXPERIMENTS[cmd], "--trials", "0"])
+        assert err == f"{cmd}: trials must be >= 1\n"
+
+    @pytest.mark.parametrize("cmd", sorted(EXPERIMENTS))
+    def test_construction_flag_that_does_not_apply(self, capsys, cmd):
+        err = self.usage_error(
+            capsys, [*self.EXPERIMENTS[cmd], "--s", "9", "--trials", "2"]
+        )
+        assert err == f"{cmd}: --s does not apply to dn; it takes --d, --n, --b\n"
+
+    def test_check_health_is_bn_only(self, capsys):
+        err = self.usage_error(
+            capsys, [*self.EXPERIMENTS["run"], "--check-health", "--trials", "2"]
+        )
+        assert err.startswith("run: --check-health does not apply to dn")
+
+    def test_info_invalid_params(self, capsys):
+        err = self.usage_error(capsys, ["info", "bn", "--b", "2"])
+        assert err.startswith("info: b must be >= 3")
+
+    def test_bad_checkpoints_fail_before_the_experiment(self, capsys):
+        err = self.usage_error(capsys, ["lifetime", "--b", "3", "--trials", "1",
+                                        "--traffic", "uniform",
+                                        "--checkpoints", "5,x"])
+        assert err.startswith("lifetime: --checkpoints")
 
 
 class TestFaultModelFlag:

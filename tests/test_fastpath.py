@@ -231,6 +231,27 @@ def test_runner_batch_json_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_runner_health_tallies_byte_identical(tmp_path):
+    """``check_health`` through the runner: the batch kernel checks the
+    trials it classifies itself, the scalar loop every trial, and the
+    tallies agree on draws both healthy and not."""
+    spec = ExperimentSpec(
+        construction="bn",
+        params={"d": 2, "b": 3, "s": 1, "t": 2, "check_health": True},
+        grid=(FaultSpec(p=1 / 729), FaultSpec(p=0.005), FaultSpec(p=0.005, q=0.001)),
+        trials=96,
+        name="fastpath-health",
+    )
+    a, b = tmp_path / "batch.json", tmp_path / "scalar.json"
+    ExperimentRunner(backend="batch").run(spec).save(a)
+    ExperimentRunner(backend="scalar").run(spec).save(b)
+    assert a.read_bytes() == b.read_bytes()
+    results = [pt["result"] for pt in json.loads(a.read_text())["points"]]
+    checked = sum(r["health_checked"] for r in results)
+    healthy = sum(r["healthy"] for r in results)
+    assert checked == 3 * 96 and 0 < healthy < checked
+
+
 def test_runner_batch_dispatch_falls_back_for_unsupported():
     """Constructions without the capability run per-trial on the batch
     backend with unchanged results."""

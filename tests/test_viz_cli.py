@@ -1,10 +1,11 @@
-"""Tests for figure regeneration and the CLI."""
+"""Tests for figure regeneration and the `info bn` structure summary (the
+other CLI commands are covered in tests/test_cli.py)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.viz import figure1, figure2, render_bands
 
 
@@ -38,36 +39,3 @@ class TestCLI:
         assert main(["info", "bn", "--b", "4", "--t", "2"]) == 0
         out = capsys.readouterr().out
         assert "B^2_96" in out and "degree=10" in out
-
-    def test_info_dn(self, capsys):
-        assert main(["info", "dn", "--n", "70", "--b", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "k = 8" in out
-
-    def test_bn_trial(self, capsys):
-        assert main(["bn-trial", "--trials", "3"]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_dn_attack(self, capsys):
-        assert main(["dn-attack", "--trials", "1", "--patterns", "random"]) == 0
-        out = capsys.readouterr().out
-        assert "random" in out
-
-    def test_figures_cmd(self, capsys):
-        assert main(["figures"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out and "Figure 2" in out
-
-    def test_route_cmd(self, capsys):
-        assert main(["route", "--messages", "50", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out
-
-    def test_lifetime_cmd(self, capsys):
-        assert main(["lifetime", "--trials", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "median=" in out and "theory scale" in out
-
-    def test_parser_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([])
