@@ -13,21 +13,38 @@ Two claims of the ISSUE 3 lifetime subsystem, measured and committed to
   problem size (b=4, N=12288), identical lifetimes asserted.  Acceptance:
   >= 5x.
 
+It also records ``stage_split``: perfbench ``lifetime``'s ``ops_per_s``
+beside the traced shares of painting and of the lockstep kernel itself
+(benchmarks/stage_split.py), for this checkout and, with
+``--split-against CHECKOUT``, another one as "before".
+
 Runs two ways::
 
     pytest benchmarks/bench_e19_lifetime.py     # table + both artifacts
-    python benchmarks/bench_e19_lifetime.py     # regenerate BENCH_lifetime.json
+    python benchmarks/bench_e19_lifetime.py [--split-against CHECKOUT]
+                                                # regenerate BENCH_lifetime.json
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
 
+from stage_split import stage_split_block
+
 ROOT = Path(__file__).resolve().parent.parent
 LIFETIME_JSON = ROOT / "BENCH_lifetime.json"
+
+#: Per-layer metrics of perfbench's traced ``lifetime`` workload (defined
+#: in perfbench/README.md): the paper-strategy painting the kernel's
+#: failed trials run, and the kernel's own time.
+STAGE_METRICS = (
+    "core.painting.share",
+    "fastpath.lifetime_batch.self_share",
+)
 
 #: Survival-curve configuration (small instance: 40 trials stay cheap).
 CURVE_BN = dict(d=2, b=3, s=1, t=2)
@@ -98,7 +115,7 @@ def measure_incremental_speedup() -> dict:
     }
 
 
-def measure_all() -> dict:
+def measure_all(split_against: Path | None = None) -> dict:
     return {
         "benchmark": (
             "lifetime subsystem: survival curves per timeline kind and "
@@ -113,6 +130,8 @@ def measure_all() -> dict:
         ),
         "survival_curves": measure_survival_curves(),
         "incremental_repair": measure_incremental_speedup(),
+        "stage_split": stage_split_block(ROOT, "lifetime", STAGE_METRICS,
+                                         split_against),
     }
 
 
@@ -159,8 +178,14 @@ def test_e19_lifetime_curves_and_incremental_speedup(benchmark, report):
 # -- CLI ---------------------------------------------------------------------
 
 
-def main() -> int:
-    data = measure_all()
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--split-against", dest="split_against", type=Path,
+                    metavar="CHECKOUT",
+                    help="also measure stage_split on another checkout (e.g. "
+                         "the parent commit) as 'before'")
+    args = ap.parse_args(argv)
+    data = measure_all(args.split_against)
     print(json.dumps(data, indent=2, sort_keys=True))
     LIFETIME_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {LIFETIME_JSON}")

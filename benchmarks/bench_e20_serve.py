@@ -33,10 +33,11 @@ import argparse
 import asyncio
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from stage_split import stage_split_block
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -56,17 +57,14 @@ MIN_RPS = 50.0
 
 #: Per-layer metrics of perfbench's traced ``serve`` workload (defined in
 #: perfbench/README.md), recorded beside its untraced ``ops_per_s`` so a
-#: serve speed-up comes with where the query time went.
+#: serve speed-up comes with where the query time went (see
+#: benchmarks/stage_split.py).
 STAGE_METRICS = (
     "fastpath.traffic_batch.routes_calls_per_query",
     "fastpath.traffic_batch.routes_share",
     "fastpath.traffic_batch.arbitrate_share",
     "sim.lifetime_traffic.health_share",
 )
-#: The perfbench run behind ``stage_split`` (from a checkout's root), once
-#: with ``--trace 0`` for ``ops_per_s`` and once with ``--trace 1``.
-SPLIT_ARGV = ("perfbench/run.py", "--workload", "serve", "--seed", "0",
-              "--seconds", "20")
 
 #: Keys a machine telemetry snapshot must carry to count as well-formed.
 TELEMETRY_KEYS = (
@@ -168,20 +166,6 @@ def measure_determinism() -> dict:
     }
 
 
-def measure_stage_split(root: Path = ROOT) -> dict:
-    """perfbench ``serve`` on the checkout at ``root``: ``ops_per_s`` of
-    an untraced run and :data:`STAGE_METRICS` of a traced one."""
-    out = {}
-    for trace, names in (("0", ("ops_per_s",)), ("1", STAGE_METRICS)):
-        proc = subprocess.run(
-            [sys.executable, *SPLIT_ARGV, "--trace", trace], cwd=root,
-            capture_output=True, text=True, check=True,
-        )
-        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-        out.update({name: round(metrics[name]["value"], 4) for name in names})
-    return out
-
-
 def check_invariants(data: dict) -> list[str]:
     """The gate: every violated serve invariant, as a human-readable line."""
     problems: list[str] = []
@@ -237,12 +221,8 @@ def measure(quick: bool, split_against: Path | None = None) -> dict:
     }
     if not quick:
         data["full"] = measure_loadgen(requests, messages, seed=1)
-        data["stage_split"] = {
-            "command": "python3 " + " ".join(SPLIT_ARGV) + " --trace {0,1}"
-        }
-        if split_against is not None:
-            data["stage_split"]["before"] = measure_stage_split(split_against)
-        data["stage_split"]["after"] = measure_stage_split()
+        data["stage_split"] = stage_split_block(ROOT, "serve", STAGE_METRICS,
+                                                split_against)
     return data
 
 

@@ -20,7 +20,7 @@ Execution backends are an orthogonal, *non-spec* choice: when the
 registered construction advertises the batch capability for a grid point
 (``supports_batch``/``run_batch``, see docs/fastpath.md), seed chunks
 run through the vectorized backend instead of the per-trial loop — for
-one-shot points, consecutive chunks in blocks of up to
+one-shot and lifetime points, consecutive chunks in blocks of up to
 :data:`BLOCK_TRIALS` trials per kernel call, split back into chunks
 before anything is merged or journaled.  Batch dispatch never changes
 results — ``run_batch`` returns identical outcome sequences by contract
@@ -56,11 +56,14 @@ logger = logging.getLogger(__name__)
 DEFAULT_CHUNK_SIZE = 16
 
 #: Most trials one batched kernel call is given.  On the batch backend the
-#: runner hands each run of consecutive un-journaled chunks of a one-shot
-#: point to one ``run_batch`` call, up to this many trials (a chunk this big
-#: or bigger is a block of its own), so array work amortises over more than
-#: one chunk.  Execution only: outcomes are split back at chunk boundaries,
-#: so merging, journaling and progress stay per chunk.
+#: runner hands each run of consecutive un-journaled chunks of a one-shot or
+#: lifetime point to one ``run_batch``/``run_lifetime_batch`` call, up to
+#: this many trials (a chunk this big or bigger is a block of its own), so
+#: array work amortises over more than one chunk.  With ``workers > 1`` a
+#: block also stays inside one worker's share of the point — at most
+#: ``ceil(chunks per point / workers)`` chunks — so every worker gets a
+#: unit.  Execution only: outcomes are split back at chunk boundaries, so
+#: merging, journaling and progress stay per chunk.
 BLOCK_TRIALS = 256
 
 
@@ -297,9 +300,10 @@ def _run_block(task: tuple) -> list[dict]:
     ``"batch"`` (the construction's vectorized kernels when advertised
     for the point, per-trial otherwise); outcomes are identical on both
     (the batch contract), so the choice never reaches the JSON.  A
-    batched one-shot point makes one ``run_batch`` call for the whole
-    block and splits its outcomes at the chunk boundaries; lifetime and
-    traffic points, and per-trial runs, go chunk by chunk.
+    batched one-shot or lifetime point makes one ``run_batch`` /
+    ``run_lifetime_batch`` call for the whole block and splits its
+    outcomes at the chunk boundaries; traffic points, and per-trial
+    runs, go chunk by chunk.
     ``max_batch_bytes`` (when set) bounds the kernels' resident fault
     stacks — passed only when explicit so duck-typed constructions
     without the parameter keep working.
@@ -311,14 +315,17 @@ def _run_block(task: tuple) -> list[dict]:
     point = _point_from_dict(fault_spec_dict)
     starts = list(itertools.accumulate(counts, initial=seed_start))
     chunks = [range(a, z) for a, z in zip(starts, starts[1:])]
-    if not isinstance(point, (LifetimeSpec, TrafficSpec)) and use_batch:
-        run_batch = getattr(construction, "run_batch", None)
-        supports = getattr(construction, "supports_batch", None)
-        if run_batch is not None and (supports is None or supports(point)):
-            outcomes = run_batch(point, list(range(seed_start, starts[-1])), **kw)
+    if use_batch and not isinstance(point, TrafficSpec):
+        if isinstance(point, LifetimeSpec):
+            names = ("run_lifetime_batch", "supports_lifetime_batch")
+            aggregate = aggregate_lifetimes
+        else:
+            names, aggregate = ("run_batch", "supports_batch"), aggregate_outcomes
+        run, supports = (getattr(construction, name, None) for name in names)
+        if run is not None and (supports is None or supports(point)):
+            outcomes = run(point, list(range(seed_start, starts[-1])), **kw)
             return [
-                aggregate_outcomes(outcomes[c.start - seed_start : c.stop - seed_start])
-                .to_dict()
+                aggregate(outcomes[c.start - seed_start : c.stop - seed_start]).to_dict()
                 for c in chunks
             ]
     return [_run_seeds(construction, name, point, list(c), use_batch, kw)
@@ -326,16 +333,11 @@ def _run_block(task: tuple) -> list[dict]:
 
 
 def _run_seeds(construction, name, point, seeds, use_batch, kw) -> dict:
-    """One chunk's trials, per trial or on a lifetime/traffic kernel."""
+    """One chunk's trials, per trial or on the traffic kernel."""
     if isinstance(point, LifetimeSpec):
         lifetime_trial = getattr(construction, "lifetime_trial", None)
         if lifetime_trial is None:
             raise TypeError(f"construction {name!r} has no lifetime capability")
-        if use_batch:
-            run_lb = getattr(construction, "run_lifetime_batch", None)
-            supports_lb = getattr(construction, "supports_lifetime_batch", None)
-            if run_lb is not None and (supports_lb is None or supports_lb(point)):
-                return aggregate_lifetimes(run_lb(point, seeds, **kw)).to_dict()
         return aggregate_lifetimes(lifetime_trial(point, s) for s in seeds).to_dict()
     if isinstance(point, TrafficSpec):
         traffic_trial = getattr(construction, "traffic_trial", None)
@@ -412,7 +414,7 @@ class ExperimentRunner:
     a spec field — results are byte-identical on both backends.
 
     Execution is *streaming*: work units (single chunks, or blocks of
-    consecutive chunks for batched one-shot points, see
+    consecutive chunks for batched one-shot and lifetime points, see
     :data:`BLOCK_TRIALS`) are generated lazily, results are consumed as
     they complete (``imap_unordered`` when pooled) and folded chunk by
     chunk into per-point merge accumulators, so the parent
@@ -451,23 +453,33 @@ class ExperimentRunner:
         """Lazily yield ``(point_idx, first_chunk_idx, task)`` work units
         for :func:`_run_block_indexed`: consecutive chunks of one point not
         in ``skip`` (chunks already satisfied by a resumed journal),
-        grouped up to :data:`BLOCK_TRIALS` trials for one-shot points on
-        the batch backend and one chunk each otherwise.
+        grouped up to :data:`BLOCK_TRIALS` trials — and, with several
+        workers, up to each worker's share of the point's chunks — for
+        one-shot and lifetime points on the batch backend, and one chunk
+        each otherwise.
 
         A generator, never a materialized list: at a million trials the
         task list itself would be memory the streaming contract promises
         not to spend.
         """
         params_items = tuple(sorted(spec.params.items()))
+        chunks_per_point = -(-spec.trials // spec.chunk_size)
+
+        def share(chunk_idx):
+            # Which worker's share of the point a chunk falls in: at most
+            # ceil(chunks / workers) chunks each, min(workers, chunks) shares.
+            return chunk_idx * self.workers // chunks_per_point
+
         for point_idx, fs in enumerate(spec.grid):
             fsd = fs.to_dict()
-            grouped = self.backend == "batch" and isinstance(fs, FaultSpec)
+            grouped = self.backend == "batch" and isinstance(fs, (FaultSpec, LifetimeSpec))
             cap = BLOCK_TRIALS if grouped else 1
             block = None  # (first chunk, first seed, counts)
             for chunk_idx, start in enumerate(range(0, spec.trials, spec.chunk_size)):
                 count = min(spec.chunk_size, spec.trials - start)
                 skipped = (point_idx, chunk_idx) in skip
-                if block and (skipped or sum(block[2]) + count > cap):
+                if block and (skipped or sum(block[2]) + count > cap
+                              or share(chunk_idx) != share(block[0])):
                     yield self._task(spec, params_items, fsd, point_idx, *block)
                     block = None
                 if skipped:

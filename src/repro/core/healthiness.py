@@ -159,11 +159,12 @@ def find_enclosing_frame(
 
     Returns ``(corner, s)`` or ``None``.  Shared by the healthiness check
     and the painting procedure so "checked healthy" implies "painting finds
-    a frame".
+    a frame".  Each size is one gather over all its candidate frames; the
+    first free candidate is the corner a centre-first scan would stop at.
     """
     for size in range(3, geo.b + 1):
-        for corner in geo.enclosing_corners(tile, size):
-            frame, _ = geo.frame_and_interior(corner, size)
-            if not tile_faulty_flat[frame].any():
-                return corner, size
+        corners, frames = geo.enclosing_frames(tile, size)
+        free = ~tile_faulty_flat[frames].any(axis=1)
+        if free.any():
+            return tuple(corners[free.argmax()].tolist()), size
     return None

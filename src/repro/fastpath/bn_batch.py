@@ -16,8 +16,10 @@ batched backend therefore works on a block of trials at a time:
    the straight-cover greedy with array operations: empty profiles in
    closed form, the greedy's "latest" sweep as at most ``K + 1`` gathers
    from a next-faulty-row table, padding feasibility as a sum of free-arc
-   capacities — the scalar greedy runs only for the few trials the sweep
-   cannot accept;
+   capacities, the padding itself in the scalar arc order, and the
+   "earliest" sweep for the few trials the latest one cannot decide —
+   :func:`_straight_cover`, the classifier the lifetime kernel shares,
+   which returns the scalar greedy's exact bottoms;
 3. re-verifies coverage of every produced band set on ``(trials, m)``
    masks (defence in depth: a mismatch demotes the trial);
 4. classifies covered trials as straight-strategy successes and delegates
@@ -36,26 +38,31 @@ import numpy as np
 
 from repro.api.outcome import TrialOutcome
 from repro.core.params import BnParams
-from repro.core.placement import _cover_rows_cyclic
-from repro.errors import ReconstructionError
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
 from repro.util.rng import iter_rngs, spawn_rng
 
-__all__ = ["bn_bytes_per_trial", "run_bn_batch", "sample_bn_faults_batch",
-           "straight_survival_batch"]
+__all__ = ["bn_bytes_per_trial", "cover_bytes_per_trial", "run_bn_batch",
+           "sample_bn_faults_batch", "straight_survival_batch"]
+
+
+def cover_bytes_per_trial(m: int, K: int) -> int:
+    """Per-trial bytes :func:`_straight_cover` holds at its peak, beyond
+    the caller's ``(T, m)`` profiles: the sweep's bool copy of the profile
+    with two int32 sweep tables (next-fault distances and gaps), then the
+    int64 band arrays: ``K`` cover bottoms, ``K + 2`` sweep bottoms and
+    their ``K + 1`` arc gaps.  (The padding's arrays and the re-check's two
+    bool masks come after the sweep tables are freed.)"""
+    return m + 2 * 4 * m + 8 * (3 * K + 3)
 
 
 def bn_bytes_per_trial(params: BnParams) -> int:
     """Per-trial working-set bytes of the bn survival kernel at its peak:
-    the bool fault stack slice plus what :func:`straight_survival_batch`
-    holds at once per trial — two bool row profiles (the trial's and the
-    sweep's copy) with two int32 sweep tables (next-fault distances and
-    gaps), then the int64 band arrays: ``K`` cover bottoms, ``K + 2`` sweep
-    bottoms and their ``K + 1`` arc gaps.  (The re-check's two bool masks
-    come after the sweep tables are freed.)  Sampling temporaries are one
+    the bool fault stack slice, its bool row profile, and what the
+    shared classifier holds at once per trial
+    (:func:`cover_bytes_per_trial`).  Sampling temporaries are one
     trial's draw, whatever the slice size, so they are not per trial."""
     m, K = params.m, params.num_bands
-    return int(np.prod(params.shape)) + 2 * m + 2 * 4 * m + 8 * (3 * K + 3)
+    return int(np.prod(params.shape)) + m + cover_bytes_per_trial(m, K)
 
 
 def sample_bn_faults_batch(
@@ -81,15 +88,28 @@ def sample_bn_faults_batch(
 
 def _latest_sweep(rows: np.ndarray, b: int, K: int):
     """The "latest" variant of ``_cover_rows_cyclic`` on non-empty
-    ``(T, m)`` profiles, for all trials at once.
+    ``(T, m)`` profiles, for all trials at once: each bottom starts at
+    the faulty row it must cover.
 
     Returns ``(accepted, rejected, bottoms)``: ``accepted`` trials are
-    greedy successes with their sweep bottoms in ``bottoms`` (``(T, K)``
-    rows mod ``m``, unused slots repeating the first bottom); ``rejected``
-    trials are certain failures (no ``b + 1``-row gap anywhere, or the
-    sweep succeeds but padding to ``K`` bands cannot); every other trial
-    needs the scalar greedy, which also tries the "earliest" variant.
+    greedy successes, and ``bottoms[t]`` (``(T, K)``) is then exactly the
+    scalar greedy's sorted bottoms, padding included; ``rejected`` trials
+    are certain failures (no ``b + 1``-row gap anywhere, or the sweep
+    succeeds but padding to ``K`` bands cannot); every other trial is
+    decided by the "earliest" variant, as in the scalar greedy.  Rows of
+    ``bottoms`` for trials that are not accepted are meaningless.
     """
+    return _sweep(rows, b, K, lift=0)
+
+
+def _sweep(rows: np.ndarray, b: int, K: int, lift: int):
+    """One greedy sweep of ``_cover_rows_cyclic`` for all trials at once:
+    every bottom sits ``lift`` rows below the first faulty row the bands
+    so far leave uncovered, but at least ``b + 1`` above its predecessor.
+    ``lift = 0`` is the "latest" variant; ``lift = b - 1`` the "earliest"
+    one, which places each bottom as low as the spacing allows and which
+    the scalar greedy tries when the latest one fails.  Returns as
+    :func:`_latest_sweep`."""
     trials, m = rows.shape
     # dist[t, x]: cyclic distance from row x to the first faulty row at or
     # after it (int32: row indices of any fault stack that fits in memory).
@@ -109,48 +129,102 @@ def _latest_sweep(rows: np.ndarray, b: int, K: int):
     cut = gaps.argmax(axis=1)
     widest = gaps[np.arange(trials), cut].astype(np.int64)
     del gaps
-    start = cut + widest          # first bottom, linear coordinates
+    start = cut + widest          # first faulty row, linear coordinates
     end = start + m               # the sweep covers rows [start, end)
     decidable = widest >= b + 1
 
     flat = dist.ravel()
     base = np.arange(trials, dtype=np.int64) * m
-    sweep = np.repeat(end[:, None], K + 2, axis=1)
-    sweep[:, 0] = start
+    cur = start - lift            # first bottom
+    sweep = np.repeat((cur + m)[:, None], K + 2, axis=1)
+    sweep[:, 0] = cur
     count = np.ones(trials, dtype=np.int64)
     ok = decidable.copy()
-    cur, active = start, decidable
+    active = decidable
     for k in range(1, K + 1):
         reach = cur + b
         nxt = reach + flat[base + reach % m]
         active = active & (nxt < end)
         if not active.any():
             break
-        # Each bottom starts at the first row its predecessor leaves
-        # uncovered; exactly b rows apart breaks the b + 1 spacing.
+        # The first faulty row a band leaves uncovered lies at least b
+        # rows above its bottom; exactly b breaks the b + 1 spacing.
         ok &= ~(active & (nxt - cur == b))
-        sweep[:, k] = np.where(active, nxt, end)
-        cur = np.where(active, nxt, cur)
+        bottom = np.maximum(nxt - lift, cur + b + 1)
+        sweep[:, k] = np.where(active, bottom, sweep[:, k])
+        cur = np.where(active, bottom, cur)
         count += active
-    ok &= (count <= K) & ((count == 1) | (end - cur >= b + 1))
+    del flat, dist
+    ok &= (count <= K) & ((count == 1) | (sweep[:, 0] + m - cur >= b + 1))
     # Padding: each free arc between consecutive bottoms (and the closing
-    # arc back to start + m) fits gap // (b + 1) - 1 extra bottoms.
+    # arc back to the first bottom + m) fits gap // (b + 1) - 1 extra
+    # bottoms.
     used = np.arange(K + 1) < count[:, None]
-    capacity = ((np.diff(sweep, axis=1) // (b + 1) - 1) * used).sum(axis=1)
-    feasible = capacity >= K - count
+    capacity = (np.diff(sweep, axis=1) // (b + 1) - 1) * used
+    feasible = capacity.sum(axis=1) >= K - count
     accepted = ok & feasible
     rejected = ~decidable | (ok & ~feasible)
-    bottoms = np.where(used[:, :K], sweep[:, :K], sweep[:, :1]) % m
-    return accepted, rejected, bottoms
+    return accepted, rejected, _pad_cyclic_batch(sweep, capacity, count, b, K, m)
+
+
+def _pad_cyclic_batch(sweep, capacity, count, b: int, K: int, m: int) -> np.ndarray:
+    """Vectorised ``_pad_cyclic``: the sorted ``(T, K)`` bottoms after
+    padding each trial's ``count`` sweep bottoms with ``K - count`` more.
+
+    ``sweep`` holds the bottoms in linear coordinates (below ``3 m``)
+    with the closing bottom, the first one ``+ m``, after the last one;
+    ``capacity[t, j]`` is how many extra bottoms fit strictly inside arc
+    ``j`` (meaningless past ``count``; overwritten).  The scalar loop
+    fills the arc of largest capacity first, ties going to the later
+    bottom, and each fill exhausts its arc — so arcs fill in the order of
+    one sort key, and an arc that gains ``g`` bottoms holds ``g + 1``
+    bottoms ``b + 1`` apart from its own.  Trials whose padding is
+    infeasible get meaningless rows.
+    """
+    radix = 3 * m
+    used = np.arange(K + 1) < count[:, None]
+    # Sort key: capacity, then the arc's bottom (later bottoms are larger
+    # in linear coordinates); unused arcs sort last.
+    np.maximum(capacity, 0, out=capacity)
+    capacity *= radix
+    capacity += sweep[:, : K + 1]
+    capacity[~used] = -1
+    capacity.sort(axis=1)
+    key = capacity[:, ::-1]
+    first = key % radix                              # each arc's own bottom
+    room = key // radix
+    gain = np.cumsum(room, axis=1)
+    np.subtract(gain, room, out=gain)
+    np.subtract((K - count)[:, None], gain, out=gain)
+    np.maximum(gain, 0, out=gain)
+    np.minimum(gain, room, out=gain)                 # bottoms each arc gains
+    del key, room, capacity
+    # Lay the arcs' runs out one after another as steps of b + 1, with a
+    # jump to each run's first bottom; unused arcs land past slot K - 1.
+    size = gain + 1
+    size *= used
+    start = np.cumsum(size, axis=1)
+    start -= size
+    step = np.full((len(count), K + 1), b + 1, dtype=np.int64)
+    gain *= b + 1
+    gain += first                                    # each run's last bottom
+    first[:, 1:] -= gain[:, :-1]
+    step[np.arange(len(count))[:, None], start] = first
+    bottoms = np.cumsum(step[:, :K], axis=1)
+    bottoms %= m
+    bottoms.sort(axis=1)
+    return bottoms
 
 
 def _straight_cover(fault_rows: np.ndarray, b: int, K: int):
-    """Vectorised ``_cover_rows_cyclic`` over ``(T, m)`` row profiles.
+    """The straight-cover classifier of both bn kernels: exactly
+    ``_cover_rows_cyclic`` over ``(T, m)`` row profiles.
 
     Returns ``(ok, bottoms)``: ``ok[t]`` is exactly whether the scalar
-    greedy succeeds on trial ``t``; ``bottoms`` is ``(T, K)`` int64 band
-    bottoms covering every faulty row of each successful trial (unused
-    slots repeat a real bottom; failed trials read 0).
+    greedy succeeds on trial ``t``, and then ``bottoms[t]`` (``(T, K)``
+    int64) is exactly its sorted bottoms; failed trials read 0.  Empty
+    profiles are a closed form, the "latest" sweep decides most others,
+    and the "earliest" sweep the rest, in the scalar greedy's order.
     """
     trials, m = fault_rows.shape
     ok = np.zeros(trials, dtype=bool)
@@ -166,12 +240,13 @@ def _straight_cover(fault_rows: np.ndarray, b: int, K: int):
     accepted, rejected, sweep_bottoms = _latest_sweep(fault_rows[live], b, K)
     ok[live[accepted]] = True
     bottoms[live[accepted]] = sweep_bottoms[accepted]
-    for t in live[~(accepted | rejected)].tolist():
-        try:
-            bottoms[t] = _cover_rows_cyclic(np.flatnonzero(fault_rows[t]), m, b, K)
-        except ReconstructionError:
-            continue
-        ok[t] = True
+    undecided = live[~(accepted | rejected)]
+    if undecided.size:
+        # Both variants failing is a failure, so whatever the earliest
+        # sweep does not accept is one.
+        accepted, _, sweep_bottoms = _sweep(fault_rows[undecided], b, K, lift=b - 1)
+        ok[undecided[accepted]] = True
+        bottoms[undecided[accepted]] = sweep_bottoms[accepted]
     return ok, bottoms
 
 

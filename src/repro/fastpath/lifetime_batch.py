@@ -1,13 +1,13 @@
 """Batched lifetime kernel for ``B^d_n`` uniform fault timelines.
 
-Advances a whole chunk of lifetime trials in lockstep over arrival
-steps: each trial's fault order comes from the *same* RNG stream as the
-scalar path (``spawn_rng(seed, "lifetime", n, d)``, one permutation
-draw — the PR 2 RNG-compatibility contract), the per-step masked check
-is one broadcasted modular comparison over all live trials, fault
-stacks/row profiles are maintained as ``(trials, …)`` arrays, and the
-straight-cover greedy runs only for the trials whose new fault escaped
-the current bands.
+Advances a block of lifetime trials in lockstep over arrival steps:
+each trial's fault order comes from the *same* RNG stream as the scalar
+path (``spawn_rng(seed, "lifetime", n, d)``, one permutation draw — the
+RNG-compatibility contract) and is held in the smallest unsigned type
+that fits a node id; each step derives its fault rows from one
+column of it, the masked check is one broadcasted modular comparison
+over all live trials, and fault-row profiles are maintained as
+``(trials, m)`` arrays.
 
 Outcome identity with the scalar path holds by construction, not by
 luck: the kernel replays the *same decision sequence* —
@@ -15,10 +15,13 @@ luck: the kernel replays the *same decision sequence* —
 1. masked check against the incumbent straight bottoms (the scalar
    masked predicate restricted to straight bands, where every column is
    identical);
-2. on an unmasked arrival, the same ``_cover_rows_cyclic`` greedy on the
-   same fault-row profile; cheap vectorized gap/coverage re-checks guard
-   the result, and any discrepancy reruns the scalar
-   ``place_straight_rows`` so even defensive failures match;
+2. all of one step's unmasked arrivals go to the straight-cover
+   classifier the survival kernel shares (``bn_batch._straight_cover``),
+   which returns exactly ``_cover_rows_cyclic``'s sorted bottoms — the
+   tallies depend on them, not just on coverage; cheap vectorized
+   spacing/coverage re-checks guard the result, and any discrepancy
+   reruns the scalar ``place_straight_rows`` so even defensive failures
+   match;
 3. when the straight cover fails under the ``auto`` strategy, the same
    paper-pipeline recovery the scalar path would run; if the paper
    strategy *survives* (non-straight incumbent — rare), the whole trial
@@ -35,48 +38,41 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.lifetime import LifetimeOutcome
-from repro.core.placement import _cover_rows_cyclic, place_straight_rows
+from repro.core.placement import place_straight_rows
 from repro.errors import ReconstructionError
+from repro.fastpath.bn_batch import _masks_cover, _straight_cover, cover_bytes_per_trial
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
 from repro.util.rng import spawn_rng
 
-__all__ = ["run_bn_lifetime_batch"]
+__all__ = ["lifetime_bytes_per_trial", "run_bn_lifetime_batch"]
 
 
-def _greedy_bottoms(params, rows: np.ndarray) -> np.ndarray | None:
-    """The scalar repair's straight cover for one trial, verified cheaply.
+def _straight_repairs(params, profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar repair's straight covers for a ``(U, m)`` stack of
+    faulty-row profiles, verified cheaply.
 
-    Returns sorted bottoms, or ``None`` when the greedy (or its
-    validation) fails — i.e. when the scalar path would fall through to
-    the paper strategy.  The vectorized re-checks mirror
-    ``place_straight_rows``'s validation; on any mismatch the scalar
-    function itself is rerun so failure behaviour is bit-identical.
+    Returns ``(ok, bottoms)``: ``bottoms[u]`` is the sorted cover the
+    scalar ``place_straight_rows`` returns for profile ``u`` whenever
+    ``ok[u]``; ``ok`` is False where it raises, i.e. where the scalar
+    path falls through to the paper strategy.  The bottoms come from the
+    shared classifier (``bn_batch._straight_cover``); the re-checks
+    mirror ``place_straight_rows``'s validation, and any profile whose
+    cover fails them reruns the scalar function itself, so even
+    defensive failures match.
     """
     m, b, K = params.m, params.b, params.num_bands
-    try:
-        bots = np.sort(np.asarray(_cover_rows_cyclic(rows, m, b, K), dtype=np.int64))
-    except ReconstructionError:
-        return None
-    gaps_ok = bool(
-        len(bots) == K
-        and (
-            K == 1
-            or (
-                (np.diff(bots) >= b + 1).all()
-                and (bots[0] + m - bots[-1]) >= b + 1
-            )
-        )
-    )
-    covered_ok = bool(
-        len(rows) == 0 or (((rows[None, :] - bots[:, None]) % m) < b).any(axis=0).all()
-    )
-    if gaps_ok and covered_ok:
-        return bots
-    # Defensive divergence: reproduce the scalar call exactly.
-    try:
-        return place_straight_rows(params, rows).bottoms[:, 0]
-    except ReconstructionError:
-        return None
+    ok, bottoms = _straight_cover(profiles, b, K)
+    spaced = (np.diff(bottoms, axis=1) >= b + 1).all(axis=1)
+    spaced &= bottoms[:, 0] + m - bottoms[:, -1] >= b + 1
+    checked = ok & (spaced | (K == 1)) & _masks_cover(profiles, bottoms, b)
+    for u in np.flatnonzero(ok & ~checked).tolist():
+        # Defensive divergence: reproduce the scalar call exactly.
+        try:
+            bottoms[u] = place_straight_rows(params, np.flatnonzero(profiles[u])).bottoms[:, 0]
+        except ReconstructionError:
+            continue
+        checked[u] = True
+    return checked, bottoms
 
 
 def run_bn_lifetime_batch(
@@ -90,17 +86,28 @@ def run_bn_lifetime_batch(
 
     Trials advance in lockstep but are mutually independent, so the seed
     list streams through the kernel in ``max_batch_bytes``-sized slices
-    (dominant per-trial state: the ``limit``-long arrival order and row
-    arrays) with identical outcomes — see ``fastpath/streaming.py``.
+    with identical outcomes — see ``fastpath/streaming.py``.
     """
-    params = adapter.params
-    size = params.num_nodes
-    limit = size if spec.max_steps is None else min(spec.max_steps, size)
-    per_trial = 16 * limit + params.m + 8 * params.num_bands
+    per_trial = lifetime_bytes_per_trial(adapter.params, spec.max_steps)
     outcomes: list[LifetimeOutcome] = []
     for sub in iter_seed_slices(seeds, per_trial, max_batch_bytes):
         outcomes.extend(_run_lifetime_slice(adapter, spec, sub))
     return outcomes
+
+
+def lifetime_bytes_per_trial(params, max_steps: int | None = None) -> int:
+    """Per-trial working-set bytes of the lifetime kernel at its peak: the
+    ``limit``-long arrival order in the smallest unsigned type that holds
+    a node id, the bool row profile and its copy for the classifier, the
+    int64 incumbent bottoms, the tallies (four int64, three bool and a
+    list slot: under 48 bytes), and the shared classifier's footprint —
+    when every trial's arrival escapes its bands in the same step.  The
+    one-trial permutation draw is not per trial."""
+    size = params.num_nodes
+    limit = size if max_steps is None else min(max_steps, size)
+    m, K = params.m, params.num_bands
+    return (np.min_scalar_type(size).itemsize * limit + 2 * m + 8 * K + 48
+            + cover_bytes_per_trial(m, K))
 
 
 def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOutcome]:
@@ -114,15 +121,17 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     limit = size if spec.max_steps is None else min(spec.max_steps, size)
     trials = len(seeds)
 
-    orders = np.empty((trials, limit), dtype=np.int64)
-    record_buffer(orders.nbytes * 2)  # orders plus the derived rows array
+    # Node ids in the smallest type that holds them; each step derives
+    # its rows from one column.
+    orders = np.empty((trials, limit), dtype=np.min_scalar_type(size))
+    record_buffer(orders.nbytes)
     for i, seed in enumerate(seeds):
         rng = spawn_rng(seed, "lifetime", params.n, params.d)
         orders[i] = rng.permutation(size)[:limit]
-    rows = orders // num_cols
 
     fault_rows = np.zeros((trials, m), dtype=bool)
-    bottoms = np.tile(_greedy_bottoms(params, np.array([], dtype=np.int64)), (trials, 1))
+    _, empty_cover = _straight_repairs(params, np.zeros((1, m), dtype=bool))
+    bottoms = np.repeat(empty_cover, trials, axis=0)
     active = np.ones(trials, dtype=bool)     # still advancing in the kernel
     delegate = np.zeros(trials, dtype=bool)  # paper placement survived: scalar replay
     lifetime = np.full(trials, limit, dtype=np.int64)
@@ -135,17 +144,19 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     for k in range(limit):
         if not active.any():
             break
-        r = rows[:, k]
+        r = orders[:, k].astype(np.int64) // num_cols
         covered = ((r[:, None] - bottoms) % m < b).any(axis=1)
         act_idx = np.flatnonzero(active)
         fault_rows[act_idx, r[act_idx]] = True
         masked_ct[active & covered] += 1
-        for t in np.flatnonzero(active & ~covered):
-            bots = _greedy_bottoms(params, np.flatnonzero(fault_rows[t]))
-            if bots is not None:
-                bottoms[t] = bots
-                replaced_ct[t] += 1
-                continue
+        unmasked = np.flatnonzero(active & ~covered)
+        if unmasked.size == 0:
+            continue
+        # Every arrival that escaped its bands this step, in one call.
+        repaired, covers = _straight_repairs(params, fault_rows[unmasked])
+        bottoms[unmasked[repaired]] = covers[repaired]
+        replaced_ct[unmasked[repaired]] += 1
+        for t in unmasked[~repaired].tolist():
             if adapter.strategy == "straight":
                 exc = _scalar_straight_error(params, fault_rows[t])
                 active[t] = False

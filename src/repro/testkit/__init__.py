@@ -47,6 +47,8 @@ _EXPORTS = {
     "checkpoint_resume_oracle": "repro.testkit.oracles",
     "compare_sim_results": "repro.testkit.oracles",
     "healthiness_oracle": "repro.testkit.oracles",
+    "reference_enclosing_frame": "repro.testkit.oracles",
+    "reference_frame_and_interior": "repro.testkit.oracles",
     "repair_mode_oracle": "repro.testkit.oracles",
     "runner_backends_oracle": "repro.testkit.oracles",
     "sim_engines_oracle": "repro.testkit.oracles",

@@ -162,15 +162,24 @@ def adversarial_row_profiles(m: int, b: int, K: int) -> np.ndarray:
     """Faulty-row profiles ``(T, m)`` aimed at the straight-cover greedy's
     edge cases: fault chains exactly ``b`` apart (the "latest" sweep
     fails, the "earliest" one may not), ``K + 1`` separated clusters
-    (one band too many), full and nearly full rows (no free gap), and a
+    (one band too many), full and nearly full rows (no free gap), a
     fault pair at every distance (exhausts padding capacity wherever
-    the geometry is tight)."""
+    the geometry is tight), and clusters leaving two or more free arcs
+    of equal capacity (the padding's tie-break picks the arc)."""
     sets: list[list[int]] = []
     for length in range(2, K + 2):
         for start in (0, m // 3):
             sets.append([start + b * i for i in range(length)])
     for width in (1, 2, b):
         sets.append([j * m // (K + 1) + w for j in range(K + 1) for w in range(width)])
+    for arcs in range(2, K):
+        for width in (1, 2):
+            sets.append([j * m // arcs + w for j in range(arcs) for w in range(width)])
+    for gap in range(b + 2, m - b):
+        # Two clusters whose free arcs have equal capacity, equal in
+        # length or not (the single-row pairs below split the same way).
+        if gap // (b + 1) == (m - gap) // (b + 1):
+            sets.append([0, 1, gap, gap + 1])
     sets.append(list(range(m)))
     sets.append(list(range(1, m)))
     sets.append(list(range(b + 1, m)))

@@ -23,7 +23,10 @@ correct method and diff it against the production implementation:
 
 * :func:`brute_force_healthiness` (+ :func:`healthiness_oracle`) —
   Lemma 4's three conditions via plain Python loops, diffed against the
-  scalar and batched checkers;
+  scalar and batched checkers; its frames come from
+  :func:`reference_frame_and_interior` and
+  :func:`reference_enclosing_frame`, never from the production
+  templates;
 * :func:`check_routes_bfs` — route validity against BFS distances on
   the torus adjacency;
 * :func:`adaptive_router_oracle` — fault-adaptive routes against BFS
@@ -40,6 +43,7 @@ author reads to find exactly which field of which trial diverged.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -66,6 +70,8 @@ __all__ = [
     "healthiness_oracle",
     "lifetime_record",
     "outcome_record",
+    "reference_enclosing_frame",
+    "reference_frame_and_interior",
     "repair_mode_oracle",
     "runner_backends_oracle",
     "sim_engines_oracle",
@@ -528,8 +534,11 @@ def straight_cover_oracle(
     Per ``(m, b, K)`` geometry, on ``trials`` random profiles at each row
     density from 0 to 0.5 and on
     :func:`~repro.testkit.cases.adversarial_row_profiles`: the vectorised
-    success flag must equal ``_cover_rows_cyclic``'s, and the bands it
-    returns must mask every faulty row.  Per bn parameter set, on fault
+    success flag must equal ``_cover_rows_cyclic``'s, the bands it
+    returns must mask every faulty row, and — one more case per success —
+    its bottoms must be exactly ``sorted(_cover_rows_cyclic(...))``, the
+    padding included (the lifetime kernel's masked/replaced tallies rest
+    on these exact bottoms).  Per bn parameter set, on fault
     stacks built from the same kinds of profiles: a trial is covered by
     ``straight_survival_batch`` exactly when the scalar straight placement
     succeeds, and ``place_bands(strategy="auto")`` then returns straight
@@ -565,16 +574,21 @@ def straight_cover_oracle(
         for t in range(len(stack)):
             rows = np.flatnonzero(stack[t])
             try:
-                _cover_rows_cyclic(rows, m, b, K)
-                want = True
+                want = sorted(_cover_rows_cyclic(rows, m, b, K))
             except ReconstructionError:
-                want = False
+                want = None
             report.cases += 1
             path = f"(m={m},b={b},K={K}).rows{rows.tolist()}"
-            if bool(ok[t]) != want:
-                fail(f"{path}.success", want, bool(ok[t]))
-            elif want and not masked[t]:
+            if bool(ok[t]) != (want is not None):
+                fail(f"{path}.success", want is not None, bool(ok[t]))
+                continue
+            if want is None:
+                continue
+            if not masked[t]:
                 fail(f"{path}.masks_every_row", True, False)
+            report.cases += 1
+            if bottoms[t].tolist() != want:
+                fail(f"{path}.bottoms", want, bottoms[t].tolist())
 
     for kw in param_sets:
         params = BnParams(**kw)
@@ -1172,14 +1186,61 @@ def audit_embedding(bt, recovery, faults: np.ndarray) -> OracleReport:
     return report
 
 
+def reference_frame_and_interior(geo, corner, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """An s-box's frame and interior flat tile indices, built the slow way.
+
+    Two cyclic tile boxes (the ``s``-box at ``corner`` and the
+    ``(s-2)``-box one tile inside it) from ``meshgrid``, flattened with
+    ``np.ravel_multi_index`` and separated with ``isin`` — independent of
+    :class:`~repro.topology.grid.TileGeometry`'s frame templates, which
+    must return the same arrays in the same order.
+    """
+    if s < 3:
+        raise ValueError("s-frames require s >= 3")
+    if s > min(geo.grid_shape):
+        raise ValueError(f"s={s} exceeds tile grid {geo.grid_shape}")
+
+    def box(start, size):
+        axes = [(start[a] + np.arange(size)) % geo.grid_shape[a] for a in range(geo.ndim)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.ravel_multi_index([mm.ravel() for mm in mesh], geo.grid_shape)
+
+    all_tiles = box(corner, s)
+    interior = box([c + 1 for c in corner], s - 2)
+    return all_tiles[~np.isin(all_tiles, interior)], interior
+
+
+def reference_enclosing_frame(geo, tile_faulty_flat: np.ndarray, tile):
+    """The smallest fault-free s-frame enclosing ``tile``, by a plain scan.
+
+    Sizes ascend from 3 to ``b``; within a size, candidate corners run
+    centre-first (offsets ``1 .. s-2`` per axis ordered by distance from
+    the box centre, in ``itertools.product`` order) and each candidate's
+    frame comes from :func:`reference_frame_and_interior`.  Returns
+    ``(corner, s)`` or ``None`` — what the production gather in
+    :func:`~repro.core.healthiness.find_enclosing_frame` must return.
+    """
+    for size in range(3, geo.b + 1):
+        offsets = sorted(range(1, size - 1), key=lambda o: abs(o - (size - 1) / 2))
+        for off in itertools.product(offsets, repeat=geo.ndim):
+            corner = tuple(
+                int((tile[a] - off[a]) % geo.grid_shape[a]) for a in range(geo.ndim)
+            )
+            frame, _ = reference_frame_and_interior(geo, corner, size)
+            if not any(bool(tile_faulty_flat[t]) for t in frame):
+                return corner, size
+    return None
+
+
 def brute_force_healthiness(params, faults: np.ndarray, *, max_violations: int = 8) -> dict:
     """Lemma 4's three conditions via plain Python loops.
 
     Re-derives the per-brick fault-free-row runs (condition 1), fault
     counts (condition 2) and the fault-free enclosing-frame search
-    (condition 3) with nothing but ``TileGeometry``'s coordinate
-    enumeration and elementwise scans — no sliding windows, no streak
-    reductions, no shared helper with the production checkers.
+    (condition 3) with nothing but ``TileGeometry``'s brick and tile
+    enumeration, :func:`reference_enclosing_frame` and elementwise
+    scans — no sliding windows, no streak reductions, no frame templates,
+    no shared helper with the production checkers.
     Violations are collected in the same (corner / tile) enumeration
     order and with the same ``max_violations`` bound, so the record is
     directly diffable against :func:`health_record` of the production
@@ -1220,16 +1281,7 @@ def brute_force_healthiness(params, faults: np.ndarray, *, max_violations: int =
     flat_faulty = tile_faulty.ravel()
     for tile_flat in range(geo.grid.size):
         tile = tuple(int(c) for c in geo.grid.unravel(tile_flat))
-        enclosed = False
-        for size in range(3, b + 1):
-            for corner in geo.enclosing_corners(tile, size):
-                frame, _ = geo.frame_and_interior(corner, size)
-                if not any(bool(flat_faulty[t]) for t in frame):
-                    enclosed = True
-                    break
-            if enclosed:
-                break
-        if not enclosed:
+        if reference_enclosing_frame(geo, flat_faulty, tile) is None:
             rec["cond3_ok"] = False
             if bool(flat_faulty[tile_flat]):
                 rec["cond3_faulty_ok"] = False

@@ -11,6 +11,10 @@ every dimension.  On top of tiles it defines:
 All boxes are tile-aligned and cyclic (the host is a torus).  Tiles are
 addressed by coordinates on the *tile grid*, whose shape is the node shape
 divided by ``b^2`` per axis.
+
+An s-frame has the same shape wherever it sits on the tile grid, so its
+(frame, interior) tile offsets are a *template* computed once per ``s``
+and per geometry; placing a frame is adding its corner modulo the grid.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ __all__ = ["TileGeometry"]
 
 class TileGeometry:
     """Tile bookkeeping for a ``shape`` torus with band parameter ``b``.
+
+    Frame geometry is translation-invariant, so each ``s`` gets one
+    template, built lazily on first use and reused for every corner: the
+    frame and interior offsets from the box corner, and the centre-first
+    offsets of the boxes that enclose a tile with their frames.
 
     Parameters
     ----------
@@ -48,6 +57,8 @@ class TileGeometry:
                 raise ParameterError(f"side {s} not divisible by tile side {self.tile_side}")
         self.grid_shape = tuple(s // self.tile_side for s in self.shape)
         self.grid = CoordCodec(self.grid_shape)
+        self._grid_sides = np.asarray(self.grid_shape, dtype=np.int64)
+        self._templates: dict[int, tuple[np.ndarray, ...]] = {}
         self.ndim = len(self.shape)
         if min(self.grid_shape) < self.b:
             raise ParameterError(
@@ -116,19 +127,56 @@ class TileGeometry:
         coords = np.stack([mm.ravel() for mm in mesh], axis=-1)
         return self.grid.ravel(coords)
 
-    def frame_and_interior(self, corner: Sequence[int], s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary (frame) and interior flat tile indices of an s-box.
+    def _template(self, s: int) -> tuple[np.ndarray, ...]:
+        """``(frame, interior, leads, enclosing)`` offsets of an s-box.
 
-        ``s >= 3``; the box spans ``s`` tiles per axis starting at ``corner``.
+        ``frame``/``interior``: ``(k, ndim)`` offsets from the box corner
+        in C order.  ``leads``: ``(C, ndim)`` offsets ``tile - corner`` of
+        every box that has a tile in its interior, centre-first.
+        ``enclosing``: ``(C, F, ndim)`` frame offsets of those boxes from
+        the enclosed tile.  Built once per ``s``.
         """
         if s < 3:
             raise ValueError("s-frames require s >= 3")
         if s > min(self.grid_shape):
             raise ValueError(f"s={s} exceeds tile grid {self.grid_shape}")
-        all_tiles = self._box_tiles(corner, [s] * self.ndim)
-        interior = self._box_tiles([c + 1 for c in corner], [s - 2] * self.ndim)
-        interior_set = np.isin(all_tiles, interior)
-        return all_tiles[~interior_set], interior
+        template = self._templates.get(s)
+        if template is None:
+            box = np.indices((s,) * self.ndim).reshape(self.ndim, -1).T
+            inner = ((box >= 1) & (box <= s - 2)).all(axis=1)
+            frame, interior = box[~inner], box[inner]
+            offsets = sorted(range(1, s - 1), key=lambda o: abs(o - (s - 1) / 2))
+            leads = np.array(list(_product([offsets] * self.ndim)), dtype=np.int64)
+            enclosing = frame[None, :, :] - leads[:, None, :]
+            template = self._templates[s] = (frame, interior, leads, enclosing)
+        return template
+
+    def frame_and_interior(self, corner: Sequence[int], s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary (frame) and interior flat tile indices of an s-box.
+
+        ``s >= 3``; the box spans ``s`` tiles per axis starting at ``corner``.
+        Both lists are in C order of the box's own coordinates.
+        """
+        frame, interior = self._template(s)[:2]
+        corner = np.asarray(corner, dtype=np.int64)
+        return (
+            self.grid.ravel((corner + frame) % self._grid_sides),
+            self.grid.ravel((corner + interior) % self._grid_sides),
+        )
+
+    def enclosing_frames(self, tile: Sequence[int], s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every s-box that strictly encloses ``tile``, centre-first.
+
+        Returns ``(corners, frames)``: ``(C, ndim)`` box corners in the
+        order of :meth:`enclosing_corners` and ``(C, F)`` flat tile indices
+        of each box's frame, so one gather tests all candidates of one size.
+        """
+        _, _, leads, enclosing = self._template(s)
+        tile = np.asarray(tile, dtype=np.int64)
+        return (
+            (tile - leads) % self._grid_sides,
+            self.grid.ravel((tile + enclosing) % self._grid_sides),
+        )
 
     def concentric_corners(self, tile: Sequence[int], s: int) -> tuple[int, ...]:
         """Corner of the s-box centred (as centred as parity allows) on ``tile``."""
@@ -139,9 +187,10 @@ class TileGeometry:
 
         Ordered centre-first so greedy searches prefer symmetric frames.
         """
-        offsets = sorted(range(1, s - 1), key=lambda o: abs(o - (s - 1) / 2))
-        for off in _product([offsets] * self.ndim):
-            yield tuple((tile[a] - off[a]) % self.grid_shape[a] for a in range(self.ndim))
+        leads = self._template(s)[2]
+        corners = (np.asarray(tile, dtype=np.int64) - leads) % self._grid_sides
+        for corner in corners.tolist():
+            yield tuple(corner)
 
     # -- misc ---------------------------------------------------------------------
 

@@ -4,15 +4,15 @@
   generators at once; each must be in exactly the state
   ``spawn_rng(root, *keys)`` would construct, and draw the same values.
 * **Classifier** — the vectorised straight-cover greedy must succeed on
-  exactly the row profiles the scalar ``_cover_rows_cyclic`` does, and
-  every covered trial must be one where the scalar ``auto`` placement
-  returns straight bands.
+  exactly the row profiles the scalar ``_cover_rows_cyclic`` does, with
+  exactly its sorted bottoms, and every covered trial must be one where
+  the scalar ``auto`` placement returns straight bands.
 * **Runner blocks** — grouping consecutive chunks into one kernel call
   must leave the result JSON byte-identical however the run is executed
-  or resumed, and never put more than :data:`BLOCK_TRIALS` trials in a
-  multi-chunk block.
+  or resumed, never put more than :data:`BLOCK_TRIALS` trials in a
+  multi-chunk block, and leave every pool worker a unit.
 
-Plus the memory contract: the kernel's per-trial estimate describes its
+Plus the memory contract: each kernel's per-trial estimate describes its
 real arrays, so a ``max_batch_bytes`` budget bounds its peak.
 """
 
@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 from repro.api import ExperimentRunner, ExperimentSpec, FaultSpec, get
 from repro.api import experiment as ex
-from repro.core.params import BnParams
-from repro.core.placement import _cover_rows_cyclic, place_bands
+from repro.api.protocol import LifetimeSpec, TrafficSpec
+from repro.core.placement import _cover_rows_cyclic
 from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import (
     _masks_cover,
@@ -40,6 +40,7 @@ from repro.fastpath.bn_batch import (
     sample_bn_faults_batch,
     straight_survival_batch,
 )
+from repro.fastpath.lifetime_batch import lifetime_bytes_per_trial, run_bn_lifetime_batch
 from repro.testkit.cases import (
     BN_PARAM_SETS,
     COVER_GEOMETRIES,
@@ -94,12 +95,11 @@ class TestBatchedRng:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_ok(rows: np.ndarray, m: int, b: int, K: int) -> bool:
+def _scalar_bottoms(rows: np.ndarray, m: int, b: int, K: int) -> list | None:
     try:
-        _cover_rows_cyclic(np.flatnonzero(rows), m, b, K)
-        return True
+        return sorted(_cover_rows_cyclic(np.flatnonzero(rows), m, b, K))
     except ReconstructionError:
-        return False
+        return None
 
 
 def _assert_exact(profiles: np.ndarray, b: int, K: int) -> None:
@@ -109,9 +109,11 @@ def _assert_exact(profiles: np.ndarray, b: int, K: int) -> None:
     assert ((bottoms >= 0) & (bottoms < m)).all()
     masked = _masks_cover(profiles, bottoms, b)
     for t, rows in enumerate(profiles):
-        assert bool(ok[t]) == _scalar_ok(rows, m, b, K), np.flatnonzero(rows)
+        want = _scalar_bottoms(rows, m, b, K)
+        assert bool(ok[t]) == (want is not None), np.flatnonzero(rows)
         if ok[t]:
             assert masked[t], np.flatnonzero(rows)
+            assert bottoms[t].tolist() == want, np.flatnonzero(rows)
 
 
 class TestStraightCover:
@@ -141,12 +143,34 @@ class TestStraightCover:
         bottoms = np.array([[0], [0], [m - 1], [m - 1]], dtype=np.int64)
         assert _masks_cover(rows, bottoms, b).tolist() == [True, False, True, False]
 
-    def test_unused_slots_repeat_a_real_bottom(self):
+    def test_single_fault_pads_like_the_scalar_greedy(self):
         m, b, K = 54, 3, 6
         profile = np.zeros((1, m), dtype=bool)
-        profile[0, m - 1] = True  # one band at the top row, five unused slots
+        profile[0, m - 1] = True  # one band at the top row, five padded
         ok, bottoms = _straight_cover(profile, b, K)
-        assert ok[0] and set(bottoms[0].tolist()) == {m - 1}
+        assert ok[0] and bottoms[0].tolist() == [3, 7, 11, 15, 19, m - 1]
+        assert bottoms[0].tolist() == sorted(_cover_rows_cyclic([m - 1], m, b, K))
+
+    def test_padding_tie_goes_to_the_later_arc(self):
+        # Faults at rows 0 and m/2 leave two free arcs of equal capacity;
+        # the scalar padding fills the one after the later bottom.
+        m, b, K = 128, 4, 8
+        profile = np.zeros((1, m), dtype=bool)
+        profile[0, [0, m // 2]] = True
+        ok, bottoms = _straight_cover(profile, b, K)
+        assert ok[0] and bottoms[0].tolist() == [0, 5, 10, 15, 20, 25, 30, m // 2]
+        assert bottoms[0].tolist() == sorted(_cover_rows_cyclic([0, m // 2], m, b, K))
+
+    @pytest.mark.parametrize("geometry", [(54, 3, 6), (128, 4, 8), (40, 3, 10)], ids=str)
+    def test_adversarial_profiles_include_equal_capacity_arcs(self, geometry):
+        # Two 2-row clusters at 0 and g: free arcs of length g and m - g.
+        m, b, K = geometry
+        clusters = [np.flatnonzero(p) for p in adversarial_row_profiles(m, b, K)]
+        assert any(
+            len(r) == 4 and r[:2].tolist() == [0, 1] and r[3] == r[2] + 1
+            and r[2] // (b + 1) == (m - r[2]) // (b + 1)
+            for r in clusters
+        )
 
     def test_covered_means_scalar_auto_goes_straight(self):
         # The second half of the contract (fault stacks, not bare profiles):
@@ -201,6 +225,39 @@ def test_kernel_peak_stays_within_budget(kw, p):
         lambda: run_bn_batch(construction, spec, seeds, max_batch_bytes=budget))
     assert len(outcomes) == len(seeds)
     assert peak <= budget + 9 * nodes + fallback_peak + 64 * 1024
+
+
+def test_lifetime_kernel_peak_stays_within_budget():
+    """The lifetime kernel at b=4, budget sized for 64-trial slices and two
+    slices of seeds: the traced peak may exceed the budget only by one
+    trial's permutation draw (int64 per node), the largest paper-strategy
+    recovery the kernel runs on a failed trial (with its bool fault
+    stack), and 64 KiB of fixed overhead."""
+    construction = get("bn", d=2, b=4, s=1, t=2)
+    params = construction.params
+    nodes = params.num_nodes
+    spec = LifetimeSpec()
+    seeds = list(range(128))
+    budget = 64 * lifetime_bytes_per_trial(params)
+    run_bn_lifetime_batch(construction, spec, seeds[:2])  # warm caches
+    outcomes = run_bn_lifetime_batch(construction, spec, seeds)
+    recovery_peak = 0
+    for seed, out in zip(seeds, outcomes):
+        order = spawn_rng(seed, "lifetime", params.n, params.d).permutation(nodes)
+        stack = np.zeros(nodes, dtype=bool)
+        stack[order[: out.lifetime + 1]] = True
+
+        def recover(stack=stack.reshape(params.shape)):
+            try:
+                construction.torus.recover(stack, strategy="paper")
+            except ReconstructionError:
+                pass
+
+        recovery_peak = max(recovery_peak, _traced(recover)[1])
+    traced, peak = _traced(
+        lambda: run_bn_lifetime_batch(construction, spec, seeds, max_batch_bytes=budget))
+    assert traced == outcomes
+    assert peak <= budget + 9 * nodes + recovery_peak + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +318,42 @@ class TestRunnerBlocks:
         assert covered == expected
 
     def test_scalar_backend_and_other_points_stay_one_chunk_per_task(self):
-        from repro.api.protocol import LifetimeSpec
-
+        # One-shot and lifetime points are grouped on the batch backend;
+        # traffic points, and every point on the scalar backend, are not.
         spec = ExperimentSpec(construction="bn", params=BN,
-                              grid=(FaultSpec(p=1e-3), LifetimeSpec()), trials=64)
+                              grid=(FaultSpec(p=1e-3), LifetimeSpec(),
+                                    TrafficSpec(messages=8)), trials=64)
 
         def counts(runner):
             return [task[4] for _, _, task in runner._iter_tasks(spec)]
 
         grouped = counts(ExperimentRunner())
-        assert grouped[0] == (16, 16, 16, 16)
-        assert all(len(c) == 1 for c in grouped[1:])
+        assert grouped[:2] == [(16, 16, 16, 16)] * 2
+        assert grouped[2:] == [(16,)] * 4
         assert all(len(c) == 1 for c in counts(ExperimentRunner(backend="scalar")))
+
+    @pytest.mark.parametrize("trials, chunk_size", [(256, 16), (64, 16), (48, 16),
+                                                    (40, 16), (16, 16), (1000, 7)])
+    def test_every_worker_gets_a_unit(self, trials, chunk_size):
+        spec = ExperimentSpec(construction="bn", params=BN,
+                              grid=(FaultSpec(p=1e-3), LifetimeSpec()),
+                              trials=trials, chunk_size=chunk_size)
+        chunks = -(-trials // chunk_size)
+        for workers in (1, 2, 3, 4):
+            tasks = list(ExperimentRunner(workers=workers)._iter_tasks(spec))
+            for point in (0, 1):
+                counts = [task[4] for p, _, task in tasks if p == point]
+                assert len(counts) >= min(workers, chunks), (workers, point)
+                assert max(map(len, counts)) <= -(-chunks // workers)
+                assert sum(map(sum, counts)) == trials
+
+    def test_byte_identical_across_worker_counts(self):
+        spec = ExperimentSpec(construction="bn", params=BN,
+                              grid=(FaultSpec(p=0.004), LifetimeSpec(max_steps=40)),
+                              trials=64, name="worker-cap")
+        ref = _bytes(ExperimentRunner(backend="scalar").run(spec))
+        for workers in (1, 2, 4):
+            assert _bytes(ExperimentRunner(workers=workers).run(spec)) == ref, workers
 
     def test_run_chunk_single_chunk_task(self):
         spec = _spec(16, trials=48)

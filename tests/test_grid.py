@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.testkit.oracles import reference_frame_and_interior
 from repro.topology.grid import TileGeometry
 
 
@@ -99,6 +100,43 @@ class TestFrames:
         corner = geo.concentric_corners(tile, 3)
         _, interior = geo.frame_and_interior(corner, 3)
         assert geo.grid.ravel(np.array(tile)) in interior
+
+
+#: Tile grids for the template-vs-reference checks: square, both
+#: rectangular orientations (even and odd sides) and a 3-D grid.
+TEMPLATE_GRIDS = [(4, 4), (8, 6), (5, 7), (4, 4, 4)]
+
+
+class TestFrameTemplates:
+    @pytest.mark.parametrize("grid", TEMPLATE_GRIDS, ids=str)
+    def test_every_size_and_corner_matches_the_reference(self, grid):
+        geo = TileGeometry(tuple(9 * g for g in grid), 3)
+        for s in range(3, min(grid) + 1):
+            for corner in np.ndindex(*grid):
+                frame, interior = geo.frame_and_interior(corner, s)
+                ref_frame, ref_interior = reference_frame_and_interior(geo, corner, s)
+                assert frame.tolist() == ref_frame.tolist(), (corner, s)
+                assert interior.tolist() == ref_interior.tolist(), (corner, s)
+
+    @pytest.mark.parametrize("grid", TEMPLATE_GRIDS, ids=str)
+    def test_enclosing_frames_are_the_enclosing_corners_frames(self, grid):
+        geo = TileGeometry(tuple(9 * g for g in grid), 3)
+        tile = tuple(g - 1 for g in grid)
+        for s in range(3, min(grid) + 1):
+            corners, frames = geo.enclosing_frames(tile, s)
+            assert [tuple(c) for c in corners.tolist()] == list(
+                geo.enclosing_corners(tile, s))
+            for corner, frame in zip(corners, frames):
+                assert frame.tolist() == geo.frame_and_interior(corner, s)[0].tolist()
+
+    def test_built_once_per_size(self, geo):
+        assert geo._template(3) is geo._template(3)
+        assert geo._template(4) is not geo._template(3)
+
+    def test_reference_rejects_the_same_sizes(self, geo):
+        for s in (2, 5):
+            with pytest.raises(ValueError):
+                reference_frame_and_interior(geo, (0, 0), s)
 
 
 class TestExtent:

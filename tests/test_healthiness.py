@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.healthiness import check_healthiness, find_enclosing_frame
+from repro.testkit.oracles import reference_enclosing_frame
 from repro.topology.grid import TileGeometry
 
 
@@ -102,6 +104,21 @@ class TestFindEnclosingFrame:
         geo = TileGeometry(p.shape, p.b)
         tf = np.ones(geo.grid.size, dtype=bool)
         assert find_enclosing_frame(geo, tf, (0, 0)) is None
+
+
+    @pytest.mark.parametrize("grid, b", [
+        ((4, 4), 3), ((4, 4), 4), ((8, 6), 3), ((8, 6), 5), ((5, 7), 4), ((4, 4, 4), 3),
+    ], ids=str)
+    def test_gather_equals_the_centre_first_scan(self, grid, b):
+        geo = TileGeometry(tuple(b * b * g for g in grid), b)
+        rng = np.random.default_rng(sum(grid) * 10 + b)
+        for density in (0.0, 0.05, 0.15, 0.3, 0.5):
+            tf = rng.random(geo.grid.size) < density
+            for tile in np.ndindex(*grid):
+                found = find_enclosing_frame(geo, tf, tile)
+                assert found == reference_enclosing_frame(geo, tf, tile), (density, tile)
+                if found is not None:
+                    assert all(isinstance(c, int) for c in found[0])
 
 
 class TestHealthinessVsRecovery:
