@@ -184,29 +184,16 @@ def _aged_torus(shape, *, rate=0.0015, repair_rate=0.25, max_steps=60):
     uniform-workload e-cube route — the regime where the router choice
     is visible.  Deterministic: the first qualifying seed is fixed.
     """
-    from repro.api.lifetime import drive_timeline
+    from repro.api.lifetime import timeline_events
     from repro.api.protocol import LifetimeSpec
 
     spec = LifetimeSpec(
         timeline="bernoulli", rate=rate, repair_rate=repair_rate, max_steps=max_steps
     )
     for seed in range(50):
-        faults = np.zeros(shape, dtype=bool)
-        flat = faults.ravel()
-
-        def on_fault(node: int) -> str:
-            if flat[node]:
-                return "masked"
-            flat[node] = True
-            return "replaced"
-
-        def on_repair(node: int) -> None:
-            flat[node] = False
-
-        drive_timeline(
-            spec, shape, spawn_rng(seed, "e14-aged"),
-            on_fault=on_fault, on_repair=on_repair,
-        )
+        flat = np.zeros(shape, dtype=bool).ravel()
+        for ev in timeline_events(spec, shape, spawn_rng(seed, "e14-aged")):
+            flat[ev.node] = ev.kind == "fault"
         if not flat.any() or not _healthy_connected(shape, flat):
             continue
         node_ok, edge_ok = fault_predicates(flat)

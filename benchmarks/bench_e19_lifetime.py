@@ -86,25 +86,25 @@ def measure_survival_curves() -> dict:
 
 
 def measure_incremental_speedup() -> dict:
-    from repro.core.bn import BTorus
+    from repro.api.adapters import BnConstruction
     from repro.core.online import fault_lifetime
     from repro.core.params import BnParams
 
-    bt = BTorus(BnParams(**SPEED_BN))
+    bn = BnConstruction(BnParams(**SPEED_BN))
     seeds = list(range(SPEED_TRIALS))
-    fault_lifetime(bt, 0, max_faults=5)  # warm caches either way
+    fault_lifetime(bn, 0, max_faults=5)  # warm caches either way
 
     t0 = time.perf_counter()
-    inc = [fault_lifetime(bt, s, incremental=True) for s in seeds]
+    inc = [fault_lifetime(bn, s, incremental=True) for s in seeds]
     inc_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    full = [fault_lifetime(bt, s, incremental=False) for s in seeds]
+    full = [fault_lifetime(bn, s, incremental=False) for s in seeds]
     full_s = time.perf_counter() - t0
 
     return {
         "params": SPEED_BN,
-        "num_nodes": bt.params.num_nodes,
+        "num_nodes": bn.params.num_nodes,
         "trials": SPEED_TRIALS,
         "lifetimes": inc,
         "lifetimes_identical": inc == full,

@@ -22,7 +22,8 @@ Runs two ways:
   shared CI runner is scheduler noise, but zero erroring frames, zero
   client exceptions, a machine that survives the workload, a well-formed
   telemetry snapshot, and byte-identical online-vs-offline machine state
-  are all load-independent.  A generous absolute throughput floor
+  (for a bn machine and for a generic full-recompute one ingested
+  through its death) are all load-independent.  A generous absolute throughput floor
   (``MIN_RPS``) still catches pathological regressions (an accidentally
   serialised event loop, a stray sleep) without ever tripping on jitter.
 """
@@ -118,31 +119,26 @@ def measure_loadgen(requests: int, messages: int, *, seed: int = 0) -> dict:
     return report
 
 
-def measure_determinism() -> dict:
-    """Ingest a scripted event sequence over TCP; compare the resulting
+def _determinism_case(construction: str, params: dict, spec, seed: int) -> dict:
+    """Ingest one scripted event sequence over TCP; compare the resulting
     machine digest byte-for-byte against the offline LifetimeSpec path."""
-    from repro.api.protocol import LifetimeSpec
     from repro.serve.client import ServeClient
     from repro.serve.server import ReproServer, ServeConfig
     from repro.serve.state import offline_digest, scripted_events
-
-    params = {"d": 2, "b": 3, "s": 1, "t": 2}
-    spec = LifetimeSpec(timeline="bernoulli", rate=0.0005, repair_rate=0.3,
-                        max_steps=40)
-    seed = 3
 
     async def go() -> dict:
         server = ReproServer(ServeConfig(port=0))
         await server.start()
         try:
             client = await ServeClient.connect("127.0.0.1", server.port)
-            await client.request("create", machine="m", construction="bn",
+            await client.request("create", machine="m", construction=construction,
                                  params=params)
-            events = scripted_events("bn", params, spec, seed)
+            events = scripted_events(construction, params, spec, seed)
             await client.request("events", machine="m",
                                  events=[[k, n] for k, n in events])
             digest = await client.request("digest", machine="m")
-            telemetry = await client.request("telemetry", machine="m", health=True)
+            telemetry = await client.request(
+                "telemetry", machine="m", health=construction == "bn")
             await client.close()
             return {"digest": digest, "telemetry": telemetry,
                     "events": len(events)}
@@ -151,12 +147,12 @@ def measure_determinism() -> dict:
             await server.serve_until_shutdown()
 
     wire = asyncio.run(go())
-    offline = offline_digest("bn", params, spec, seed)
+    offline = offline_digest(construction, params, spec, seed)
     identical = json.dumps(wire["digest"], sort_keys=True) == json.dumps(
         offline, sort_keys=True
     )
     return {
-        "construction": "bn",
+        "construction": construction,
         "params": params,
         "spec": spec.to_dict(),
         "seed": seed,
@@ -164,6 +160,25 @@ def measure_determinism() -> dict:
         "online_equals_offline": identical,
         "telemetry": wire["telemetry"],
     }
+
+
+def measure_determinism() -> dict:
+    """The online==offline digest check on two machines: a bn one fed
+    faults and repairs (alive at the end; its record is the top level),
+    and under ``generic`` a full-recompute sparerows machine whose
+    scripted events run through its death and past it."""
+    from repro.api.protocol import LifetimeSpec
+
+    data = _determinism_case(
+        "bn", {"d": 2, "b": 3, "s": 1, "t": 2},
+        LifetimeSpec(timeline="bernoulli", rate=0.0005, repair_rate=0.3, max_steps=40),
+        3,
+    )
+    data["generic"] = _determinism_case(
+        "sparerows", {"n": 8, "sigma": 2},
+        LifetimeSpec(timeline="uniform", repair_rate=0.1, max_steps=200), 0,
+    )
+    return data
 
 
 def check_invariants(data: dict) -> list[str]:
@@ -191,8 +206,14 @@ def check_invariants(data: dict) -> list[str]:
     missing = [k for k in TELEMETRY_KEYS if k not in snapshot]
     if missing:
         problems.append(f"telemetry snapshot missing keys: {missing}")
-    if not data["determinism"]["online_equals_offline"]:
-        problems.append("online ingestion digest differs from the offline path")
+    determinism = data["determinism"]
+    for case in (determinism, determinism["generic"]):
+        if not case["online_equals_offline"]:
+            problems.append(f"{case['construction']}: online ingestion digest "
+                            "differs from the offline path")
+    if determinism["generic"]["telemetry"]["alive"]:
+        problems.append("the generic machine survived its scripted events, so "
+                        "ingestion through death went unchecked")
     return problems
 
 
@@ -280,9 +301,11 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(
         {"quick": summary["quick"]["headline"],
          "determinism": {
-             "events_ingested": summary["determinism"]["events_ingested"],
-             "online_equals_offline":
-                 summary["determinism"]["online_equals_offline"],
+             case["construction"]: {
+                 "events_ingested": case["events_ingested"],
+                 "online_equals_offline": case["online_equals_offline"],
+             }
+             for case in (summary["determinism"], summary["determinism"]["generic"])
          }},
         indent=2, sort_keys=True,
     ))

@@ -9,13 +9,16 @@ Seed discipline: ``trial`` reuses each construction's historical RNG
 keying wherever one existed (``bn-trial``, ``an-nodes``/``an-half``,
 ``dn-sweep``, ``replication``), so registry-driven experiments reproduce
 the exact outcomes of the pre-registry drivers for the same seeds.
+``lifetime_rng`` is the one definition of each construction's lifetime
+stream, read by every lifetime consumer (trials, the bn lifetime
+kernel, traffic snapshots, the serve daemon's scripted events).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.api.lifetime import LifetimeOutcome, run_timeline
+from repro.api.lifetime import FullRecomputeMachine, LifetimeOutcome, drive_timeline
 from repro.api.outcome import TrialOutcome
 from repro.api.protocol import FaultSpec, LifetimeSpec, TrafficSpec
 from repro.api.registry import register
@@ -85,7 +88,7 @@ class _AdapterBase:
         except ReconstructionError as exc:
             return TrialOutcome(success=False, category=exc.category, num_faults=n_faults)
 
-    # -- lifetime capability (generic full-recompute driver) ----------------
+    # -- lifetime capability ------------------------------------------------
 
     def _lifetime_shape(self) -> tuple:
         """Node shape the fault timeline runs over."""
@@ -95,15 +98,18 @@ class _AdapterBase:
         """Recovery attempt for a boolean fault array of ``_lifetime_shape``."""
         return self.recover(faults)
 
-    def lifetime_trial(self, spec: LifetimeSpec, seed: int) -> LifetimeOutcome:
-        """One seeded fault-arrival timeline driven to first failure.
+    def lifetime_rng(self, seed: int) -> np.random.Generator:
+        """The stream a lifetime trial's timeline draws from."""
+        return spawn_rng(seed, f"{self.name}-lifetime")
 
-        The generic driver recomputes recovery from scratch after every
-        new fault; ``bn`` overrides this with the incremental
-        :class:`~repro.core.online.OnlineRecovery` path.
-        """
-        rng = spawn_rng(seed, f"{self.name}-lifetime")
-        return run_timeline(spec, self._lifetime_shape(), rng, self._lifetime_recover)
+    def live_machine(self):
+        """A fresh fault-free live machine (see :mod:`repro.api.lifetime`);
+        this generic one recovers from scratch after every new fault."""
+        return FullRecomputeMachine(self._lifetime_shape(), self._lifetime_recover)
+
+    def lifetime_trial(self, spec: LifetimeSpec, seed: int) -> LifetimeOutcome:
+        """One seeded fault-arrival timeline driven to first failure."""
+        return drive_timeline(spec, self.live_machine(), self.lifetime_rng(seed))
 
 
 class _TorusTrafficMixin:
@@ -121,18 +127,10 @@ class _TorusTrafficMixin:
 
         return run_traffic_trial(self.guest_shape(), spec, seed)
 
-    def supports_traffic_batch(self, spec: TrafficSpec) -> bool:
-        """The vectorized kernel covers every pattern and injection model."""
-        return True
-
-    def run_traffic_batch(
-        self, spec: TrafficSpec, seeds: list, max_batch_bytes: int | None = None
-    ) -> list:
+    def run_traffic_batch(self, spec: TrafficSpec, seeds: list) -> list:
         from repro.fastpath.traffic_batch import run_traffic_batch
 
-        return run_traffic_batch(
-            self.guest_shape(), spec, seeds, max_batch_bytes=max_batch_bytes
-        )
+        return run_traffic_batch(self.guest_shape(), spec, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +195,16 @@ class BnConstruction(_TorusTrafficMixin, _AdapterBase):
 
         return run_bn_batch(self, spec, seeds, max_batch_bytes=max_batch_bytes)
 
-    def lifetime_trial(self, spec: LifetimeSpec, seed: int) -> LifetimeOutcome:
-        """Incremental lifetime trial on the historical ``fault_lifetime``
-        RNG stream, so registry-driven lifetime experiments reproduce the
-        pre-subsystem numbers for the same seeds."""
-        from repro.core.online import OnlineRecovery, run_online_timeline
+    def lifetime_rng(self, seed: int) -> np.random.Generator:
+        """The historical ``fault_lifetime`` stream, so registry-driven
+        lifetime experiments reproduce the pre-subsystem numbers."""
+        return spawn_rng(seed, "lifetime", self.params.n, self.params.d)
 
-        online = OnlineRecovery(self.torus, incremental=True, strategy=self.strategy)
-        rng = spawn_rng(seed, "lifetime", self.params.n, self.params.d)
-        return run_online_timeline(online, spec, rng)
+    def live_machine(self):
+        """The incremental :class:`~repro.core.online.OnlineRecovery`."""
+        from repro.core.online import OnlineRecovery
+
+        return OnlineRecovery(self.torus, strategy=self.strategy)
 
     def supports_lifetime_batch(self, spec: LifetimeSpec) -> bool:
         """Uniform no-repair timelines on straight-capable strategies — the

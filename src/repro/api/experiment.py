@@ -328,11 +328,10 @@ def _run_block(task: tuple) -> list[dict]:
                 aggregate(outcomes[c.start - seed_start : c.stop - seed_start]).to_dict()
                 for c in chunks
             ]
-    return [_run_seeds(construction, name, point, list(c), use_batch, kw)
-            for c in chunks]
+    return [_run_seeds(construction, name, point, list(c), use_batch) for c in chunks]
 
 
-def _run_seeds(construction, name, point, seeds, use_batch, kw) -> dict:
+def _run_seeds(construction, name, point, seeds, use_batch) -> dict:
     """One chunk's trials, per trial or on the traffic kernel."""
     if isinstance(point, LifetimeSpec):
         lifetime_trial = getattr(construction, "lifetime_trial", None)
@@ -343,11 +342,9 @@ def _run_seeds(construction, name, point, seeds, use_batch, kw) -> dict:
         traffic_trial = getattr(construction, "traffic_trial", None)
         if traffic_trial is None:
             raise TypeError(f"construction {name!r} has no traffic capability")
-        if use_batch:
-            run_tb = getattr(construction, "run_traffic_batch", None)
-            supports_tb = getattr(construction, "supports_traffic_batch", None)
-            if run_tb is not None and (supports_tb is None or supports_tb(point)):
-                return aggregate_traffic(run_tb(point, seeds, **kw)).to_dict()
+        run_tb = getattr(construction, "run_traffic_batch", None)
+        if use_batch and run_tb is not None:
+            return aggregate_traffic(run_tb(point, seeds)).to_dict()
         return aggregate_traffic(traffic_trial(point, s) for s in seeds).to_dict()
     return aggregate_outcomes(construction.trial(point, s) for s in seeds).to_dict()
 

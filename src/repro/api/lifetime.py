@@ -1,4 +1,4 @@
-"""Lifetime trial outcomes, their aggregate, and the generic driver.
+"""Lifetime trial outcomes, their aggregate, and the one event loop.
 
 A *lifetime trial* replays one seeded fault timeline
 (:mod:`repro.faults.timeline`) against a construction until verified
@@ -10,12 +10,17 @@ determinism contract: per-trial lifetimes are kept in seed order, chunk
 merges concatenate in chunk order, and ``to_dict`` is JSON-stable — so
 serial, parallel and batched experiment runs serialise byte-identically.
 
-:func:`run_timeline` is the generic full-recompute driver used by
-constructions without bespoke incremental machinery (``an``, ``dn``):
-it maintains a boolean fault array, feeds timeline events through a
-``recover`` callable, and classifies the first failure.  ``B^d_n``
-overrides this with the genuinely incremental
-:class:`~repro.core.online.OnlineRecovery` path.
+Every consumer drives a *live machine*: the object a construction's
+``live_machine()`` returns, with ``faults`` (the boolean fault array),
+``recovery`` (the maintained ``Recovery``, or ``None``) and
+``add_fault(node)`` / ``remove_fault(node)`` by flat node id.  ``B^d_n``
+returns the incremental :class:`~repro.core.online.OnlineRecovery`;
+every other construction returns a :class:`FullRecomputeMachine`.
+:func:`lifetime_step` applies one event to a machine and tallies it in a
+:class:`LifetimeOutcome`; :func:`drive_timeline` loops it over a spec's
+events (offline trials, traffic snapshots) and the serve daemon calls it
+once per ingested event, so the offline and online paths share one
+per-event semantics.
 """
 
 from __future__ import annotations
@@ -31,18 +36,29 @@ from repro.errors import ReconstructionError
 from repro.faults.timeline import make_timeline
 
 __all__ = [
+    "FullRecomputeMachine",
     "LifetimeMerge",
     "LifetimeOutcome",
     "LifetimeResult",
     "aggregate_lifetimes",
     "drive_timeline",
-    "run_timeline",
+    "lifetime_step",
+    "timeline_events",
     "timeline_for",
 ]
 
 
+class _ArrivalTallies:
+    """``repair_fraction`` over a record's ``masked``/``replaced`` tallies."""
+
+    def repair_fraction(self) -> float:
+        """Fraction of arrivals that forced a recomputation."""
+        arrivals = self.masked + self.replaced
+        return self.replaced / arrivals if arrivals else 0.0
+
+
 @dataclass
-class LifetimeOutcome:
+class LifetimeOutcome(_ArrivalTallies):
     """Result of one fault-arrival timeline driven to first failure."""
 
     #: Fault arrivals survived before recovery first failed (the paper's
@@ -63,7 +79,7 @@ class LifetimeOutcome:
 
 
 @dataclass
-class LifetimeResult:
+class LifetimeResult(_ArrivalTallies):
     """Aggregated lifetimes of a batch of timeline trials.
 
     ``lifetimes`` stays in seed order — the merge concatenates parts in
@@ -103,11 +119,6 @@ class LifetimeResult:
         """Fraction of trials surviving at least ``g`` arrivals, per grid point."""
         lives = np.asarray(self.lifetimes)
         return [float((lives >= g).mean()) if len(lives) else float("nan") for g in grid]
-
-    def repair_fraction(self) -> float:
-        """Fraction of arrivals that forced a recomputation."""
-        arrivals = self.masked + self.replaced
-        return self.replaced / arrivals if arrivals else 0.0
 
     def summary(self) -> str:
         parts = [
@@ -221,83 +232,99 @@ def timeline_for(spec: LifetimeSpec):
     )
 
 
+def timeline_events(spec: LifetimeSpec, shape: Sequence[int], rng: np.random.Generator):
+    """The spec's timeline events over ``shape``, cut at ``max_steps``."""
+    for ev in timeline_for(spec).events(tuple(int(s) for s in shape), rng):
+        if spec.max_steps is not None and ev.step >= spec.max_steps:
+            return
+        yield ev
+
+
+class FullRecomputeMachine:
+    """The generic live machine: a boolean fault array over ``shape``,
+    recovered from scratch after every *new* fault.
+
+    An arrival on an already-faulty node is redundant (``"masked"``); a
+    repair clears the bit without a recompute — a recovery valid for a
+    fault superset stays valid.  This is the reference semantics the
+    incremental :class:`~repro.core.online.OnlineRecovery` reproduces.
+    """
+
+    #: No maintained embedding: queries serve the pristine guest.
+    recovery = None
+
+    def __init__(self, shape: Sequence[int], recover: Callable[[np.ndarray], object]) -> None:
+        self.faults = np.zeros(tuple(int(s) for s in shape), dtype=bool)
+        self._flat = self.faults.ravel()
+        self._recover = recover
+
+    def add_fault(self, node: int) -> str:
+        if self._flat[node]:
+            return "masked"
+        self._flat[node] = True
+        self._recover(self.faults)  # raises ReconstructionError on death
+        return "replaced"
+
+    def remove_fault(self, node: int) -> None:
+        self._flat[node] = False
+
+
+def lifetime_step(machine, outcome: LifetimeOutcome, kind: str, node: int) -> str:
+    """Apply one ``"fault"``/``"repair"`` event to ``machine`` and tally it.
+
+    Returns the action: ``"masked"`` / ``"replaced"`` for a survived
+    arrival, ``"repaired"``, ``"failed"`` for the arrival whose recovery
+    raised :class:`ReconstructionError` (``outcome`` then records the
+    death and its category), and ``"dead"`` — nothing applied — for any
+    event after that.  The one per-event semantics of offline trials and
+    the serve daemon.
+    """
+    if outcome.failed:
+        return "dead"
+    if kind == "repair":
+        machine.remove_fault(node)
+        outcome.repaired += 1
+        return "repaired"
+    try:
+        action = machine.add_fault(node)
+    except ReconstructionError as exc:
+        outcome.failed = True
+        outcome.category = exc.category
+        return "failed"
+    if action == "masked":
+        outcome.masked += 1
+    else:
+        outcome.replaced += 1
+    outcome.lifetime += 1
+    return action
+
+
 def drive_timeline(
     spec: LifetimeSpec,
-    shape: Sequence[int],
+    machine,
     rng: np.random.Generator,
     *,
-    on_fault: Callable[[int], str],
-    on_repair: Callable[[int], None],
-    observer: Callable[[int], None] | None = None,
+    observer: Callable[[LifetimeOutcome], None] | None = None,
 ) -> LifetimeOutcome:
-    """The single lifetime event loop, shared by every recovery backend.
+    """Drive ``spec``'s timeline through a live machine until the first
+    unrecoverable arrival (or the timeline runs dry).
 
-    ``on_fault(flat_node)`` applies one arrival and returns ``"masked"``
-    or ``"replaced"`` (raising :class:`ReconstructionError` on the first
-    unrecoverable fault — the trial's death); ``on_repair(flat_node)``
-    applies one repair.  Step bounds, tally accounting and failure
-    classification live here and nowhere else, so the generic
-    full-recompute driver and the incremental ``OnlineRecovery`` driver
-    cannot drift apart.  ``observer(arrivals_survived)`` — when given —
-    fires after every survived arrival (traffic-snapshot hook).
+    Loops :func:`lifetime_step` over :func:`timeline_events`, so step
+    bounds, tallies and failure classification are the serve daemon's
+    too.  ``observer(outcome)`` — when given — fires after every
+    survived arrival with the running tallies (the traffic-snapshot
+    hook; ``outcome.lifetime`` is the arrivals survived so far).
     """
-    shape = tuple(int(s) for s in shape)
     out = LifetimeOutcome(lifetime=0, steps=0, category="ok", failed=False)
-    for ev in timeline_for(spec).events(shape, rng):
-        if spec.max_steps is not None and ev.step >= spec.max_steps:
-            break
+    for ev in timeline_events(spec, machine.faults.shape, rng):
         out.steps = ev.step + 1
-        if ev.kind == "repair":
-            on_repair(ev.node)
-            out.repaired += 1
-            continue
-        try:
-            action = on_fault(ev.node)
-        except ReconstructionError as exc:
-            out.failed = True
-            out.category = exc.category
+        action = lifetime_step(machine, out, ev.kind, ev.node)
+        if out.failed:
             return out
-        if action == "masked":
-            out.masked += 1
-        else:
-            out.replaced += 1
-        out.lifetime += 1
-        if observer is not None:
-            observer(out.lifetime)
-    if not out.failed and spec.timeline in ("bernoulli", "burst"):
+        if observer is not None and action != "repaired":
+            observer(out)
+    if spec.timeline in ("bernoulli", "burst"):
         # Step-driven kinds span exactly max_steps steps; trailing
         # arrival-free steps are consumed even though they emit no events.
         out.steps = spec.max_steps
     return out
-
-
-def run_timeline(
-    spec: LifetimeSpec,
-    shape: Sequence[int],
-    rng: np.random.Generator,
-    recover: Callable[[np.ndarray], object],
-) -> LifetimeOutcome:
-    """Generic (full-recompute) lifetime driver.
-
-    Feeds the spec's timeline into a boolean fault array over ``shape``
-    and calls ``recover(faults)`` after every *new* fault (arrivals on
-    already-faulty nodes are redundant and counted as masked; repairs
-    clear the bit without a recompute — a recovery valid for a fault
-    superset stays valid).  Returns the first-failure record.  This is the
-    reference semantics that incremental drivers must reproduce.
-    """
-    shape = tuple(int(s) for s in shape)
-    faults = np.zeros(shape, dtype=bool)
-    flat = faults.ravel()
-
-    def on_fault(node: int) -> str:
-        if flat[node]:
-            return "masked"
-        flat[node] = True
-        recover(faults)  # raises ReconstructionError on death
-        return "replaced"
-
-    def on_repair(node: int) -> None:
-        flat[node] = False
-
-    return drive_timeline(spec, shape, rng, on_fault=on_fault, on_repair=on_repair)

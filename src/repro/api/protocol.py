@@ -27,18 +27,19 @@ runner probes for it with ``getattr`` and falls back per-trial.
 
 The *lifetime capability* (:class:`LifetimeCapable`) is the third pillar:
 ``lifetime_trial(spec, seed)`` drives a :class:`LifetimeSpec` fault
-timeline against the construction until recovery first fails, and the
-optional ``supports_lifetime_batch``/``run_lifetime_batch`` pair
-vectorizes whole seed chunks of lifetime trials under the same
-identical-outcome contract as ``run_batch`` (see docs/lifetime.md).
+timeline against the construction's ``live_machine()`` on its
+``lifetime_rng(seed)`` until recovery first fails, and the optional
+``supports_lifetime_batch``/``run_lifetime_batch`` pair vectorizes whole
+seed chunks of lifetime trials under the same identical-outcome contract
+as ``run_batch`` (see docs/lifetime.md).
 
 The *traffic capability* (:class:`TrafficCapable`) is the fourth pillar:
 ``traffic_trial(spec, seed)`` routes a :class:`TrafficSpec` workload —
 closed-loop batch or open-loop injection — over the torus the
 construction emulates (``guest_shape``) and measures service quality,
-with the optional ``supports_traffic_batch``/``run_traffic_batch`` pair
-dispatching to the vectorized simulator kernel under the usual
-identical-outcome contract (see docs/traffic.md).
+with the optional ``run_traffic_batch`` dispatching to the vectorized
+simulator kernel under the usual identical-outcome contract (see
+docs/traffic.md).
 
 The fault *state* passed between ``sample_faults`` and ``recover`` is
 deliberately opaque (``Any``): ``B``/``D`` use boolean node arrays, ``A``
@@ -437,14 +438,21 @@ class BatchCapable(Protocol):
 class LifetimeCapable(Protocol):
     """Optional lifetime capability of a construction.
 
-    ``lifetime_trial`` runs one seeded fault-arrival timeline to first
-    recovery failure and returns a
+    ``live_machine()`` returns a fresh fault-free live machine that takes
+    fault/repair events by flat node id, ``lifetime_rng(seed)`` the
+    stream a trial's timeline draws from, and ``lifetime_trial`` runs one
+    seeded fault-arrival timeline through them to first recovery failure
+    (:func:`~repro.api.lifetime.drive_timeline`), returning a
     :class:`~repro.api.lifetime.LifetimeOutcome`.  Constructions may
     additionally expose the batched pair
     ``supports_lifetime_batch``/``run_lifetime_batch`` with the same
     identical-outcome contract as :class:`BatchCapable`; the runner probes
-    for all three with ``getattr`` exactly as it does for batch trials.
+    for them with ``getattr`` exactly as it does for batch trials.
     """
+
+    def live_machine(self): ...
+
+    def lifetime_rng(self, seed: int) -> "np.random.Generator": ...
 
     def lifetime_trial(self, spec: LifetimeSpec, seed: int): ...
 
@@ -457,13 +465,13 @@ class TrafficCapable(Protocol):
     recovery hands back to the workload); ``traffic_trial`` runs one
     seeded :class:`TrafficSpec` workload on it and returns a
     :class:`~repro.api.traffic.TrafficOutcome`.  Constructions may
-    additionally expose ``supports_traffic_batch``/``run_traffic_batch``
-    with the same identical-outcome contract as :class:`BatchCapable`
-    (the batched path swaps the scalar engine for the vectorized kernel
-    of :mod:`repro.fastpath.traffic_batch`; workload generation is
-    shared).  The runner probes with ``getattr`` exactly as for the other
-    capabilities; hosts without a torus guest (the expander path) simply
-    don't expose it.
+    additionally expose ``run_traffic_batch(spec, seeds)`` with the same
+    identical-outcome contract as :class:`BatchCapable` (the batched path
+    swaps the scalar engine for the vectorized kernel of
+    :mod:`repro.fastpath.traffic_batch`, which covers every spec;
+    workload generation is shared).  The runner probes with ``getattr``
+    exactly as for the other capabilities; hosts without a torus guest
+    (the expander path) simply don't expose it.
     """
 
     def guest_shape(self) -> tuple: ...

@@ -236,24 +236,19 @@ def _lifetime_report(args: argparse.Namespace, result, checkpoints: list) -> int
     service snapshots of the aging machine."""
     if args.construction != "bn":
         return 0
-    from repro.core.params import BnParams
+    from repro.api import get
 
-    params = result.spec.params
-    bp = BnParams(
-        d=params.get("d", 2), b=params.get("b", 3),
-        s=params.get("s", 1), t=params.get("t", 2),
-    )
+    construction = get("bn", **result.spec.params)
+    bp = construction.params
     print(f"theory scale N*b^-3d = {bp.num_nodes * bp.paper_fault_probability:.1f}")
     if not args.traffic:
         return 0
-    from repro.core.bn import BTorus
     from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
 
     try:
         snap = lifetime_traffic_snapshots(
-            BTorus(bp), result.spec.grid[0], args.seed, checkpoints,
+            construction, result.spec.grid[0], args.seed, checkpoints,
             pattern=args.traffic, messages=args.messages,
-            strategy=params.get("strategy", "auto"),
             live_traffic=args.live_traffic,
             router=args.router,
         )

@@ -24,6 +24,14 @@ response:
   masking a fault superset stays valid for the subset.
 * failure raises, leaving the previous placement intact.
 
+Nodes are flat ids, as for every live machine (see
+:mod:`repro.api.lifetime`); ``BnConstruction.live_machine()`` returns
+this class, so lifetime trials, traffic snapshots and the serve daemon
+all run it through the same per-event step, which keeps the
+masked/replaced tallies in its ``LifetimeOutcome``; the machine keeps no
+per-event history, so its memory does not grow with the events it has
+seen.
+
 ``incremental=False`` is the *full-recompute* reference mode: every
 unmasked arrival rebuilds bands and torus through ``BTorus.recover``.
 Both modes run the identical placement chain (the same straight-cover
@@ -33,9 +41,7 @@ lifetimes — hypothesis-asserted in tests/test_online.py, wall-clock
 quantified in BENCH_lifetime.json.
 
 :func:`fault_lifetime` drives uniformly random arrivals until recovery
-first fails; :func:`run_online_timeline` drives any
-:class:`~repro.api.protocol.LifetimeSpec` timeline and returns the full
-:class:`~repro.api.lifetime.LifetimeOutcome`.
+first fails.
 """
 
 from __future__ import annotations
@@ -44,24 +50,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.lifetime import LifetimeOutcome, drive_timeline
+from repro.api.lifetime import drive_timeline
 from repro.api.protocol import LifetimeSpec
 from repro.core.bn import BTorus
 from repro.core.placement import place_straight_rows
 from repro.core.reconstruction import Recovery, extract_torus_straight
 from repro.errors import ReconstructionError
-from repro.util.rng import spawn_rng
 
-__all__ = ["OnlineRecovery", "RepairEvent", "fault_lifetime", "run_online_timeline"]
-
-
-@dataclass
-class RepairEvent:
-    fault: tuple
-    action: str  # "masked" | "replaced" | "repaired"
-    total_faults: int
-    #: For "replaced": which pipeline recomputed ("incremental" | "full").
-    mode: str = ""
+__all__ = ["OnlineRecovery", "fault_lifetime"]
 
 
 @dataclass
@@ -80,7 +76,6 @@ class OnlineRecovery:
     strategy: str = "auto"
     faults: np.ndarray = field(init=False)
     recovery: Recovery | None = field(init=False, default=None)
-    log: list[RepairEvent] = field(init=False, default_factory=list)
     #: Faults per dim-0 row, maintained so placement never rescans the array.
     _row_faults: np.ndarray = field(init=False, repr=False)
 
@@ -125,100 +120,52 @@ class OnlineRecovery:
         path is tested against."""
         return self.bt.recover(self.faults, strategy=self.strategy)
 
-    def add_fault(self, coord: tuple) -> RepairEvent:
-        """Register one arriving fault; repair if needed.
+    def add_fault(self, node: int) -> str:
+        """Register one arriving fault (flat node id); repair if needed.
+        Returns ``"masked"`` or ``"replaced"``.
 
         Raises :class:`ReconstructionError` when no placement exists any
         more (state keeps the previous valid placement and the new fault).
         """
-        coord = tuple(int(c) for c in coord)
+        coord = tuple(int(c) for c in np.unravel_index(node, self.faults.shape))
         was_faulty = bool(self.faults[coord])
         if not was_faulty:
             self.faults[coord] = True
             self._row_faults[coord[0]] += 1
         if was_faulty or self._already_masked(coord):
-            ev = RepairEvent(coord, "masked", self.num_faults)
-            self.log.append(ev)
-            return ev
-        rec = self._recompute()  # raises on failure
-        self.recovery = rec
-        mode = "incremental" if rec.stats.get("fast_straight") else "full"
-        ev = RepairEvent(coord, "replaced", self.num_faults, mode=mode)
-        self.log.append(ev)
-        return ev
+            return "masked"
+        self.recovery = self._recompute()  # raises on failure
+        return "replaced"
 
-    def remove_fault(self, coord: tuple) -> RepairEvent:
-        """A faulty node was repaired.  Never recomputes: the current
-        placement masks a superset of the remaining faults, so it stays
-        valid by monotonicity (the incremental-repair contract)."""
-        coord = tuple(int(c) for c in coord)
+    def remove_fault(self, node: int) -> None:
+        """A faulty node (flat id) was repaired.  Never recomputes: the
+        current placement masks a superset of the remaining faults, so it
+        stays valid by monotonicity (the incremental-repair contract)."""
+        coord = tuple(int(c) for c in np.unravel_index(node, self.faults.shape))
         if self.faults[coord]:
             self.faults[coord] = False
             self._row_faults[coord[0]] -= 1
-        ev = RepairEvent(coord, "repaired", self.num_faults)
-        self.log.append(ev)
-        return ev
-
-    def repair_fraction(self) -> float:
-        """Fraction of arrivals that needed a recomputation."""
-        arrivals = [e for e in self.log if e.action != "repaired"]
-        if not arrivals:
-            return 0.0
-        return sum(e.action == "replaced" for e in arrivals) / len(arrivals)
-
-
-def run_online_timeline(
-    online: OnlineRecovery,
-    spec: LifetimeSpec,
-    rng: np.random.Generator,
-    *,
-    observer=None,
-) -> LifetimeOutcome:
-    """Drive a fault timeline through an :class:`OnlineRecovery` until the
-    first unrecoverable arrival (or the timeline runs dry).
-
-    A thin backend over the shared :func:`~repro.api.lifetime.drive_timeline`
-    loop — the step/tally/failure semantics live there, common with the
-    generic full-recompute driver.  ``observer(arrivals_survived, online)``
-    — when given — is called after every survived arrival; the
-    traffic-snapshot machinery (:mod:`repro.sim.lifetime_traffic`) hooks
-    checkpoints through it.
-    """
-    shape = online.bt.params.shape
-
-    def on_fault(node: int) -> str:
-        return online.add_fault(np.unravel_index(node, shape)).action
-
-    def on_repair(node: int) -> None:
-        online.remove_fault(np.unravel_index(node, shape))
-
-    return drive_timeline(
-        spec, shape, rng,
-        on_fault=on_fault,
-        on_repair=on_repair,
-        observer=None if observer is None else (lambda n: observer(n, online)),
-    )
 
 
 def fault_lifetime(
-    bt: BTorus,
+    bn,
     seed: int,
     *,
     max_faults: int | None = None,
     incremental: bool = True,
 ) -> int:
-    """Inject uniformly random distinct faults one at a time until recovery
-    first fails; return how many were survived.
+    """Inject uniformly random distinct faults one at a time into the
+    registered ``bn`` construction ``bn`` until recovery first fails;
+    return how many were survived.
 
-    The RNG stream (``spawn_rng(seed, "lifetime", n, d)`` feeding one
-    permutation draw) is unchanged from the pre-subsystem implementation,
-    so historical lifetime numbers reproduce exactly.  ``incremental``
-    switches between the incremental and full-recompute repair pipelines
-    (same result either way; see :class:`OnlineRecovery`).
+    The RNG stream is ``bn.lifetime_rng(seed)`` feeding one permutation
+    draw, unchanged from the pre-subsystem implementation, so historical
+    lifetime numbers reproduce exactly.  ``incremental`` switches between
+    the incremental and full-recompute repair pipelines (same result
+    either way; see :class:`OnlineRecovery`).
     """
     if max_faults == 0:  # LifetimeSpec requires max_steps >= 1
         return 0
-    online = OnlineRecovery(bt, incremental=incremental)
-    rng = spawn_rng(seed, "lifetime", bt.params.n, bt.params.d)
+    machine = OnlineRecovery(bn.torus, incremental=incremental, strategy=bn.strategy)
     spec = LifetimeSpec(timeline="uniform", max_steps=max_faults)
-    return run_online_timeline(online, spec, rng).lifetime
+    return drive_timeline(spec, machine, bn.lifetime_rng(seed)).lifetime

@@ -2,7 +2,7 @@
 
 Advances a block of lifetime trials in lockstep over arrival steps:
 each trial's fault order comes from the *same* RNG stream as the scalar
-path (``spawn_rng(seed, "lifetime", n, d)``, one permutation draw — the
+path (``adapter.lifetime_rng(seed)``, one permutation draw — the
 RNG-compatibility contract) and is held in the smallest unsigned type
 that fits a node id; each step derives its fault rows from one
 column of it, the masked check is one broadcasted modular comparison
@@ -42,7 +42,6 @@ from repro.core.placement import place_straight_rows
 from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import _masks_cover, _straight_cover, cover_bytes_per_trial
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
-from repro.util.rng import spawn_rng
 
 __all__ = ["lifetime_bytes_per_trial", "run_bn_lifetime_batch"]
 
@@ -126,8 +125,7 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     orders = np.empty((trials, limit), dtype=np.min_scalar_type(size))
     record_buffer(orders.nbytes)
     for i, seed in enumerate(seeds):
-        rng = spawn_rng(seed, "lifetime", params.n, params.d)
-        orders[i] = rng.permutation(size)[:limit]
+        orders[i] = adapter.lifetime_rng(seed).permutation(size)[:limit]
 
     fault_rows = np.zeros((trials, m), dtype=bool)
     _, empty_cover = _straight_repairs(params, np.zeros((1, m), dtype=bool))

@@ -387,22 +387,15 @@ def simulate_batch(
     )
 
 
-def run_traffic_batch(
-    shape: tuple[int, ...], spec, seeds: Sequence[int],
-    max_batch_bytes: int | None = None,
-) -> list:
+def run_traffic_batch(shape: tuple[int, ...], spec, seeds: Sequence[int]) -> list:
     """Batched equivalent of ``[traffic_trial(spec, s) for s in seeds]``.
 
     Each seed's workload generation is shared with the scalar trial (same
     rng keying); only the engine differs, and :func:`simulate_batch`
     returns identical ``SimResult``\\ s, so the outcome sequence — and
-    hence experiment JSON — is identical by construction.
-
-    Traffic vectorizes over *messages within one trial*, never across
-    trials, so this kernel is already streamed one seed at a time:
-    ``max_batch_bytes`` is accepted for interface uniformity with the
-    other batch kernels (see ``fastpath/streaming.py``) and has nothing
-    to bound.
+    hence experiment JSON — is identical by construction.  Traffic
+    vectorizes over *messages within one trial*, never across trials,
+    so seeds run one at a time and there is no byte budget to honour.
     """
     from repro.api.traffic import run_traffic_trial
 

@@ -271,6 +271,14 @@ class ReproServer:
             except (KeyError, TypeError, ValueError) as exc:
                 self.telemetry.errors += 1
                 response = protocol.error_response(rid, "bad-request", str(exc))
+            except Exception as exc:
+                # A bug inside a handler: answer it and keep serving, so
+                # the client never waits on a request that died.
+                self.telemetry.errors += 1
+                log.exception("internal error in %r request from %s", op, conn.peer)
+                response = protocol.error_response(
+                    rid, "internal", f"{type(exc).__name__}: {exc}"
+                )
             self.telemetry.record_request(
                 op if isinstance(op, str) else "?", (time.perf_counter() - t0) * 1e3
             )

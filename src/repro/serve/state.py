@@ -1,26 +1,27 @@
 """Per-machine live state: lifetime ingestion, traffic queries, digests.
 
 :class:`MachineState` is the synchronous core the daemon owns per
-simulated machine — any registered construction at any size.  It applies
-fault/repair events with exactly the semantics of the offline lifetime
-path (:func:`repro.api.lifetime.drive_timeline`): ``bn`` machines run the
-genuinely incremental :class:`~repro.core.online.OnlineRecovery`
-pipeline, every other construction the generic full-recompute handlers.
-The contract is checkable: :meth:`MachineState.digest` canonicalises the
-machine state, and :func:`offline_digest` produces the same structure by
-driving the same :class:`~repro.api.protocol.LifetimeSpec` through the
-*offline* drivers — ingesting :func:`scripted_events` online must yield a
-byte-identical digest (asserted in tests/test_serve.py and gated by
-bench_e20).
+simulated machine — any registered construction at any size.  It holds
+the construction's live machine (``live_machine()``: the incremental
+:class:`~repro.core.online.OnlineRecovery` on ``bn``, the generic
+full-recompute machine elsewhere) and one
+:class:`~repro.api.lifetime.LifetimeOutcome`, and applies every event
+with :func:`~repro.api.lifetime.lifetime_step` — the step the offline
+:func:`~repro.api.lifetime.drive_timeline` loops.  The contract is
+checkable: :meth:`MachineState.digest` canonicalises the machine state,
+and :func:`offline_digest` builds the same structure after driving the
+same :class:`~repro.api.protocol.LifetimeSpec` offline — ingesting
+:func:`scripted_events` online must yield a byte-identical digest
+(asserted in tests/test_serve.py and gated by bench_e20).
 
-Traffic queries route through the **live** machine: on ``bn`` every
-message's e-cube route is mapped through the current embedding and
-checked against the live fault set
-(:func:`repro.sim.lifetime_traffic.route_health_mask`), broken-path
-messages are counted ``undeliverable``, and the survivors run on the
-vectorized kernel (:func:`repro.fastpath.traffic_batch.simulate_batch`).
-Constructions without the bn incremental machinery serve their pristine
-guest torus (their recovery re-embeds it whole after every event).
+Traffic queries route through the **live** machine with
+:func:`repro.sim.lifetime_traffic.serve_traffic`, the helper the
+``--live-traffic`` snapshots use: on ``bn`` every message's e-cube route
+is mapped through the current embedding and checked against the live
+fault set (or detoured around it), broken-path messages are counted
+``undeliverable``, and the rest run on the vectorized kernel.
+Constructions without a maintained embedding serve their pristine guest
+torus (their recovery re-embeds it whole after every event).
 
 :class:`MachineActor` is the asyncio wrapper: an ``asyncio.Lock`` (FIFO
 for waiters) serialises mutation per machine, so concurrent clients'
@@ -41,10 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.api.lifetime import timeline_for
+from repro.api.lifetime import LifetimeOutcome, drive_timeline, lifetime_step, timeline_events
 from repro.api.protocol import LifetimeSpec
 from repro.api.registry import get
-from repro.errors import ReconstructionError
 from repro.faults.registry import fault_model_names
 from repro.serve.telemetry import MachineTelemetry
 from repro.sim.metrics import latency_stats
@@ -63,14 +63,6 @@ __all__ = [
 DIGEST_FORMAT = "repro-serve-state-v1"
 
 
-def _lifetime_rng(construction, seed: int) -> np.random.Generator:
-    """The exact RNG stream the construction's offline lifetime path uses,
-    so online ingestion of :func:`scripted_events` replays it 1:1."""
-    if construction.name == "bn":
-        return spawn_rng(seed, "lifetime", construction.params.n, construction.params.d)
-    return spawn_rng(seed, f"{construction.name}-lifetime")
-
-
 def scripted_events(
     construction_key: str, params: dict, spec: LifetimeSpec, seed: int
 ) -> list[tuple[str, int]]:
@@ -79,14 +71,40 @@ def scripted_events(
     ``max_steps`` cutoff as :func:`repro.api.lifetime.drive_timeline`, so
     ingesting this list online reproduces the offline trial exactly."""
     construction = get(construction_key, **params)
-    shape = construction._lifetime_shape()
-    rng = _lifetime_rng(construction, seed)
-    events: list[tuple[str, int]] = []
-    for ev in timeline_for(spec).events(shape, rng):
-        if spec.max_steps is not None and ev.step >= spec.max_steps:
-            break
-        events.append((ev.kind, ev.node))
-    return events
+    events = timeline_events(
+        spec, construction._lifetime_shape(), construction.lifetime_rng(seed)
+    )
+    return [(ev.kind, ev.node) for ev in events]
+
+
+def _digest(construction_key: str, machine, outcome: LifetimeOutcome,
+            model_faults: dict | None = None) -> dict:
+    """Canonical state of a live machine and its tallies (see
+    :meth:`MachineState.digest`)."""
+    out = {
+        "format": DIGEST_FORMAT,
+        "construction": construction_key,
+        "alive": not outcome.failed,
+        "death_category": outcome.category if outcome.failed else "",
+        "lifetime": outcome.lifetime,
+        "masked": outcome.masked,
+        "replaced": outcome.replaced,
+        "repaired": outcome.repaired,
+        "num_faults": int(machine.faults.sum()),
+        "fault_nodes": [int(i) for i in np.flatnonzero(machine.faults)],
+    }
+    if model_faults:
+        # Only when model-tagged events were ingested: untagged sessions
+        # (and offline_digest, whose driver has no tags) omit the key, so
+        # online/offline byte-identity is preserved.
+        out["model_faults"] = {k: int(v) for k, v in sorted(model_faults.items())}
+    rec = machine.recovery
+    if rec is not None:
+        out["bottoms"] = [int(b) for b in np.asarray(rec.bands.bottoms).ravel()]
+        out["phi_crc32"] = int(
+            zlib.crc32(np.ascontiguousarray(rec.phi, dtype=np.int64).tobytes())
+        )
+    return out
 
 
 @dataclass
@@ -97,14 +115,10 @@ class MachineState:
     construction_key: str
     params: dict
     construction: object = field(init=False)
-    shape: tuple = field(init=False)
-    alive: bool = field(init=False, default=True)
-    death_category: str = field(init=False, default="")
-    #: Fault arrivals survived (the offline LifetimeOutcome.lifetime).
-    lifetime: int = field(init=False, default=0)
-    masked: int = field(init=False, default=0)
-    replaced: int = field(init=False, default=0)
-    repaired: int = field(init=False, default=0)
+    #: The construction's live machine (``live_machine()``).
+    machine: object = field(init=False)
+    #: Its tallies: the offline trial's record, advanced event by event.
+    outcome: LifetimeOutcome = field(init=False)
     #: Monotone per-machine sequence number of *applied* mutations — the
     #: serialisation witness concurrent clients observe.
     seq: int = field(init=False, default=0)
@@ -116,26 +130,18 @@ class MachineState:
     def __post_init__(self) -> None:
         self.params = dict(self.params)
         self.construction = get(self.construction_key, **self.params)
-        self.shape = tuple(int(s) for s in self.construction._lifetime_shape())
-        if self.construction_key == "bn":
-            from repro.core.online import OnlineRecovery
-
-            self._online = OnlineRecovery(
-                self.construction.torus,
-                incremental=True,
-                strategy=self.construction.strategy,
-            )
-            self._faults = self._online.faults
-        else:
-            self._online = None
-            self._faults = np.zeros(self.shape, dtype=bool)
-        self._flat = self._faults.ravel()
+        self.machine = self.construction.live_machine()
+        self.outcome = LifetimeOutcome(lifetime=0, steps=0, category="ok", failed=False)
 
     # -- introspection -------------------------------------------------------
 
     @property
+    def alive(self) -> bool:
+        return not self.outcome.failed
+
+    @property
     def num_faults(self) -> int:
-        return int(self._faults.sum())
+        return int(self.machine.faults.sum())
 
     def info(self) -> dict:
         c = self.construction
@@ -146,9 +152,9 @@ class MachineState:
             "params": dict(self.params),
             "num_nodes": int(c.num_nodes),
             "degree": int(c.degree),
-            "shape": list(self.shape),
+            "shape": list(self.machine.faults.shape),
             "guest_shape": None if guest is None else [int(s) for s in guest],
-            "incremental": self._online is not None,
+            "incremental": self.machine.recovery is not None,
         }
 
     # -- mutation (must be called under the actor's lock) --------------------
@@ -156,11 +162,11 @@ class MachineState:
     def apply_event(self, kind: str, node: int, model: str | None = None) -> dict:
         """Apply one fault/repair event; returns the applied record.
 
-        ``action`` is ``"masked"`` / ``"replaced"`` / ``"repaired"`` for
-        applied events, ``"failed"`` for the arrival that killed the
-        machine, ``"dead"`` for events acknowledged-but-ignored after
-        death — exactly the offline driver's semantics, where the trial
-        stops consuming the timeline at the first unrecoverable arrival.
+        ``action`` is :func:`~repro.api.lifetime.lifetime_step`'s:
+        ``"masked"`` / ``"replaced"`` / ``"repaired"`` for applied events,
+        ``"failed"`` for the arrival that killed the machine, ``"dead"``
+        for events acknowledged-but-ignored after death — the offline
+        trial stops consuming its timeline at the same arrival.
 
         ``model`` optionally tags a fault event with the registered
         :mod:`repro.faults` model that produced it (e.g. an operator
@@ -170,8 +176,9 @@ class MachineState:
         only when non-empty.
         """
         node = int(node)
-        if not (0 <= node < self._flat.size):
-            raise ValueError(f"node {node} out of range [0, {self._flat.size})")
+        size = self.machine.faults.size
+        if not (0 <= node < size):
+            raise ValueError(f"node {node} out of range [0, {size})")
         if kind not in ("fault", "repair"):
             raise ValueError(f"unknown event kind {kind!r} (fault | repair)")
         if model is not None:
@@ -180,53 +187,19 @@ class MachineState:
                 raise ValueError(
                     f"unknown fault model {model!r}; options: {', '.join(names)}"
                 )
-        if not self.alive:
-            self.telemetry.record_event(kind, "dead")
+        action = lifetime_step(self.machine, self.outcome, kind, node)
+        self.telemetry.record_event(kind, action)
+        if action == "dead":
             return {"seq": self.seq, "action": "dead", "num_faults": self.num_faults,
                     "alive": False}
-        if kind == "repair":
-            action = self._apply_repair(node)
-            self.repaired += 1
-        else:
-            if model is not None:
-                self.model_faults[model] = self.model_faults.get(model, 0) + 1
-            try:
-                action = self._apply_fault(node)
-            except ReconstructionError as exc:
-                self.alive = False
-                self.death_category = exc.category
-                self.seq += 1
-                self.telemetry.record_event(kind, "failed")
-                return {"seq": self.seq, "action": "failed",
-                        "category": exc.category,
-                        "num_faults": self.num_faults, "alive": False}
-            if action == "masked":
-                self.masked += 1
-            else:
-                self.replaced += 1
-            self.lifetime += 1
+        if kind == "fault" and model is not None:
+            self.model_faults[model] = self.model_faults.get(model, 0) + 1
         self.seq += 1
-        self.telemetry.record_event(kind, action)
-        return {"seq": self.seq, "action": action, "num_faults": self.num_faults,
-                "alive": True}
-
-    def _apply_fault(self, node: int) -> str:
-        if self._online is not None:
-            return self._online.add_fault(np.unravel_index(node, self.shape)).action
-        # Generic full-recompute handlers — the same semantics as
-        # repro.api.lifetime.run_timeline's on_fault.
-        if self._flat[node]:
-            return "masked"
-        self._flat[node] = True
-        self.construction._lifetime_recover(self._faults)  # raises on death
-        return "replaced"
-
-    def _apply_repair(self, node: int) -> str:
-        if self._online is not None:
-            self._online.remove_fault(np.unravel_index(node, self.shape))
-        else:
-            self._flat[node] = False
-        return "repaired"
+        out = {"seq": self.seq, "action": action, "num_faults": self.num_faults,
+               "alive": self.alive}
+        if action == "failed":
+            out["category"] = self.outcome.category
+        return out
 
     # -- queries -------------------------------------------------------------
 
@@ -253,7 +226,7 @@ class MachineState:
         undeliverable.  ``qos_classes``/``credits`` enable priority
         arbitration and credit flow control exactly as in
         :class:`~repro.api.protocol.TrafficSpec`.  Constructions without
-        the bn incremental machinery serve their pristine guest torus
+        a maintained embedding serve their pristine guest torus
         (recovery re-embeds it whole).
         """
         c = self.construction
@@ -267,11 +240,7 @@ class MachineState:
         if max_cycles < 0:
             raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
         from repro.api.traffic import message_classes
-        from repro.fastpath.traffic_batch import (
-            build_routes_batch,
-            routes_batch,
-            simulate_batch,
-        )
+        from repro.sim.lifetime_traffic import serve_traffic
         from repro.sim.routing import ROUTERS
 
         if router not in ROUTERS:
@@ -279,49 +248,17 @@ class MachineState:
         guest = tuple(int(s) for s in c.guest_shape())
         rng = spawn_rng(int(seed), "serve-traffic", pattern)
         traffic = make_traffic(guest, pattern, int(messages), rng)
-        offered = len(traffic)
         # Classes are assigned by original message id, before any
         # deliverability filtering, so a message keeps its class no matter
         # which router or fault set it meets.
         classes = message_classes(len(traffic), int(qos_classes))
-        live_path = bool(live) and self._online is not None
-        # Routes are built once per query and shared by the health check,
-        # the simulation and the utilisation sum below.
-        if live_path and router == "adaptive":
-            from repro.sim.routing import embedded_predicates
-
-            g_ok, ge_ok = embedded_predicates(
-                self._online.recovery.phi, self._flat, c.torus.bn.is_adjacent
-            )
-            nodes, lengths, routable = build_routes_batch(
-                guest, traffic, router="adaptive", node_ok=g_ok, edge_ok=ge_ok
-            )
-            undeliverable = int((~routable).sum())
-        else:
-            nodes, lengths = routes_batch(guest, traffic)
-            routable = np.ones(len(traffic), dtype=bool)
-            undeliverable = 0
-            if live_path:
-                from repro.sim.lifetime_traffic import route_health_mask
-
-                # Only messages whose mapped route is healthy are simulated.
-                deliverable = route_health_mask(
-                    nodes, self._online.recovery.phi, self._flat,
-                    c.torus.bn.is_adjacent,
-                )
-                undeliverable = int((~deliverable).sum())
-                traffic, nodes, lengths, routable = (
-                    traffic[deliverable], nodes[deliverable],
-                    lengths[deliverable], routable[deliverable],
-                )
-                if classes is not None:
-                    classes = classes[deliverable]
-        result = simulate_batch(
-            guest, traffic, max_cycles=max_cycles, classes=classes,
-            credits=credits, routes=(nodes, lengths, routable),
+        live_path = bool(live) and self.machine.recovery is not None
+        result, undeliverable, lengths, classes = serve_traffic(
+            guest, traffic, self.machine if live_path else None, router=router,
+            max_cycles=max_cycles, classes=classes, credits=credits,
         )
         stats = latency_stats(result)
-        stats["offered"] = offered
+        stats["offered"] = len(traffic)
         stats["undeliverable"] = undeliverable
         stats["cycles"] = int(result.cycles)
         stats["max_queue"] = int(result.max_queue)
@@ -346,7 +283,7 @@ class MachineState:
         """Lemma-4 healthiness of the live fault set (``bn`` only)."""
         if self.construction_key != "bn":
             return None
-        report = self.construction.torus.check_health(self._faults)
+        report = self.construction.torus.check_health(self.machine.faults)
         return {
             "healthy": report.healthy,
             "sufficient": report.sufficient,
@@ -363,8 +300,8 @@ class MachineState:
             "machine": self.name,
             "construction": self.construction_key,
             "alive": self.alive,
-            "death_category": self.death_category,
-            "arrivals_survived": self.lifetime,
+            "death_category": self.outcome.category if self.outcome.failed else "",
+            "arrivals_survived": self.outcome.lifetime,
             "live_faults": self.num_faults,
             #: faulty nodes still awaiting a repair event
             "repair_backlog": self.num_faults,
@@ -385,30 +322,7 @@ class MachineState:
         :func:`repro.util.serialization.save_json` semantics and compare
         bytes — :func:`offline_digest` produces the matching reference.
         """
-        out = {
-            "format": DIGEST_FORMAT,
-            "construction": self.construction_key,
-            "alive": self.alive,
-            "death_category": self.death_category,
-            "lifetime": self.lifetime,
-            "masked": self.masked,
-            "replaced": self.replaced,
-            "repaired": self.repaired,
-            "num_faults": self.num_faults,
-            "fault_nodes": [int(i) for i in np.flatnonzero(self._flat)],
-        }
-        if self.model_faults:
-            # Only when model-tagged events were ingested: untagged sessions
-            # (and offline_digest, whose driver has no tags) omit the key, so
-            # online/offline byte-identity is preserved.
-            out["model_faults"] = {k: int(v) for k, v in sorted(self.model_faults.items())}
-        if self._online is not None and self._online.recovery is not None:
-            rec = self._online.recovery
-            out["bottoms"] = [int(b) for b in np.asarray(rec.bands.bottoms).ravel()]
-            out["phi_crc32"] = int(
-                zlib.crc32(np.ascontiguousarray(rec.phi, dtype=np.int64).tobytes())
-            )
-        return out
+        return _digest(self.construction_key, self.machine, self.outcome, self.model_faults)
 
 
 def offline_digest(
@@ -416,63 +330,17 @@ def offline_digest(
 ) -> dict:
     """Digest of the state the *offline* lifetime path leaves behind.
 
-    Drives ``spec`` through the construction's own offline driver — the
-    incremental :class:`~repro.core.online.OnlineRecovery` pipeline for
-    ``bn`` (:func:`repro.core.online.run_online_timeline`), the shared
-    :func:`~repro.api.lifetime.drive_timeline` loop with the generic
-    full-recompute handlers elsewhere — and canonicalises the final state
-    in the exact :meth:`MachineState.digest` structure.  Ingesting
+    Drives ``spec`` through :func:`~repro.api.lifetime.drive_timeline` on
+    a fresh live machine of the construction — the loop a lifetime trial
+    runs — and canonicalises the final state in the exact
+    :meth:`MachineState.digest` structure.  Ingesting
     :func:`scripted_events` for the same ``(spec, seed)`` into a live
     daemon must produce byte-identical JSON.
     """
     construction = get(construction_key, **params)
-    rng = _lifetime_rng(construction, seed)
-    if construction_key == "bn":
-        from repro.core.online import OnlineRecovery, run_online_timeline
-
-        online = OnlineRecovery(
-            construction.torus, incremental=True, strategy=construction.strategy
-        )
-        outcome = run_online_timeline(online, spec, rng)
-        faults_flat = online.faults.ravel()
-        recovery = online.recovery
-    else:
-        from repro.api.lifetime import drive_timeline
-
-        shape = tuple(int(s) for s in construction._lifetime_shape())
-        faults = np.zeros(shape, dtype=bool)
-        faults_flat = faults.ravel()
-
-        def on_fault(node: int) -> str:
-            if faults_flat[node]:
-                return "masked"
-            faults_flat[node] = True
-            construction._lifetime_recover(faults)
-            return "replaced"
-
-        def on_repair(node: int) -> None:
-            faults_flat[node] = False
-
-        outcome = drive_timeline(spec, shape, rng, on_fault=on_fault, on_repair=on_repair)
-        recovery = None
-    out = {
-        "format": DIGEST_FORMAT,
-        "construction": construction_key,
-        "alive": not outcome.failed,
-        "death_category": outcome.category if outcome.failed else "",
-        "lifetime": outcome.lifetime,
-        "masked": outcome.masked,
-        "replaced": outcome.replaced,
-        "repaired": outcome.repaired,
-        "num_faults": int(faults_flat.sum()),
-        "fault_nodes": [int(i) for i in np.flatnonzero(faults_flat)],
-    }
-    if recovery is not None:
-        out["bottoms"] = [int(b) for b in np.asarray(recovery.bands.bottoms).ravel()]
-        out["phi_crc32"] = int(
-            zlib.crc32(np.ascontiguousarray(recovery.phi, dtype=np.int64).tobytes())
-        )
-    return out
+    machine = construction.live_machine()
+    outcome = drive_timeline(spec, machine, construction.lifetime_rng(seed))
+    return _digest(construction_key, machine, outcome)
 
 
 class MachineActor:

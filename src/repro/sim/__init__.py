@@ -51,8 +51,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Lazy: lifetime_traffic pulls in the whole core/online stack, which
-    # plain simulator users (and the sim tests) never need.
+    # Lazy: lifetime_traffic pulls in the lifetime API and the embedding
+    # verifier, which plain simulator users (and the sim tests) never need.
     if name == "lifetime_traffic_snapshots":
         from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
 

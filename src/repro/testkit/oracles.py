@@ -456,7 +456,7 @@ def trial_backend_oracle(construction, spec, seeds: Sequence[int]) -> OracleRepo
         scalar_one = getattr(construction, "lifetime_trial", None)
     elif isinstance(spec, TrafficSpec):
         kind = "traffic"
-        supports = getattr(construction, "supports_traffic_batch", None)
+        supports = None  # the traffic kernel covers every spec
         run = getattr(construction, "run_traffic_batch", None)
         scalar_one = getattr(construction, "traffic_trial", None)
     else:
@@ -630,8 +630,9 @@ def repair_mode_oracle(params, cases: Sequence[tuple[int, LifetimeSpec]]) -> Ora
     structurally validated (and, when the trial survived, checked to
     mask every registered fault).
     """
+    from repro.api.lifetime import drive_timeline
     from repro.core.bn import BTorus
-    from repro.core.online import OnlineRecovery, run_online_timeline
+    from repro.core.online import OnlineRecovery
     from repro.errors import ReconstructionError
     from repro.util.rng import spawn_rng
 
@@ -640,8 +641,8 @@ def repair_mode_oracle(params, cases: Sequence[tuple[int, LifetimeSpec]]) -> Ora
     for seed, spec in cases:
         inc = OnlineRecovery(bt, incremental=True)
         full = OnlineRecovery(bt, incremental=False)
-        out_inc = run_online_timeline(inc, spec, spawn_rng(seed, "eq", spec.label()))
-        out_full = run_online_timeline(full, spec, spawn_rng(seed, "eq", spec.label()))
+        out_inc = drive_timeline(spec, inc, spawn_rng(seed, "eq", spec.label()))
+        out_full = drive_timeline(spec, full, spawn_rng(seed, "eq", spec.label()))
         report.cases += 1
         at = f"case[seed={seed},{spec.label()}]"
         report.mismatches += diff_values(

@@ -150,6 +150,33 @@ class TestCapability:
             b.lifetime, b.category, b.masked, b.replaced,
         )
 
+    @pytest.mark.parametrize("strategy", ["auto", "straight"])
+    def test_every_consumer_draws_one_lifetime_stream(self, strategy):
+        """A bn trial's lifetime is the same number whichever consumer
+        runs it: ``lifetime_trial``, the batched kernel, a traffic
+        snapshot run and a serve machine fed the scripted events."""
+        from repro.serve.state import MachineState, scripted_events
+        from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
+
+        params = {**BN, "strategy": strategy}
+        bn = get("bn", **params)
+        spec = LifetimeSpec()
+        seeds = list(range(20))
+        trial = [bn.lifetime_trial(spec, s).lifetime for s in seeds]
+        batch = [o.lifetime for o in bn.run_lifetime_batch(spec, seeds)]
+        snapshot = [
+            lifetime_traffic_snapshots(bn, spec, s, [], messages=8)["lifetime"]
+            for s in seeds
+        ]
+        served = []
+        for s in seeds:
+            state = MachineState("m", "bn", params)
+            for kind, node in scripted_events("bn", params, spec, s):
+                state.apply_event(kind, node)
+            served.append(state.digest()["lifetime"])
+        assert trial == batch == snapshot == served
+        assert len(set(trial)) > 1
+
     def test_bn_batch_gate(self):
         bn = get("bn", **BN)
         assert bn.supports_lifetime_batch(LifetimeSpec())

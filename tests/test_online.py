@@ -16,9 +16,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from collections import Counter
+
+from repro.api.adapters import BnConstruction
+from repro.api.lifetime import LifetimeOutcome, drive_timeline, lifetime_step, timeline_events
 from repro.api.protocol import LifetimeSpec
 from repro.core.bn import BTorus
-from repro.core.online import OnlineRecovery, fault_lifetime, run_online_timeline
+from repro.core.online import OnlineRecovery, fault_lifetime
 from repro.errors import ReconstructionError
 from repro.testkit.oracles import repair_mode_oracle
 from repro.testkit.strategies import timeline_cases
@@ -30,6 +34,11 @@ def online(bn2_small):
     return OnlineRecovery(BTorus(bn2_small))
 
 
+def node(online, *coord) -> int:
+    """Flat node id of a coordinate (live machines take flat ids)."""
+    return int(np.ravel_multi_index(coord, online.faults.shape))
+
+
 class TestOnlineRecovery:
     def test_starts_clean(self, online):
         assert online.num_faults == 0
@@ -38,8 +47,7 @@ class TestOnlineRecovery:
     def test_masked_fault_is_noop(self, online):
         # a node under band 0 of column 0 is already masked
         bottom = int(online.recovery.bands.bottoms[0, 0])
-        ev = online.add_fault((bottom, 0))
-        assert ev.action == "masked"
+        assert online.add_fault(node(online, bottom, 0)) == "masked"
 
     def test_masked_fault_keeps_placement_object_identity(self, online):
         """The incremental-repair contract: masked events may not touch the
@@ -47,15 +55,14 @@ class TestOnlineRecovery:
         rec_before = online.recovery
         bands_before = online.recovery.bands
         bottom = int(online.recovery.bands.bottoms[0, 0])
-        online.add_fault((bottom, 0))
+        online.add_fault(node(online, bottom, 0))
         assert online.recovery is rec_before
         assert online.recovery.bands is bands_before
 
     def test_unmasked_fault_triggers_replacement(self, online):
         row = int(online.recovery.bands.unmasked_rows(0)[0])
-        ev = online.add_fault((row, 0))
-        assert ev.action == "replaced"
-        assert ev.mode == "incremental"
+        assert online.add_fault(node(online, row, 0)) == "replaced"
+        assert online.recovery.stats.get("fast_straight")  # the incremental pipeline
         # new placement must mask it
         assert online._already_masked((row, 0))
 
@@ -63,12 +70,11 @@ class TestOnlineRecovery:
         """A repeat arrival on a faulty node is absorbed as masked: the
         fault count, row profile and placement all stay put."""
         row = int(online.recovery.bands.unmasked_rows(0)[0])
-        online.add_fault((row, 0))
+        online.add_fault(node(online, row, 0))
         n_before = online.num_faults
         rec_before = online.recovery
         profile_before = online._row_faults.copy()
-        ev = online.add_fault((row, 0))
-        assert ev.action == "masked"
+        assert online.add_fault(node(online, row, 0)) == "masked"
         assert online.num_faults == n_before
         assert online.recovery is rec_before
         assert (online._row_faults == profile_before).all()
@@ -76,7 +82,7 @@ class TestOnlineRecovery:
     def test_embedding_avoids_all_registered_faults(self, online):
         rows = online.recovery.bands.unmasked_rows(5)
         for r in rows[:2]:
-            online.add_fault((int(r), 5))
+            online.add_fault(node(online, int(r), 5))
         assert not online.faults.ravel()[online.recovery.phi].any()
 
     def test_failure_keeps_previous_state(self, online, bn2_small):
@@ -84,9 +90,8 @@ class TestOnlineRecovery:
         rng = np.random.default_rng(0)
         failed = False
         for flat in rng.permutation(bn2_small.num_nodes)[:60]:
-            coord = np.unravel_index(int(flat), bn2_small.shape)
             try:
-                online.add_fault(coord)
+                online.add_fault(int(flat))
             except ReconstructionError:
                 failed = True
                 break
@@ -95,19 +100,20 @@ class TestOnlineRecovery:
 
     def test_remove_fault_never_recomputes(self, online):
         row = int(online.recovery.bands.unmasked_rows(0)[0])
-        online.add_fault((row, 0))
+        online.add_fault(node(online, row, 0))
         rec = online.recovery
-        ev = online.remove_fault((row, 0))
-        assert ev.action == "repaired"
+        online.remove_fault(node(online, row, 0))
         assert online.recovery is rec
         assert online.num_faults == 0
         assert online._row_faults.sum() == 0
 
     def test_repair_fraction_ignores_repair_events(self, online):
+        out = LifetimeOutcome(lifetime=0, steps=0, category="ok", failed=False)
         bottom = int(online.recovery.bands.bottoms[0, 0])
-        online.add_fault((bottom, 0))
-        online.remove_fault((bottom, 0))
-        assert online.repair_fraction() == 0.0
+        lifetime_step(online, out, "fault", node(online, bottom, 0))
+        lifetime_step(online, out, "repair", node(online, bottom, 0))
+        assert (out.masked, out.replaced, out.repaired) == (1, 0, 1)
+        assert out.repair_fraction() == 0.0
 
     def test_masked_check_uses_shared_band_predicate(self, online):
         """_already_masked delegates to BandSet.covers — the same predicate
@@ -136,16 +142,16 @@ class TestIncrementalEqualsFull:
         report.raise_on_mismatch()
 
     def test_fault_lifetime_modes_agree(self, bn2_small):
-        bt = BTorus(bn2_small)
+        bn = BnConstruction(bn2_small)
         for seed in range(20):
-            assert fault_lifetime(bt, seed, incremental=True) == fault_lifetime(
-                bt, seed, incremental=False
+            assert fault_lifetime(bn, seed, incremental=True) == fault_lifetime(
+                bn, seed, incremental=False
             )
 
     def test_full_recompute_oracle_matches_current_state(self, online):
         rows = online.recovery.bands.unmasked_rows(0)
         for r in rows[:3]:
-            online.add_fault((int(r), 0))
+            online.add_fault(node(online, int(r), 0))
         oracle = online.full_recompute()
         assert (oracle.bands.bottoms == online.recovery.bands.bottoms).all()
         assert (oracle.phi == online.recovery.phi).all()
@@ -153,44 +159,48 @@ class TestIncrementalEqualsFull:
 
 class TestLifetime:
     def test_lifetime_positive_and_reproducible(self, bn2_small):
-        bt = BTorus(bn2_small)
-        a = fault_lifetime(bt, seed=1, max_faults=40)
-        b = fault_lifetime(bt, seed=1, max_faults=40)
+        bn = BnConstruction(bn2_small)
+        a = fault_lifetime(bn, seed=1, max_faults=40)
+        b = fault_lifetime(bn, seed=1, max_faults=40)
         assert a == b
         assert a >= 3  # survives at least a few random faults
 
     def test_lifetime_cap(self, bn2_small):
-        bt = BTorus(bn2_small)
-        assert fault_lifetime(bt, seed=2, max_faults=2) <= 2
-        assert fault_lifetime(bt, seed=2, max_faults=0) == 0
+        bn = BnConstruction(bn2_small)
+        assert fault_lifetime(bn, seed=2, max_faults=2) <= 2
+        assert fault_lifetime(bn, seed=2, max_faults=0) == 0
 
     def test_lifetime_seed_determinism_across_instances(self, bn2_small):
-        """Same seed, fresh BTorus objects: identical lifetime (the stream
-        is keyed by (seed, 'lifetime', n, d), not object state)."""
-        a = fault_lifetime(BTorus(bn2_small), seed=11)
-        b = fault_lifetime(BTorus(bn2_small), seed=11)
+        """Same seed, fresh construction objects: identical lifetime (the
+        stream is keyed by (seed, 'lifetime', n, d), not object state)."""
+        a = fault_lifetime(BnConstruction(bn2_small), seed=11)
+        b = fault_lifetime(BnConstruction(bn2_small), seed=11)
         assert a == b
-        assert fault_lifetime(BTorus(bn2_small), seed=12) >= 0  # different stream runs
+        assert fault_lifetime(BnConstruction(bn2_small), seed=12) >= 0  # different stream runs
 
     def test_run_online_timeline_outcome_fields(self, bn2_small):
         bt = BTorus(bn2_small)
         online = OnlineRecovery(bt)
-        out = run_online_timeline(online, LifetimeSpec(), spawn_rng(0, "fields"))
+        out = drive_timeline(LifetimeSpec(), online, spawn_rng(0, "fields"))
         assert out.failed and out.category != "ok"
         assert out.lifetime == out.masked + out.replaced
         assert out.steps == out.lifetime + 1  # the killing arrival consumed a step
 
     def test_log_consistency(self, bn2_small):
-        """Event log mirrors the outcome tallies and masked events carry no
-        mode tag."""
-        bt = BTorus(bn2_small)
-        online = OnlineRecovery(bt)
-        out = run_online_timeline(
-            online, LifetimeSpec(timeline="uniform", repair_rate=0.3, max_steps=60),
-            spawn_rng(4, "log"),
+        """The outcome's tallies count exactly the actions lifetime_step
+        returned, event by event, drive_timeline keeps the same tallies,
+        and repair_fraction reads them."""
+        spec = LifetimeSpec(timeline="uniform", repair_rate=0.3, max_steps=60)
+        online = OnlineRecovery(BTorus(bn2_small))
+        out = LifetimeOutcome(lifetime=0, steps=0, category="ok", failed=False)
+        actions = Counter(
+            lifetime_step(online, out, ev.kind, ev.node)
+            for ev in timeline_events(spec, online.faults.shape, spawn_rng(4, "log"))
         )
-        log = online.log
-        assert sum(e.action == "masked" for e in log) == out.masked
-        assert sum(e.action == "replaced" for e in log) == out.replaced
-        assert sum(e.action == "repaired" for e in log) == out.repaired
-        assert all(e.mode == "" for e in log if e.action != "replaced")
+        assert actions["repaired"] == out.repaired > 0
+        assert (actions["masked"], actions["replaced"]) == (out.masked, out.replaced)
+        assert out.lifetime == out.masked + out.replaced
+        driven = drive_timeline(spec, OnlineRecovery(BTorus(bn2_small)), spawn_rng(4, "log"))
+        tallies = ("lifetime", "masked", "replaced", "repaired", "failed", "category")
+        assert [getattr(driven, k) for k in tallies] == [getattr(out, k) for k in tallies]
+        assert out.repair_fraction() == out.replaced / (out.masked + out.replaced)

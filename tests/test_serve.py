@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api.protocol import LifetimeSpec
+from repro.api.registry import available
 from repro.serve import protocol
 from repro.serve.client import LoadGenConfig, LoadGenerator, ServeClient, ServeRequestError
 from repro.serve.server import ReproServer, ServeConfig, ServeError
@@ -401,6 +402,29 @@ class TestDeterminism:
             offline_digest("bn", BN_PARAMS, BN_SPEC, seed=3)
         )
 
+    #: Constructions the tests above already check.
+    COVERED = {"bn", "sparerows"}
+    #: A small instance of every other registered construction.
+    SMALL = {
+        "alon_chung": {"n": 20},
+        "an": {},
+        "dn": {"n": 20, "b": 2},
+        "replication": {"n": 4},
+    }
+
+    @pytest.mark.parametrize("construction", sorted(set(available()) - COVERED))
+    def test_every_construction_matches_offline_digest(self, construction):
+        assert construction in self.SMALL, f"add a small {construction!r} instance to SMALL"
+        params = self.SMALL[construction]
+        spec = LifetimeSpec(timeline="uniform", repair_rate=0.1, max_steps=40)
+        events = scripted_events(construction, params, spec, 1)
+        state = MachineState("m", construction, params)
+        for kind, node in events:
+            state.apply_event(kind, node)
+        assert canonical(state.digest()) == canonical(
+            offline_digest(construction, params, spec, 1)
+        )
+
     def test_scripted_session_is_reproducible(self):
         a, b = scripted_session(), scripted_session()
         assert canonical(a) == canonical(b)
@@ -444,8 +468,8 @@ class TestTrafficQueries:
             state.apply_event(kind, node)
         # Faults the embedding was never repaired around, so some e-cube
         # routes cross them and the adaptive router has detours to search.
-        phi = np.asarray(state._online.recovery.phi).ravel()
-        state._flat[phi[[5, 77, 140]]] = True
+        phi = np.asarray(state.machine.recovery.phi).ravel()
+        state.machine.faults.ravel()[phi[[5, 77, 140]]] = True
         return state
 
     @pytest.mark.parametrize(
@@ -486,6 +510,39 @@ class TestTrafficQueries:
             assert stats["undeliverable"] < broken
         else:
             assert calls["adaptive_route"] == 0
+
+
+class TestMemory:
+    def test_event_ingestion_memory_stays_flat(self):
+        """A machine keeps no per-event history: from 2k to 20k
+        fault/repair events its traced memory grows by under 64 KiB (an
+        event log grew it by about 3 MB)."""
+        import gc
+        import random
+        import tracemalloc
+
+        state = MachineState("m", "bn", BN_PARAMS)
+        rng = random.Random(0)
+        size = state.info()["num_nodes"]
+
+        def feed(events: int) -> None:
+            for _ in range(events // 2):
+                node = rng.randrange(size)
+                state.apply_event("fault", node)
+                state.apply_event("repair", node)
+
+        feed(2_000)
+        tracemalloc.start()
+        try:
+            gc.collect()  # a full collection also empties the free lists
+            before = tracemalloc.get_traced_memory()[0]
+            feed(18_000)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert state.alive and state.seq == 20_000
+        assert growth < 64 * 1024
 
 
 class TestTelemetryPrimitives:
@@ -595,6 +652,44 @@ class TestModelTaggedEvents:
 
 
 class TestServeErrors:
+    def test_handler_exception_is_answered_as_internal(self, monkeypatch, caplog):
+        """An unexpected exception inside a handler gets an ``internal``
+        error frame; the connection, the machine and its ``seq`` survive."""
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("query exploded")
+
+        async def go():
+            server = await _started_server()
+            try:
+                c = await ServeClient.connect("127.0.0.1", server.port)
+                await c.request("create", machine="m", construction="bn",
+                                params=BN_PARAMS)
+                for kind, node in scripted_events("bn", BN_PARAMS, BN_SPEC, 3)[:10]:
+                    await c.request("event", machine="m", kind=kind, node=node)
+                seq = (await c.request("telemetry", machine="m"))["seq"]
+                digest = await c.request("digest", machine="m")
+                monkeypatch.setattr(MachineState, "traffic_query", broken)
+                with pytest.raises(ServeRequestError) as err:
+                    await c.request("traffic", machine="m", messages=4)
+                pong = await c.request("ping")
+                after = (await c.request("telemetry", machine="m"))["seq"]
+                after_digest = await c.request("digest", machine="m")
+                errors = server.telemetry.errors
+                await c.close()
+                return err.value, pong, (seq, after), (digest, after_digest), errors
+            finally:
+                await _stop(server)
+
+        err, pong, seqs, digests, errors = asyncio.run(asyncio.wait_for(go(), 30))
+        assert err.code == "internal" and "query exploded" in str(err)
+        assert pong == {"pong": True}
+        assert seqs[0] == seqs[1] == 10
+        assert canonical(digests[0]) == canonical(digests[1])
+        assert errors == 1
+        assert any(r.exc_info and "internal error" in r.getMessage()
+                   for r in caplog.records)
+
     def test_create_machine_validation(self):
         server = ReproServer()
         with pytest.raises(ServeError):

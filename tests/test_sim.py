@@ -143,12 +143,12 @@ class TestEngine:
 
 class TestLifetimeTraffic:
     def test_snapshots_on_evolving_network(self, bn2_small):
+        from repro.api.adapters import BnConstruction
         from repro.api.protocol import LifetimeSpec
-        from repro.core.bn import BTorus
         from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
 
         report = lifetime_traffic_snapshots(
-            BTorus(bn2_small), LifetimeSpec(), seed=0,
+            BnConstruction(bn2_small), LifetimeSpec(), seed=0,
             checkpoints=[2, 4, 10_000], messages=60,
         )
         assert report["lifetime"] > 0
@@ -170,8 +170,8 @@ class TestLifetimeTraffic:
             assert 0 < snap["num_faults"] <= snap["arrivals"]
 
     def test_live_traffic_measures_and_matches(self, bn2_small, monkeypatch):
+        from repro.api.adapters import BnConstruction
         from repro.api.protocol import LifetimeSpec
-        from repro.core.bn import BTorus
         from repro.fastpath import traffic_batch
         from repro.sim.lifetime_traffic import lifetime_traffic_snapshots
 
@@ -184,14 +184,14 @@ class TestLifetimeTraffic:
 
         monkeypatch.setattr(traffic_batch, "routes_batch", counted_routes)
         live = lifetime_traffic_snapshots(
-            BTorus(bn2_small), LifetimeSpec(), seed=0,
+            BnConstruction(bn2_small), LifetimeSpec(), seed=0,
             checkpoints=[2], messages=60, live_traffic=True,
         )
         # One route build per checkpoint serves the health check and the
         # simulation.
         assert len(builds) == 1
         assumed = lifetime_traffic_snapshots(
-            BTorus(bn2_small), LifetimeSpec(), seed=0,
+            BnConstruction(bn2_small), LifetimeSpec(), seed=0,
             checkpoints=[2], messages=60,
         )
         snap = live["snapshots"][0]
