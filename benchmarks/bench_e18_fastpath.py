@@ -322,10 +322,11 @@ def regenerate_runner_json() -> dict:
             f"recorded on a {cpus}-CPU runner (machine_cpus); the pool splits "
             "work into worker-count-independent seed chunks, so on an N-core "
             "host the same spec fans out ~N-fold with byte-identical output. "
-            "The streaming runner consumes one reused pool via "
-            "imap_unordered (and skips the pool outright for one task or "
-            "workers=1), so workers>1 costs only a few percent even with a "
-            "single CPU — the historical per-run pool spawn cost ~15%. "
+            "The streaming runner submits its work units to one process "
+            "pool, a few in flight per worker (and skips the pool outright "
+            "for one task or workers=1), so workers>1 costs only a few "
+            "percent even with a single CPU — the historical per-run pool "
+            "spawn cost ~15%. "
             "The vectorized batch backend (seconds_batch_backend) still "
             "dominates either way on Bernoulli bn/an points."
         ),

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from repro.analysis.stats import wilson_interval
 from repro.api.outcome import TrialOutcome
 
-__all__ = ["MCMerge", "MCResult", "aggregate_outcomes"]
+__all__ = ["MCResult", "aggregate_outcomes"]
 
 
 @dataclass
@@ -32,6 +32,9 @@ class MCResult:
     health_checked: int = 0
     mean_faults: float = 0.0
     strategies: Counter = field(default_factory=Counter)
+    #: Running ``sum(mean_faults * trials)`` of :meth:`add` (execution
+    #: state: never compared, printed or serialised).
+    _fault_sum: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def success_rate(self) -> float:
@@ -90,56 +93,33 @@ class MCResult:
             strategies=Counter(d.get("strategies", {})),
         )
 
-    @classmethod
-    def merger(cls) -> "MCMerge":
-        """An incremental accumulator equivalent to :meth:`merged`.
+    def add(self, part: "MCResult") -> None:
+        """Merge a disjoint trial batch into this result, in place.
 
-        The streaming runner folds chunks one at a time instead of
-        collecting them; routing both paths through the same accumulator
-        guarantees the float operation sequence — and hence the JSON —
-        is identical by construction, not by parallel maintenance.
+        All tallies are integer sums; ``mean_faults`` is the trial-weighted
+        mean of a running ``sum(mean_faults * trials)`` divided once per
+        ``add`` — adding the same parts in the same order always
+        reproduces the same float, which is what makes serial, parallel
+        and resumed experiment runs byte-identical.
         """
-        return MCMerge(cls)
+        if self._fault_sum is None:
+            self._fault_sum = self.mean_faults * self.trials
+        self.trials += part.trials
+        self.successes += part.successes
+        self.categories.update(part.categories)
+        self.healthy += part.healthy
+        self.sufficient += part.sufficient
+        self.health_checked += part.health_checked
+        self.strategies.update(part.strategies)
+        self._fault_sum += part.mean_faults * part.trials
+        self.mean_faults = self._fault_sum / self.trials if self.trials else 0.0
 
     @classmethod
     def merged(cls, parts: Sequence["MCResult"]) -> "MCResult":
-        """Deterministic merge of disjoint trial batches.
-
-        All tallies are integer sums; ``mean_faults`` is the trial-weighted
-        mean accumulated in the order of ``parts`` — merging the same parts
-        in the same order always reproduces the same float, which is what
-        makes serial and parallel experiment runs byte-identical.
-        """
-        merge = cls.merger()
+        """Deterministic merge of disjoint trial batches, in order."""
+        out = cls(trials=0, successes=0)
         for part in parts:
-            merge.add(part)
-        return merge.finish()
-
-
-class MCMerge:
-    """Incremental :meth:`MCResult.merged`: ``add`` parts in chunk order,
-    then ``finish`` exactly once.  ``mean_faults`` keeps the running
-    ``total_faults`` float and divides only at the end — the same
-    operation sequence as the one-shot merge, ulp for ulp."""
-
-    def __init__(self, cls: type = None) -> None:
-        self._out = (cls or MCResult)(trials=0, successes=0)
-        self._total_faults = 0.0
-
-    def add(self, part: "MCResult") -> None:
-        out = self._out
-        out.trials += part.trials
-        out.successes += part.successes
-        out.categories.update(part.categories)
-        out.healthy += part.healthy
-        out.sufficient += part.sufficient
-        out.health_checked += part.health_checked
-        out.strategies.update(part.strategies)
-        self._total_faults += part.mean_faults * part.trials
-
-    def finish(self) -> "MCResult":
-        out = self._out
-        out.mean_faults = self._total_faults / out.trials if out.trials else 0.0
+            out.add(part)
         return out
 
 

@@ -42,8 +42,10 @@ class _AdapterBase:
     """Shared trial/recovery plumbing for the adapters.
 
     Subclasses implement ``sample_faults``/``recover`` plus ``_num_faults``
-    and get a generic seeded ``trial``; adapters with a historical RNG
-    stream override ``trial`` to preserve it.
+    and get a generic seeded ``trial``; adapters with a historical stream
+    override only the step of it that differs: the generator
+    (``_trial_rng``), the fault draw (``_trial_faults``) or the recovery
+    (``_trial_recover``).
     """
 
     name: str = ""
@@ -79,11 +81,19 @@ class _AdapterBase:
     def _num_faults(faults) -> int:
         return int(np.asarray(faults).sum())
 
+    def _trial_faults(self, spec: FaultSpec, seed: int):
+        """One trial's fault draw."""
+        return self.sample_faults(spec, self._trial_rng(spec, seed))
+
+    def _trial_recover(self, faults, seed: int):
+        """One trial's recovery attempt."""
+        return self.recover(faults)
+
     def trial(self, spec: FaultSpec, seed: int) -> TrialOutcome:
-        faults = self.sample_faults(spec, self._trial_rng(spec, seed))
+        faults = self._trial_faults(spec, seed)
         n_faults = self._num_faults(faults)
         try:
-            self.recover(faults)
+            self._trial_recover(faults, seed)
             return TrialOutcome(success=True, category="ok", num_faults=n_faults)
         except ReconstructionError as exc:
             return TrialOutcome(success=False, category=exc.category, num_faults=n_faults)
@@ -319,19 +329,13 @@ class AnConstruction(_TorusTrafficMixin, _AdapterBase):
     def recover(self, faults):
         return self.torus.recover(faults)
 
-    def trial(self, spec: FaultSpec, seed: int) -> TrialOutcome:
+    def _trial_faults(self, spec: FaultSpec, seed: int):
         if spec.fault_model is not None:
-            return super().trial(spec, seed)
+            return super()._trial_faults(spec, seed)
         if spec.adversarial:
             raise ValueError("A^d_n models random faults only (Theorem 1)")
         # Same stream as ATorus.sample_faults(p, q, seed) driver loops.
-        state = self.torus.sample_faults(spec.p, spec.q, seed)
-        n_faults = self._num_faults(state)
-        try:
-            self.torus.recover(state)
-            return TrialOutcome(success=True, category="ok", num_faults=n_faults)
-        except ReconstructionError as exc:
-            return TrialOutcome(success=False, category=exc.category, num_faults=n_faults)
+        return self.torus.sample_faults(spec.p, spec.q, seed)
 
     def _lifetime_shape(self) -> tuple:
         return (self.params.num_supernodes, self.params.h)
@@ -414,19 +418,11 @@ class DnConstruction(_TorusTrafficMixin, _AdapterBase):
     def recover(self, faults):
         return self.torus.recover(faults)
 
-    def trial(self, spec: FaultSpec, seed: int) -> TrialOutcome:
+    def _trial_rng(self, spec: FaultSpec, seed: int) -> np.random.Generator:
         if spec.adversarial:
             # The "dn-sweep" stream the dn-adversarial golden pins.
-            rng = spawn_rng(seed, "dn-sweep", spec.pattern, self.params.n, self.params.b)
-        else:
-            rng = self._trial_rng(spec, seed)
-        faults = self.sample_faults(spec, rng)
-        n_faults = self._num_faults(faults)
-        try:
-            self.recover(faults)
-            return TrialOutcome(success=True, category="ok", num_faults=n_faults)
-        except ReconstructionError as exc:
-            return TrialOutcome(success=False, category=exc.category, num_faults=n_faults)
+            return spawn_rng(seed, "dn-sweep", spec.pattern, self.params.n, self.params.b)
+        return super()._trial_rng(spec, seed)
 
     def guest_shape(self) -> tuple:
         """The ``n^d`` torus ``D^d_{n,k}`` guarantees under any ``k`` faults."""
@@ -483,14 +479,8 @@ class AlonChungConstruction(_AdapterBase):
     def recover(self, faults):
         return self.torus.recover(faults)
 
-    def trial(self, spec: FaultSpec, seed: int) -> TrialOutcome:
-        faults = self.sample_faults(spec, self._trial_rng(spec, seed))
-        n_faults = self._num_faults(faults)
-        try:
-            self.torus.recover(faults, rng=spawn_rng(seed, "alon-chung-dfs"))
-            return TrialOutcome(success=True, category="ok", num_faults=n_faults)
-        except ReconstructionError as exc:
-            return TrialOutcome(success=False, category=exc.category, num_faults=n_faults)
+    def _trial_recover(self, faults, seed: int):
+        return self.torus.recover(faults, rng=spawn_rng(seed, "alon-chung-dfs"))
 
     def _lifetime_shape(self) -> tuple:
         return (self.num_nodes,)
@@ -564,17 +554,11 @@ class ReplicationConstruction(_TorusTrafficMixin, _AdapterBase):
     def recover(self, faults):
         return self.torus.recover(faults)
 
-    def trial(self, spec: FaultSpec, seed: int) -> TrialOutcome:
+    def _trial_faults(self, spec: FaultSpec, seed: int):
         if spec.adversarial or spec.fault_model is not None:
-            return super().trial(spec, seed)
+            return super()._trial_faults(spec, seed)
         # Same stream as ReplicatedTorus.survives(p, seed).
-        faults = self.torus.sample_faults(spec.p, seed)
-        n_faults = self._num_faults(faults)
-        try:
-            self.recover(faults)
-            return TrialOutcome(success=True, category="ok", num_faults=n_faults)
-        except ReconstructionError as exc:
-            return TrialOutcome(success=False, category=exc.category, num_faults=n_faults)
+        return self.torus.sample_faults(spec.p, seed)
 
     def _lifetime_shape(self) -> tuple:
         return (self.torus.num_clusters, self.torus.r)

@@ -3,7 +3,7 @@
 An :class:`ExperimentSpec` names a construction (registry key + factory
 params), a grid of :class:`~repro.api.protocol.FaultSpec` points, a trial
 count and a seed origin.  An :class:`ExperimentRunner` executes the spec —
-with a ``multiprocessing`` pool when ``workers > 1`` — and returns an
+on a process pool when ``workers > 1`` — and returns an
 :class:`ExperimentResult` holding one merged
 :class:`~repro.analysis.montecarlo.MCResult` per grid point.
 
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import itertools
 import logging
-import multiprocessing
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.analysis.montecarlo import MCResult, aggregate_outcomes
 from repro.api.lifetime import LifetimeResult, aggregate_lifetimes
@@ -67,14 +66,72 @@ DEFAULT_CHUNK_SIZE = 16
 BLOCK_TRIALS = 256
 
 
+#: Work units kept in flight per pool worker: enough that no worker waits
+#: on the parent's fold, few enough that task generation stays lazy.
+UNITS_PER_WORKER = 2
+
+#: Seconds between INFO progress lines (``0`` logs every chunk).
+PROGRESS_INTERVAL = 1.0
+
+
+@dataclass(frozen=True)
+class PointKind:
+    """Everything the runner decides per grid-point class, in one record.
+
+    ``key`` names the spec in a result file's point records and
+    ``marker`` is the key that tells its dicts apart in a spec's grid
+    (``""``: the kind a dict with no marker is).  ``fold`` turns a stream
+    of per-trial outcomes into a ``result_cls``, whose in-place ``add``
+    merges chunks (the empty fold is the merge's start).  ``trial`` names
+    the construction's per-trial method; on the batch backend ``batch``
+    names its vectorized kernel, used when the construction has it and
+    ``probe`` (if it has that) accepts the point.  ``blocks``: the kernel
+    takes blocks of consecutive chunks and a ``max_batch_bytes`` budget;
+    other kernels get one chunk per work unit and no budget.
+    """
+
+    name: str
+    key: str
+    marker: str
+    spec_cls: type
+    result_cls: type
+    fold: Callable
+    trial: str
+    batch: str
+    probe: str | None
+    blocks: bool
+
+    def kernel(self, construction, point) -> Callable | None:
+        """The construction's batch kernel for ``point``, or ``None``."""
+        run = getattr(construction, self.batch, None)
+        probe = getattr(construction, self.probe, None) if self.probe else None
+        if run is None or (probe is not None and not probe(point)):
+            return None
+        return run
+
+
+POINT_KINDS = (
+    PointKind("lifetime", "lifetime_spec", "timeline", LifetimeSpec, LifetimeResult,
+              aggregate_lifetimes, "lifetime_trial", "run_lifetime_batch",
+              "supports_lifetime_batch", blocks=True),
+    PointKind("traffic", "traffic_spec", "injection", TrafficSpec, TrafficResult,
+              aggregate_traffic, "traffic_trial", "run_traffic_batch", None,
+              blocks=False),
+    PointKind("trial", "fault_spec", "", FaultSpec, MCResult, aggregate_outcomes,
+              "trial", "run_batch", "supports_batch", blocks=True),
+)
+_KIND_OF = {kind.spec_cls: kind for kind in POINT_KINDS}
+
+
+def point_kind(point) -> PointKind:
+    """The record of ``point``'s grid-point class."""
+    return _KIND_OF[type(point)]
+
+
 def _point_from_dict(d: dict) -> "FaultSpec | LifetimeSpec | TrafficSpec":
-    """Rebuild a grid point; ``timeline`` discriminates lifetime points and
-    ``injection`` traffic points (neither key exists on the other kinds)."""
-    if "timeline" in d:
-        return LifetimeSpec.from_dict(d)
-    if "injection" in d:
-        return TrafficSpec.from_dict(d)
-    return FaultSpec.from_dict(d)
+    """Rebuild a grid point as the first kind whose marker ``d`` carries."""
+    kind = next(k for k in POINT_KINDS if not k.marker or k.marker in d)
+    return kind.spec_cls.from_dict(d)
 
 
 @dataclass(frozen=True)
@@ -176,33 +233,15 @@ class PointResult:
     result: "MCResult | LifetimeResult | TrafficResult"
 
     def to_dict(self) -> dict:
-        if isinstance(self.fault_spec, LifetimeSpec):
-            return {
-                "lifetime_spec": self.fault_spec.to_dict(),
-                "result": self.result.to_dict(),
-            }
-        if isinstance(self.fault_spec, TrafficSpec):
-            return {
-                "traffic_spec": self.fault_spec.to_dict(),
-                "result": self.result.to_dict(),
-            }
-        return {"fault_spec": self.fault_spec.to_dict(), "result": self.result.to_dict()}
+        key = point_kind(self.fault_spec).key
+        return {key: self.fault_spec.to_dict(), "result": self.result.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PointResult":
-        if "lifetime_spec" in d:
-            return cls(
-                fault_spec=LifetimeSpec.from_dict(d["lifetime_spec"]),
-                result=LifetimeResult.from_dict(d["result"]),
-            )
-        if "traffic_spec" in d:
-            return cls(
-                fault_spec=TrafficSpec.from_dict(d["traffic_spec"]),
-                result=TrafficResult.from_dict(d["result"]),
-            )
+        kind = next(k for k in POINT_KINDS if k.key in d)
         return cls(
-            fault_spec=FaultSpec.from_dict(d["fault_spec"]),
-            result=MCResult.from_dict(d["result"]),
+            fault_spec=kind.spec_cls.from_dict(d[kind.key]),
+            result=kind.result_cls.from_dict(d["result"]),
         )
 
 
@@ -279,80 +318,42 @@ def _cached_construction(name: str, params_items: tuple):
     return _CONSTRUCTION_CACHE[key]
 
 
-def _run_chunk(task: tuple) -> dict:
-    """One work unit: ``count`` trials of one grid point, as a result dict.
-
-    ``task`` is ``(name, params_items, point_dict, seed_start, count,
-    backend, max_batch_bytes)``; see :func:`_run_block`, which this runs
-    as a block of one chunk.
-    """
-    *head, count, backend, mbb = task
-    return _run_block((*head, (count,), backend, mbb))[0]
-
-
 def _run_block(task: tuple) -> list[dict]:
     """Consecutive seed chunks of one grid point, one result dict each.
 
-    Takes/returns plain picklable types so it crosses process boundaries.
-    ``task`` is ``(name, params_items, point_dict, seed_start, counts,
+    Takes/returns picklable values so it crosses process boundaries.
+    ``task`` is ``(name, params_items, point, seed_start, counts,
     backend, max_batch_bytes)``: chunk ``j`` holds the next ``counts[j]``
-    seeds.  ``backend`` is ``"scalar"`` (the per-trial loop) or
-    ``"batch"`` (the construction's vectorized kernels when advertised
-    for the point, per-trial otherwise); outcomes are identical on both
-    (the batch contract), so the choice never reaches the JSON.  A
-    batched one-shot or lifetime point makes one ``run_batch`` /
-    ``run_lifetime_batch`` call for the whole block and splits its
-    outcomes at the chunk boundaries; traffic points, and per-trial
-    runs, go chunk by chunk.
-    ``max_batch_bytes`` (when set) bounds the kernels' resident fault
-    stacks — passed only when explicit so duck-typed constructions
+    seeds.  ``backend`` is ``"scalar"`` (the point kind's per-trial
+    method) or ``"batch"`` (its kernel when the construction advertises
+    one for the point, per-trial otherwise); outcomes are identical on
+    both (the batch contract), so the choice never reaches the JSON.
+    Either way the block's outcomes are folded at the chunk boundaries.
+    ``max_batch_bytes`` (when set) bounds a blocked kernel's resident
+    fault stacks — passed only when explicit so duck-typed constructions
     without the parameter keep working.
     """
-    name, params_items, fault_spec_dict, seed_start, counts, backend, mbb = task
-    use_batch = backend == "batch"
-    kw = {} if mbb is None else {"max_batch_bytes": mbb}
+    name, params_items, point, seed_start, counts, backend, mbb = task
     construction = _cached_construction(name, params_items)
-    point = _point_from_dict(fault_spec_dict)
-    starts = list(itertools.accumulate(counts, initial=seed_start))
-    chunks = [range(a, z) for a, z in zip(starts, starts[1:])]
-    if use_batch and not isinstance(point, TrafficSpec):
-        if isinstance(point, LifetimeSpec):
-            names = ("run_lifetime_batch", "supports_lifetime_batch")
-            aggregate = aggregate_lifetimes
-        else:
-            names, aggregate = ("run_batch", "supports_batch"), aggregate_outcomes
-        run, supports = (getattr(construction, name, None) for name in names)
-        if run is not None and (supports is None or supports(point)):
-            outcomes = run(point, list(range(seed_start, starts[-1])), **kw)
-            return [
-                aggregate(outcomes[c.start - seed_start : c.stop - seed_start]).to_dict()
-                for c in chunks
-            ]
-    return [_run_seeds(construction, name, point, list(c), use_batch) for c in chunks]
-
-
-def _run_seeds(construction, name, point, seeds, use_batch) -> dict:
-    """One chunk's trials, per trial or on the traffic kernel."""
-    if isinstance(point, LifetimeSpec):
-        lifetime_trial = getattr(construction, "lifetime_trial", None)
-        if lifetime_trial is None:
-            raise TypeError(f"construction {name!r} has no lifetime capability")
-        return aggregate_lifetimes(lifetime_trial(point, s) for s in seeds).to_dict()
-    if isinstance(point, TrafficSpec):
-        traffic_trial = getattr(construction, "traffic_trial", None)
-        if traffic_trial is None:
-            raise TypeError(f"construction {name!r} has no traffic capability")
-        run_tb = getattr(construction, "run_traffic_batch", None)
-        if use_batch and run_tb is not None:
-            return aggregate_traffic(run_tb(point, seeds)).to_dict()
-        return aggregate_traffic(traffic_trial(point, s) for s in seeds).to_dict()
-    return aggregate_outcomes(construction.trial(point, s) for s in seeds).to_dict()
+    kind = point_kind(point)
+    seeds = list(range(seed_start, seed_start + sum(counts)))
+    run = kind.kernel(construction, point) if backend == "batch" else None
+    if run is not None:
+        kw = {"max_batch_bytes": mbb} if kind.blocks and mbb is not None else {}
+        outcomes = run(point, seeds, **kw)
+    else:
+        trial = getattr(construction, kind.trial, None)
+        if trial is None:
+            raise TypeError(f"construction {name!r} has no {kind.name} capability")
+        outcomes = [trial(point, s) for s in seeds]
+    bounds = itertools.pairwise(itertools.accumulate(counts, initial=0))
+    return [kind.fold(outcomes[a:z]).to_dict() for a, z in bounds]
 
 
 def _run_block_indexed(item: tuple) -> tuple:
-    """Pool envelope around :func:`_run_block`: carries the block's grid
-    coordinates (point, first chunk) through ``imap_unordered`` (which
-    drops input ordering) and drains the worker's peak-buffer gauge for
+    """Envelope around :func:`_run_block`: carries the block's grid
+    coordinates (point, first chunk) back with its results, which may
+    complete in any order, and drains the worker's peak-buffer gauge for
     progress telemetry."""
     point_idx, chunk_idx, task = item
     results = _run_block(task)
@@ -361,21 +362,13 @@ def _run_block_indexed(item: tuple) -> tuple:
     return point_idx, chunk_idx, results, take_peak_bytes()
 
 
-def _result_class(fs) -> type:
-    if isinstance(fs, LifetimeSpec):
-        return LifetimeResult
-    if isinstance(fs, TrafficSpec):
-        return TrafficResult
-    return MCResult
-
-
 class _PointFold:
     """Incremental chunk-order merge state for one grid point.
 
-    Chunks may *arrive* in any order (``imap_unordered``, resumed
+    Chunks may *arrive* in any order (pool completions, resumed
     journals); they are *folded* strictly in chunk order through the
-    result class's merge accumulator — the same operation sequence as
-    the one-shot ``merged()`` — with out-of-order arrivals parked in a
+    result's in-place ``add`` — the same operation sequence as the
+    one-shot ``merged()`` — with out-of-order arrivals parked in a
     small pending dict until their turn.  Only raw dicts ahead of the
     fold frontier are ever buffered, so parent memory stays O(pending),
     not O(trials).
@@ -383,22 +376,22 @@ class _PointFold:
 
     def __init__(self, fault_spec) -> None:
         self.fault_spec = fault_spec
-        self.res_cls = _result_class(fault_spec)
-        self._merge = self.res_cls.merger()
+        self.kind = point_kind(fault_spec)
+        self.result = self.kind.fold(())
         self._next = 0
         self._pending: dict[int, dict] = {}
 
     def add(self, chunk_idx: int, result_dict: dict) -> None:
         self._pending[chunk_idx] = result_dict
         while self._next in self._pending:
-            part = self.res_cls.from_dict(self._pending.pop(self._next))
-            self._merge.add(part)
+            part = self.kind.result_cls.from_dict(self._pending.pop(self._next))
+            self.result.add(part)
             self._next += 1
 
     def finish(self) -> PointResult:
         if self._pending:  # pragma: no cover - runner always drains
             raise RuntimeError(f"unmerged chunks: {sorted(self._pending)}")
-        return PointResult(fault_spec=self.fault_spec, result=self._merge.finish())
+        return PointResult(fault_spec=self.fault_spec, result=self.result)
 
 
 class ExperimentRunner:
@@ -412,27 +405,27 @@ class ExperimentRunner:
 
     Execution is *streaming*: work units (single chunks, or blocks of
     consecutive chunks for batched one-shot and lifetime points, see
-    :data:`BLOCK_TRIALS`) are generated lazily, results are consumed as
-    they complete (``imap_unordered`` when pooled) and folded chunk by
-    chunk into per-point merge accumulators, so the parent
-    process never holds more than the out-of-order window of raw chunk
-    dicts regardless of ``spec.trials``.  ``max_batch_bytes`` bounds
-    each worker's resident fault-stack bytes (``None`` = the kernels'
-    default budget); ``progress_interval`` throttles INFO progress lines
-    (seconds between lines, ``0`` logs every chunk).  Neither changes
-    results — see docs/scaling.md.
+    :data:`BLOCK_TRIALS`) are generated lazily, at most
+    :data:`UNITS_PER_WORKER` per worker are in flight when pooled, and
+    results are folded chunk by chunk into their grid points as they
+    complete, so the parent process never holds more than the
+    out-of-order window of raw chunk dicts regardless of
+    ``spec.trials``.  ``max_batch_bytes`` bounds each worker's resident
+    fault-stack bytes (``None`` = the kernels' default budget); it never
+    changes results — see docs/scaling.md.
 
     ``run(spec, checkpoint=..., resume=...)`` adds crash tolerance: each
     completed chunk is appended to an NDJSON journal, and a resumed run
     skips journaled chunks while producing byte-identical final JSON
-    (see ``repro.api.journal``).
+    (see ``repro.api.journal``).  A pool worker that dies ends the run
+    with :class:`~repro.errors.WorkerLostError` once every chunk that
+    did complete is journaled.
     """
 
     def __init__(
         self,
         workers: int = 1,
         max_batch_bytes: int | None = None,
-        progress_interval: float = 1.0,
         backend: str = "batch",
     ):
         if workers < 1:
@@ -444,15 +437,14 @@ class ExperimentRunner:
         self.workers = workers
         self.backend = backend
         self.max_batch_bytes = max_batch_bytes
-        self.progress_interval = progress_interval
 
     def _iter_tasks(self, spec: ExperimentSpec, skip=frozenset()):
         """Lazily yield ``(point_idx, first_chunk_idx, task)`` work units
         for :func:`_run_block_indexed`: consecutive chunks of one point not
         in ``skip`` (chunks already satisfied by a resumed journal),
         grouped up to :data:`BLOCK_TRIALS` trials — and, with several
-        workers, up to each worker's share of the point's chunks — for
-        one-shot and lifetime points on the batch backend, and one chunk
+        workers, up to each worker's share of the point's chunks — when
+        the point's kind runs blocks on the batch backend, and one chunk
         each otherwise.
 
         A generator, never a materialized list: at a million trials the
@@ -467,9 +459,12 @@ class ExperimentRunner:
             # ceil(chunks / workers) chunks each, min(workers, chunks) shares.
             return chunk_idx * self.workers // chunks_per_point
 
+        def task(point_idx, first, seed, counts):
+            return (point_idx, first, (spec.construction, params_items, spec.grid[point_idx],
+                                       seed, tuple(counts), self.backend, self.max_batch_bytes))
+
         for point_idx, fs in enumerate(spec.grid):
-            fsd = fs.to_dict()
-            grouped = self.backend == "batch" and isinstance(fs, (FaultSpec, LifetimeSpec))
+            grouped = self.backend == "batch" and point_kind(fs).blocks
             cap = BLOCK_TRIALS if grouped else 1
             block = None  # (first chunk, first seed, counts)
             for chunk_idx, start in enumerate(range(0, spec.trials, spec.chunk_size)):
@@ -477,7 +472,7 @@ class ExperimentRunner:
                 skipped = (point_idx, chunk_idx) in skip
                 if block and (skipped or sum(block[2]) + count > cap
                               or share(chunk_idx) != share(block[0])):
-                    yield self._task(spec, params_items, fsd, point_idx, *block)
+                    yield task(point_idx, *block)
                     block = None
                 if skipped:
                     continue
@@ -485,15 +480,7 @@ class ExperimentRunner:
                     block = (chunk_idx, spec.seed0 + start, [])
                 block[2].append(count)
             if block:
-                yield self._task(spec, params_items, fsd, point_idx, *block)
-
-    def _task(self, spec, params_items, fsd, point_idx, first, seed, counts) -> tuple:
-        return (
-            point_idx,
-            first,
-            (spec.construction, params_items, fsd, seed, tuple(counts),
-             self.backend, self.max_batch_bytes),
-        )
+                yield task(point_idx, *block)
 
     def run(
         self,
@@ -521,43 +508,79 @@ class ExperimentRunner:
         for point_idx, chunk_idx in sorted(done):
             folds[point_idx].add(chunk_idx, done[(point_idx, chunk_idx)])
 
-        progress = _Progress(
-            total=total, already_done=len(done), spec=spec,
-            interval=self.progress_interval,
-        )
+        progress = _Progress(total=total, already_done=len(done), spec=spec)
+
+        def consume(unit_result) -> None:
+            """Journal, fold and report each chunk of one finished unit."""
+            point_idx, first_chunk, result_dicts, peak_bytes = unit_result
+            for chunk_idx, result_dict in enumerate(result_dicts, first_chunk):
+                if journal is not None:
+                    journal.append(point_idx, chunk_idx, result_dict)
+                folds[point_idx].add(chunk_idx, result_dict)
+                progress.step(int(result_dict.get("trials", 0)), peak_bytes)
+
         try:
             units = sum(1 for _ in self._iter_tasks(spec, skip=done.keys()))
-            if units:
-                tasks = self._iter_tasks(spec, skip=done.keys())
-                if self.workers == 1 or units == 1:
-                    # No pool spin-up cost when it could not help.
-                    results = map(_run_block_indexed, tasks)
-                    self._consume(results, folds, journal, progress)
-                else:
-                    workers = min(self.workers, units)
-                    # Dispatch in groups to amortize IPC without letting one
-                    # worker hoard the tail of the queue.
-                    blk = max(1, min(16, units // (workers * 4)))
-                    with multiprocessing.Pool(processes=workers) as pool:
-                        results = pool.imap_unordered(
-                            _run_block_indexed, tasks, chunksize=blk
-                        )
-                        self._consume(results, folds, journal, progress)
+            tasks = self._iter_tasks(spec, skip=done.keys())
+            if self.workers == 1 or units <= 1:
+                # No pool spin-up cost when it could not help.
+                for item in tasks:
+                    consume(_run_block_indexed(item))
+            else:
+                _run_pooled(tasks, min(self.workers, units), consume, spec)
         finally:
             if journal is not None:
                 journal.close()
         points = [fold.finish() for fold in folds]
         return ExperimentResult(spec=spec, points=points, elapsed=time.perf_counter() - t0)
 
-    def _consume(self, results, folds, journal, progress) -> None:
-        """Drain block results as they complete: journal, fold and report
-        each chunk."""
-        for point_idx, first_chunk, result_dicts, peak_bytes in results:
-            for chunk_idx, result_dict in enumerate(result_dicts, first_chunk):
-                if journal is not None:
-                    journal.append(point_idx, chunk_idx, result_dict)
-                folds[point_idx].add(chunk_idx, result_dict)
-                progress.step(int(result_dict.get("trials", 0)), peak_bytes)
+
+def _run_pooled(tasks, workers: int, consume, spec: ExperimentSpec) -> None:
+    """Run work units on ``workers`` processes, ``consume`` each result as
+    it completes, and keep at most :data:`UNITS_PER_WORKER` per worker in
+    flight.
+
+    A worker that dies (killed, out of memory, ``os._exit``) breaks the
+    pool, and every unit still in flight is lost with it.  Units that did
+    finish are consumed (journaled, with a checkpoint) first; then the
+    lost ones are raised as one :class:`~repro.errors.WorkerLostError`.
+    """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.errors import WorkerLostError
+
+    running: dict = {}  # future -> work unit
+    lost: list = []
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while True:
+            while not lost and len(running) < workers * UNITS_PER_WORKER:
+                item = next(tasks, None)
+                if item is None:
+                    break
+                try:
+                    running[pool.submit(_run_block_indexed, item)] = item
+                except BrokenProcessPool:
+                    lost.append(item)
+            if not running:
+                break
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in finished:
+                item = running.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    lost.append(item)
+                    continue
+                consume(result)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    if lost:
+        raise WorkerLostError([
+            (spec.grid[point_idx].label(), point_idx, first, first + len(task[4]) - 1)
+            for point_idx, first, task in sorted(lost, key=lambda item: item[:2])
+        ])
 
 
 class _Progress:
@@ -565,13 +588,12 @@ class _Progress:
     ETA, worker peak buffer).  Silent unless the ``repro`` logger is at
     INFO (the CLI's global ``--log-level info``)."""
 
-    def __init__(self, *, total: int, already_done: int, spec, interval: float) -> None:
+    def __init__(self, *, total: int, already_done: int, spec) -> None:
         self.total = total
         self.done = already_done
         self.live = 0         # chunks completed this session
         self.trials = 0       # trials completed this session
         self.peak_bytes = 0
-        self.interval = interval
         self.t0 = time.perf_counter()
         self.last = self.t0
         if already_done:
@@ -586,7 +608,7 @@ class _Progress:
         self.trials += trials
         self.peak_bytes = max(self.peak_bytes, peak_bytes)
         now = time.perf_counter()
-        if self.done < self.total and now - self.last < self.interval:
+        if self.done < self.total and now - self.last < PROGRESS_INTERVAL:
             return
         self.last = now
         if not logger.isEnabledFor(logging.INFO):

@@ -37,7 +37,6 @@ from repro.faults.timeline import make_timeline
 
 __all__ = [
     "FullRecomputeMachine",
-    "LifetimeMerge",
     "LifetimeOutcome",
     "LifetimeResult",
     "aggregate_lifetimes",
@@ -100,10 +99,6 @@ class LifetimeResult(_ArrivalTallies):
     # -- summary statistics --------------------------------------------------
 
     @property
-    def mean_lifetime(self) -> float:
-        return float(np.mean(self.lifetimes)) if self.lifetimes else float("nan")
-
-    @property
     def median_lifetime(self) -> float:
         return float(np.median(self.lifetimes)) if self.lifetimes else float("nan")
 
@@ -161,41 +156,24 @@ class LifetimeResult(_ArrivalTallies):
             exhausted=int(d.get("exhausted", 0)),
         )
 
-    @classmethod
-    def merger(cls) -> "LifetimeMerge":
-        """Incremental accumulator equivalent to :meth:`merged` (shared by
-        the streaming experiment runner; see ``MCResult.merger``)."""
-        return LifetimeMerge(cls)
+    def add(self, part: "LifetimeResult") -> None:
+        """Merge a disjoint trial batch into this result, in place:
+        integer sums and list concatenation only."""
+        self.trials += part.trials
+        self.lifetimes.extend(part.lifetimes)
+        self.categories.update(part.categories)
+        self.masked += part.masked
+        self.replaced += part.replaced
+        self.repaired += part.repaired
+        self.exhausted += part.exhausted
 
     @classmethod
     def merged(cls, parts: Sequence["LifetimeResult"]) -> "LifetimeResult":
         """Concatenate disjoint trial batches in the order given."""
-        merge = cls.merger()
+        out = cls(trials=0)
         for part in parts:
-            merge.add(part)
-        return merge.finish()
-
-
-class LifetimeMerge:
-    """Incremental :meth:`LifetimeResult.merged` — integer sums and list
-    concatenation only, so chunk-order folding is trivially identical to
-    the one-shot merge."""
-
-    def __init__(self, cls: type = None) -> None:
-        self._out = (cls or LifetimeResult)(trials=0)
-
-    def add(self, part: "LifetimeResult") -> None:
-        out = self._out
-        out.trials += part.trials
-        out.lifetimes.extend(part.lifetimes)
-        out.categories.update(part.categories)
-        out.masked += part.masked
-        out.replaced += part.replaced
-        out.repaired += part.repaired
-        out.exhausted += part.exhausted
-
-    def finish(self) -> "LifetimeResult":
-        return self._out
+            out.add(part)
+        return out
 
 
 def aggregate_lifetimes(outcomes: Iterable[LifetimeOutcome]) -> LifetimeResult:

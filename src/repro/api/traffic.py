@@ -35,7 +35,6 @@ from repro.sim.workload import make_open_loop, open_loop_stats
 from repro.util.rng import spawn_rng
 
 __all__ = [
-    "TrafficMerge",
     "TrafficOutcome",
     "TrafficResult",
     "aggregate_traffic",
@@ -63,7 +62,8 @@ class TrafficOutcome:
 
     #: Messages presented to the network (exactly the spec's count for
     #: closed-loop runs; open-loop runs count messages inside the
-    #: measurement window).
+    #: measurement window, and so do their ``delivered``, ``timed_out``,
+    #: ``undeliverable`` and ``dropped``, which always sum to it).
     offered: int
     delivered: int
     timed_out: int
@@ -79,9 +79,11 @@ class TrafficOutcome:
     #: nonzero, so pre-router result JSON is unchanged.
     undeliverable: int = 0
     #: Delivery-integrity counts under a Byzantine fault model (see
-    #: :class:`~repro.sim.routing.ByzantinePlan`): trial-wide totals,
-    #: whatever the measurement window.  All zero without a model, and
-    #: then omitted from JSON so pre-model result files are unchanged.
+    #: :class:`~repro.sim.routing.ByzantinePlan`).  ``dropped`` is a loss
+    #: bucket, counted like ``timed_out``; ``corrupted``/``misrouted``
+    #: messages were delivered, and stay trial-wide totals whatever the
+    #: measurement window.  All zero without a model, and then omitted
+    #: from JSON so pre-model result files are unchanged.
     dropped: int = 0
     corrupted: int = 0
     misrouted: int = 0
@@ -198,34 +200,18 @@ class TrafficResult:
             outcomes=[TrafficOutcome.from_dict(o) for o in d.get("outcomes", [])],
         )
 
-    @classmethod
-    def merger(cls) -> "TrafficMerge":
-        """Incremental accumulator equivalent to :meth:`merged` (shared by
-        the streaming experiment runner; see ``MCResult.merger``)."""
-        return TrafficMerge(cls)
+    def add(self, part: "TrafficResult") -> None:
+        """Merge a disjoint trial batch into this result, in place."""
+        self.trials += part.trials
+        self.outcomes.extend(part.outcomes)
 
     @classmethod
     def merged(cls, parts: Sequence["TrafficResult"]) -> "TrafficResult":
         """Concatenate disjoint trial batches in the order given."""
-        merge = cls.merger()
+        out = cls(trials=0)
         for part in parts:
-            merge.add(part)
-        return merge.finish()
-
-
-class TrafficMerge:
-    """Incremental :meth:`TrafficResult.merged` — pure concatenation, so
-    chunk-order folding is trivially identical to the one-shot merge."""
-
-    def __init__(self, cls: type = None) -> None:
-        self._out = (cls or TrafficResult)(trials=0)
-
-    def add(self, part: "TrafficResult") -> None:
-        self._out.trials += part.trials
-        self._out.outcomes.extend(part.outcomes)
-
-    def finish(self) -> "TrafficResult":
-        return self._out
+            out.add(part)
+        return out
 
 
 def aggregate_traffic(outcomes: Iterable[TrafficOutcome]) -> TrafficResult:
@@ -322,8 +308,8 @@ def run_traffic_trial(
             p50=stats["p50"],
             p99=stats["p99"],
             max_latency=float(stats["max"]),
-            undeliverable=result.undeliverable,
-            dropped=result.dropped,
+            undeliverable=stats.get("undeliverable", 0),
+            dropped=stats.get("dropped", 0),
             corrupted=result.corrupted,
             misrouted=result.misrouted,
             per_class=per_class,

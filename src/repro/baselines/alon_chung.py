@@ -187,9 +187,6 @@ class AlonChungMesh:
     def num_nodes(self) -> int:
         return self.path_host.num_nodes * self.super_size
 
-    def supernode_of(self, node: int) -> int:
-        return node // self.super_size
-
     def recover(self, faulty_nodes: np.ndarray) -> np.ndarray:
         """Map mesh node (x_1, ..., x_d) -> host node; verified construction.
 

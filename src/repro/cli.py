@@ -107,13 +107,14 @@ def _experiment(args: argparse.Namespace, grid, *, name: str,
     """The run path shared by run/lifetime/traffic: construction flags and
     ``grid`` -> ``ExperimentSpec`` -> runner -> summary -> ``--out``.
 
-    Bad flags, spec values, runner knobs and journals exit 2 with one
-    ``<cmd>: ...`` line, as do the extra exception types in ``errors``.
+    Bad flags, spec values, runner knobs, journals and a lost pool worker
+    exit 2 with one ``<cmd>: ...`` line, as do the extra exception types
+    in ``errors``.
     ``report(result)`` prints command-specific lines after the summary
     and returns the exit code; ``--out`` is written only when it is 0.
     """
     from repro.api import ExperimentRunner, ExperimentSpec
-    from repro.errors import JournalError
+    from repro.errors import JournalError, WorkerLostError
 
     try:
         spec = ExperimentSpec(
@@ -129,7 +130,7 @@ def _experiment(args: argparse.Namespace, grid, *, name: str,
             backend=args.backend,
         )
         result = runner.run(spec, checkpoint=args.checkpoint or None, resume=args.resume)
-    except (JournalError, ValueError, *errors) as exc:
+    except (JournalError, WorkerLostError, ValueError, *errors) as exc:
         log.error("%s: %s", args.cmd, exc)
         return 2
     print(result.summary())

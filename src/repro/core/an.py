@@ -148,9 +148,6 @@ class ATorus:
     def degree(self) -> int:
         return self.params.degree
 
-    def global_id(self, supernode: int, slot: int) -> int:
-        return supernode * self.params.h + slot
-
     # -- fault sampling ---------------------------------------------------------
 
     def sample_faults(self, p: float, q: float, seed: int) -> AnFaultState:

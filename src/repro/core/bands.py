@@ -181,13 +181,6 @@ class BandSet:
                 category="coverage",
             )
 
-    def is_valid(self, faults: np.ndarray | None = None) -> bool:
-        try:
-            self.validate(faults)
-            return True
-        except BandPlacementError:
-            return False
-
     # -- constructors ------------------------------------------------------------
 
     @classmethod

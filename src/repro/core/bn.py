@@ -73,13 +73,6 @@ class BTorus:
     def check_health(self, faults: np.ndarray) -> HealthReport:
         return check_healthiness(self.params, faults, self.geo)
 
-    def check_health_batch(self, faults: np.ndarray) -> "list[HealthReport]":
-        """Healthiness of a ``(T, *shape)`` fault stack in one vectorized
-        pass (reports identical to per-slice :meth:`check_health`)."""
-        from repro.core.healthiness import check_healthiness_batch
-
-        return check_healthiness_batch(self.params, faults, self.geo)
-
     def recover(
         self,
         faults: np.ndarray,

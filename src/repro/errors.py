@@ -18,10 +18,6 @@ class ParameterError(ReproError, ValueError):
     """Invalid construction parameters (divisibility, ranges, ...)."""
 
 
-class ConstructionError(ReproError):
-    """A construction could not be built (should not happen for valid params)."""
-
-
 class JournalError(ReproError):
     """A checkpoint chunk journal cannot be resumed.
 
@@ -32,6 +28,19 @@ class JournalError(ReproError):
     expected signature of a mid-write kill, and resume drops it.
     """
 
+
+class WorkerLostError(ReproError):
+    """A process-pool worker died before finishing its work units.
+
+    ``units`` lists every unfinished unit as ``(label, point, first_chunk,
+    last_chunk)``.  Each chunk that did complete is journaled before this
+    is raised, so a run with a checkpoint resumes to the same bytes.
+    """
+
+    def __init__(self, units: list) -> None:
+        self.units = units
+        lost = "; ".join(f"point {i} ({label}) chunks {a}-{z}" for label, i, a, z in units)
+        super().__init__(f"a worker process died; unfinished: {lost}")
 
 
 class ReconstructionError(ReproError):
@@ -62,15 +71,6 @@ class ReconstructionError(ReproError):
     def __init__(self, message: str, *, category: str = "unspecified") -> None:
         super().__init__(message)
         self.category = category
-
-
-class HealthinessError(ReconstructionError):
-    """A healthiness condition (Lemma 4) was violated."""
-
-    def __init__(self, message: str, *, condition: int, category: str = "unhealthy") -> None:
-        super().__init__(message, category=category)
-        #: Which of the paper's three healthiness conditions failed (1, 2 or 3).
-        self.condition = condition
 
 
 class BandPlacementError(ReconstructionError):

@@ -188,8 +188,8 @@ class MachineState:
                     f"unknown fault model {model!r}; options: {', '.join(names)}"
                 )
         action = lifetime_step(self.machine, self.outcome, kind, node)
-        self.telemetry.record_event(kind, action)
         if action == "dead":
+            self.telemetry.rejected_dead += 1
             return {"seq": self.seq, "action": "dead", "num_faults": self.num_faults,
                     "alive": False}
         if kind == "fault" and model is not None:
@@ -311,7 +311,7 @@ class MachineState:
             state["model_faults"] = {k: int(v) for k, v in sorted(self.model_faults.items())}
         if health:
             state["health"] = self.health()
-        return self.telemetry.snapshot(state)
+        return self.telemetry.snapshot(self.outcome, state)
 
     def digest(self) -> dict:
         """Canonical machine state for byte-identity comparisons.

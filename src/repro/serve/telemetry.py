@@ -3,8 +3,9 @@
 Two aggregation scopes feed the daemon's telemetry frames:
 
 * :class:`MachineTelemetry` — per simulated machine, folded from the
-  lifetime events it ingests and the :class:`~repro.sim.engine.SimResult`
-  of every traffic query it answers.  Deliberately wall-clock-free: a
+  events it rejects after death and the :class:`~repro.sim.engine.SimResult`
+  of every traffic query it answers (applied events are the machine's
+  own outcome tallies).  Deliberately wall-clock-free: a
   machine snapshot is a pure function of the ingested event/query
   sequence, which is what lets a scripted serve session be pinned as a
   golden artifact (tests/golden/serve-session.json).
@@ -106,11 +107,7 @@ class LatencyHistogram:
 class MachineTelemetry:
     """Rolling per-machine counters (wall-clock-free; see module doc)."""
 
-    # -- lifetime event ingestion -------------------------------------------
-    faults_ingested: int = 0
-    repairs_ingested: int = 0
-    masked: int = 0
-    replaced: int = 0
+    # -- lifetime event ingestion (the rest is the machine's outcome) --------
     #: Events received after the machine died (acknowledged, not applied).
     rejected_dead: int = 0
 
@@ -127,21 +124,6 @@ class MachineTelemetry:
     #: Most recent query's service picture, straight from its SimResult.
     last_query: dict = field(default_factory=dict)
 
-    def record_event(self, kind: str, action: str) -> None:
-        if action == "dead":
-            self.rejected_dead += 1
-            return
-        if kind == "repair":
-            self.repairs_ingested += 1
-            return
-        self.faults_ingested += 1
-        if action == "masked":
-            self.masked += 1
-        elif action == "replaced":
-            self.replaced += 1
-        # "failed" — the killing arrival — counts as ingested only, the
-        # same as the offline LifetimeOutcome tallies.
-
     def record_traffic(self, stats: dict) -> None:
         """Fold one traffic query's stats dict (latency_stats + extras)."""
         self.traffic_queries += 1
@@ -152,17 +134,19 @@ class MachineTelemetry:
         self.peak_queue_depth = max(self.peak_queue_depth, int(stats.get("max_queue", 0)))
         self.last_query = dict(stats)
 
-    def snapshot(self, state: dict) -> dict:
+    def snapshot(self, outcome, state: dict) -> dict:
         """One telemetry frame: these rolling counters merged with the
         machine's *live* state (fault count, repair backlog, survival and
         optional Lemma-4 health — supplied by the caller, who owns the
-        state)."""
+        state).  Event tallies come from the machine's
+        :class:`~repro.api.lifetime.LifetimeOutcome`: every applied fault
+        arrival was masked, replaced or the one that killed the machine."""
         return {
             "events": {
-                "faults": self.faults_ingested,
-                "repairs": self.repairs_ingested,
-                "masked": self.masked,
-                "replaced": self.replaced,
+                "faults": outcome.masked + outcome.replaced + int(outcome.failed),
+                "repairs": outcome.repaired,
+                "masked": outcome.masked,
+                "replaced": outcome.replaced,
                 "rejected_dead": self.rejected_dead,
             },
             "traffic": {

@@ -33,7 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.sim.engine import SimResult, simulate
+from repro.sim.engine import MSG_DROPPED, MSG_TIMED_OUT, MSG_UNDELIVERABLE, SimResult, simulate
+from repro.sim.metrics import _message_status
 from repro.sim.traffic import pattern_destinations
 from repro.topology.coords import CoordCodec
 from repro.util.rng import spawn_rng
@@ -112,7 +113,11 @@ def open_loop_stats(
     completion cycle falls inside the window (deliveries during the
     post-horizon drain remain in ``delivered`` but are drain, not
     sustained service).  Latency statistics cover every measured delivery,
-    drain included.
+    drain included.  Lost messages are classified by
+    ``result.message_status``, never by the ``-1`` latency sentinel, and
+    counted over the same measured messages: ``undeliverable`` and
+    ``dropped`` (fault models only) appear when nonzero, so
+    ``offered == delivered + timed_out + undeliverable + dropped``.
     """
     inject = np.asarray(inject, dtype=np.int64)
     lat = result.message_latencies
@@ -132,10 +137,11 @@ def open_loop_stats(
     in_window = int(((completion >= warmup) & (completion < warmup + window)).sum())
     mlat = lat[delivered]
     empty = len(mlat) == 0
-    return {
+    status = _message_status(result)
+    stats = {
         "offered": int(measured.sum()),
         "delivered": int(delivered.sum()),
-        "timed_out": int((measured & (lat < 0)).sum()),
+        "timed_out": int((measured & (status == MSG_TIMED_OUT)).sum()),
         "window": window,
         "offered_rate": float(measured.sum() / window),
         "throughput": float(in_window / window),
@@ -144,6 +150,10 @@ def open_loop_stats(
         "p99": float("nan") if empty else float(np.percentile(mlat, 99)),
         "max": float("nan") if empty else int(mlat.max()),
     }
+    for key, code in (("undeliverable", MSG_UNDELIVERABLE), ("dropped", MSG_DROPPED)):
+        if count := int((measured & (status == code)).sum()):
+            stats[key] = count
+    return stats
 
 
 def saturation_sweep(

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api.protocol import LifetimeSpec, TrafficSpec
+from repro.api.protocol import LifetimeSpec
 
 __all__ = [
     "Mismatch",
@@ -274,12 +274,13 @@ def sim_record(r) -> dict:
     }
 
 
-def _point_record(spec, outcome) -> dict:
-    if isinstance(spec, LifetimeSpec):
-        return lifetime_record(outcome)
-    if isinstance(spec, TrafficSpec):
-        return outcome.to_dict()
-    return outcome_record(outcome)
+#: Comparable record of one per-trial outcome, by grid-point kind name
+#: (:data:`repro.api.experiment.POINT_KINDS`).
+_OUTCOME_RECORDS = {
+    "trial": outcome_record,
+    "lifetime": lifetime_record,
+    "traffic": lambda o: o.to_dict(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +376,16 @@ def streaming_merge_oracle(
     params_items = tuple(sorted(spec.params.items()))
     raw = []
     for fs in spec.grid:
-        fsd = fs.to_dict()
         for start in range(0, spec.trials, spec.chunk_size):
             count = min(spec.chunk_size, spec.trials - start)
-            raw.append(ex._run_chunk(
-                (spec.construction, params_items, fsd, spec.seed0 + start,
-                 count, "batch", None)
-            ))
+            raw += ex._run_block(
+                (spec.construction, params_items, fs, spec.seed0 + start,
+                 (count,), "batch", None)
+            )
     chunks_per_point = -(-spec.trials // spec.chunk_size)
     points = []
     for i, fs in enumerate(spec.grid):
-        res_cls = ex._result_class(fs)
+        res_cls = ex.point_kind(fs).result_cls
         parts = [
             res_cls.from_dict(raw[i * chunks_per_point + j])
             for j in range(chunks_per_point)
@@ -448,30 +448,20 @@ def trial_backend_oracle(construction, spec, seeds: Sequence[int]) -> OracleRepo
     advertise the matching batch capability for this spec — the scalar
     path is then the only backend and there is nothing to diff.
     """
+    from repro.api.experiment import point_kind
+
     seeds = list(seeds)
-    if isinstance(spec, LifetimeSpec):
-        kind = "lifetime"
-        supports = getattr(construction, "supports_lifetime_batch", None)
-        run = getattr(construction, "run_lifetime_batch", None)
-        scalar_one = getattr(construction, "lifetime_trial", None)
-    elif isinstance(spec, TrafficSpec):
-        kind = "traffic"
-        supports = None  # the traffic kernel covers every spec
-        run = getattr(construction, "run_traffic_batch", None)
-        scalar_one = getattr(construction, "traffic_trial", None)
-    else:
-        kind = "trial"
-        supports = getattr(construction, "supports_batch", None)
-        run = getattr(construction, "run_batch", None)
-        scalar_one = construction.trial
-    name = f"{kind}-backend"
+    kind = point_kind(spec)
+    name = f"{kind.name}-backend"
     report = OracleReport(name, ("scalar", "batch"))
+    scalar_one = getattr(construction, kind.trial, None)
     if scalar_one is None:
-        report.skipped = f"{construction.name} has no {kind} capability"
+        report.skipped = f"{construction.name} has no {kind.name} capability"
         return report
-    if run is None or (supports is not None and not supports(spec)):
+    run = kind.kernel(construction, spec)
+    if run is None:
         report.skipped = (
-            f"{construction.name} advertises no {kind} batch kernel for "
+            f"{construction.name} advertises no {kind.name} batch kernel for "
             f"{spec.label()}"
         )
         return report
@@ -482,10 +472,11 @@ def trial_backend_oracle(construction, spec, seeds: Sequence[int]) -> OracleRepo
             Mismatch(name, "scalar", "batch", "outcomes.length",
                      len(scalar), len(batch))
         )
+    record = _OUTCOME_RECORDS[kind.name]
     for i, (a, b) in enumerate(zip(scalar, batch)):
         report.cases += 1
         report.mismatches += diff_values(
-            _point_record(spec, a), _point_record(spec, b),
+            record(a), record(b),
             oracle=name, left="scalar", right="batch", path=f"seed[{seeds[i]}]",
         )
     return report

@@ -18,8 +18,6 @@ effective edge-failure probability, which we model directly instead).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 __all__ = ["CSRGraph"]
@@ -141,9 +139,3 @@ class CSRGraph:
         edges = np.array([[mapping[u], mapping[v]] for u, v in g.edges()], dtype=np.int64)
         return cls(g.number_of_nodes(), edges.reshape(-1, 2))
 
-    @classmethod
-    def from_edge_arrays(cls, num_nodes: int, us: Iterable[np.ndarray], vs: Iterable[np.ndarray]) -> "CSRGraph":
-        """Build from parallel lists of endpoint arrays (concatenated)."""
-        u = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in us])
-        v = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in vs])
-        return cls(num_nodes, np.stack([u, v], axis=1))

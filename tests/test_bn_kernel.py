@@ -357,9 +357,9 @@ class TestRunnerBlocks:
 
     def test_run_chunk_single_chunk_task(self):
         spec = _spec(16, trials=48)
-        fsd = spec.grid[0].to_dict()
+        point = spec.grid[0]
         params_items = tuple(sorted(BN.items()))
-        direct = [ex._run_chunk(("bn", params_items, fsd, start, 16, "batch", None))
+        direct = [ex._run_block(("bn", params_items, point, start, (16,), "batch", None))[0]
                   for start in (0, 16, 32)]
-        block = ex._run_block(("bn", params_items, fsd, 0, (16, 16, 16), "batch", None))
+        block = ex._run_block(("bn", params_items, point, 0, (16, 16, 16), "batch", None))
         assert direct == block

@@ -272,3 +272,30 @@ class TestPerClassByzantineConservation:
         rows = per_class_stats(res, classes)
         assert rows[0]["dropped"] == 2 and rows[0]["timed_out"] == 0
         assert rows[1]["dropped"] == 1 and rows[1]["delivered"] == 0
+
+
+class TestOpenLoopConservation:
+    """Open-loop outcomes under fault models count every loss bucket over
+    the measured window, classified by ``message_status`` — never by the
+    shared ``-1`` latency sentinel — so ``offered == delivered +
+    timed_out + undeliverable + dropped`` on both engines."""
+
+    @pytest.mark.parametrize("warmup", [0, 10])
+    @pytest.mark.parametrize("model, bucket", [
+        ({"name": "bernoulli", "p": 0.1}, "undeliverable"),
+        ({"name": "byzantine", "rate": 0.15}, "dropped"),
+    ])
+    def test_offered_is_conserved(self, model, bucket, warmup):
+        from repro.api.protocol import TrafficSpec
+        from repro.api.traffic import run_traffic_trial
+
+        spec = TrafficSpec(pattern="uniform", injection="bernoulli", rate=0.1,
+                           cycles=40, warmup=warmup, max_cycles=40,
+                           fault_model=model)
+        for seed in range(3):
+            scalar = run_traffic_trial(SHAPE, spec, seed)
+            batch = run_traffic_trial(SHAPE, spec, seed, engine=simulate_batch)
+            assert scalar.to_dict() == batch.to_dict()
+            assert scalar.offered == (scalar.delivered + scalar.timed_out
+                                      + scalar.undeliverable + scalar.dropped)
+            assert getattr(scalar, bucket) > 0 and scalar.timed_out > 0

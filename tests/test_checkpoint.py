@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.montecarlo import MCResult
 from repro.api import ExperimentRunner, ExperimentSpec, FaultSpec
-from repro.api.journal import JOURNAL_FORMAT, ChunkJournal
+from repro.api.journal import JOURNAL_FORMAT
 from repro.api.lifetime import LifetimeResult
 from repro.api.protocol import LifetimeSpec, TrafficSpec
 from repro.api.traffic import TrafficOutcome, TrafficResult
@@ -58,30 +63,40 @@ def reference(tmp_path_factory):
     return run_bytes(SPEC, tmp, "ref")
 
 
+def fold_in_place(result, parts):
+    """The runner's fold: chunk results added one at a time."""
+    for part in parts:
+        result.add(part)
+    return result
+
+
 class TestMergeAccumulators:
-    """merged() and the incremental merger are the same fold by
-    construction — pin it anyway so a refactor cannot split them."""
+    """merged() and the runner's in-place ``add`` fold are the same fold
+    by construction — pin it anyway so a refactor cannot split them."""
 
     def test_mc_incremental_equals_one_shot(self):
         parts = [
             MCResult(trials=7, successes=6, mean_faults=1.25),
             MCResult(trials=7, successes=7, mean_faults=0.5),
             MCResult(trials=6, successes=5, mean_faults=2.0),
+            MCResult(trials=3, successes=3, mean_faults=0.1),
         ]
-        merge = MCResult.merger()
+        folded = fold_in_place(MCResult(trials=0, successes=0), parts)
+        assert folded == MCResult.merged(parts)
+        # The running sum divides once per add: the float equals one
+        # division of the whole trial-weighted sum, not a running mean.
+        total = 0.0
         for part in parts:
-            merge.add(part)
-        assert merge.finish() == MCResult.merged(parts)
+            total += part.mean_faults * part.trials
+        assert folded.mean_faults == total / 23
 
     def test_lifetime_incremental_equals_one_shot(self):
         parts = [
             LifetimeResult(trials=2, lifetimes=[3, 9], masked=4, replaced=1),
             LifetimeResult(trials=1, lifetimes=[5], exhausted=1),
         ]
-        merge = LifetimeResult.merger()
-        for part in parts:
-            merge.add(part)
-        assert merge.finish() == LifetimeResult.merged(parts)
+        folded = fold_in_place(LifetimeResult(trials=0), parts)
+        assert folded == LifetimeResult.merged(parts)
 
     def test_traffic_incremental_equals_one_shot(self):
         out = TrafficOutcome(offered=4, delivered=4, timed_out=0, cycles=9,
@@ -89,10 +104,8 @@ class TestMergeAccumulators:
                              p50=3.0, p99=4.0, max_latency=4.0)
         parts = [TrafficResult(trials=1, outcomes=[out]),
                  TrafficResult(trials=1, outcomes=[out])]
-        merge = TrafficResult.merger()
-        for part in parts:
-            merge.add(part)
-        assert merge.finish() == TrafficResult.merged(parts)
+        folded = fold_in_place(TrafficResult(trials=0), parts)
+        assert folded == TrafficResult.merged(parts)
 
 
 class TestCheckpointResume:
@@ -262,12 +275,95 @@ class TestStreamingEdges:
                             checkpoint=journal, resume=True)
         assert resumed == ref
 
-    def test_progress_lines_logged(self, caplog):
-        runner = ExperimentRunner(progress_interval=0.0)
+    def test_progress_lines_logged(self, caplog, monkeypatch):
+        from repro.api import experiment
+
+        monkeypatch.setattr(experiment, "PROGRESS_INTERVAL", 0.0)
         with caplog.at_level(logging.INFO, logger="repro.api.experiment"):
-            runner.run(SPEC)
+            ExperimentRunner().run(SPEC)
         progress = [r.getMessage() for r in caplog.records
                     if "progress:" in r.getMessage()]
         assert len(progress) == 6  # 2 points x 3 chunks, interval 0 logs all
         assert "trials/s" in progress[-1] and "peak buffer" in progress[-1]
         assert progress[-1].startswith("progress: 6/6 chunks (100%)")
+
+
+#: Runs a spec (``api``) or the CLI (``cli``) with one work unit — the one
+#: starting at seed ``argv[1]`` — killing its pool worker outright.  The
+#: patch sits at module level, so pool workers get it under any start
+#: method (spawned workers re-import the main script).
+_DYING_RUN = """
+import json, os, sys
+from repro.api import experiment as ex
+
+run_block = ex._run_block
+
+def dying(task):
+    if task[3] == int(sys.argv[1]):
+        os._exit(3)
+    return run_block(task)
+
+ex._run_block = dying
+
+if __name__ == "__main__":
+    if sys.argv[2] == "cli":
+        from repro.cli import main
+        sys.exit(main(sys.argv[3:]))
+    from repro.errors import WorkerLostError
+    spec = ex.ExperimentSpec.from_dict(json.loads(sys.argv[3]))
+    try:
+        ex.ExperimentRunner(workers=2).run(spec, checkpoint=sys.argv[4])
+    except WorkerLostError as exc:
+        print(json.dumps(exc.units))
+        sys.exit(7)
+"""
+
+#: 8 chunks of 256 seeds: 8 pool units at workers=2.
+LOSS_SPEC = ExperimentSpec(
+    construction="bn",
+    params={"d": 2, "b": 3, "s": 1, "t": 2},
+    grid=(FaultSpec(p=1e-3),),
+    trials=2048,
+    chunk_size=256,
+    name="worker-loss",
+)
+
+
+def run_dying(tmp_path, *args: str) -> subprocess.CompletedProcess:
+    """``_DYING_RUN`` in a fresh interpreter under a hard timeout: a run
+    that hangs on the lost unit fails the test instead of stalling it."""
+    script = tmp_path / "dying_run.py"
+    script.write_text(_DYING_RUN)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.run([sys.executable, str(script), *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestWorkerLoss:
+    """A pool worker that dies ends the run with ``WorkerLostError`` in
+    bounded time — never a hang — after every chunk that completed is
+    journaled, and resuming that journal gives the uninterrupted bytes."""
+
+    def test_dead_worker_raises_then_resume_is_byte_identical(self, tmp_path):
+        journal = tmp_path / "loss.ndjson"
+        proc = run_dying(tmp_path, "1280", "api", json.dumps(LOSS_SPEC.to_dict()),
+                         str(journal))
+        assert proc.returncode == 7, proc.stderr
+        lost = json.loads(proc.stdout)
+        assert ["p=0.001", 0, 5, 5] in lost
+        journaled = {json.loads(line)["chunk"]
+                     for line in journal.read_text().splitlines()[1:]}
+        assert 5 not in journaled
+        assert not journaled & {first for _, _, first, _ in lost}
+        resumed = run_bytes(LOSS_SPEC, tmp_path, "resumed",
+                            checkpoint=journal, resume=True)
+        assert resumed == run_bytes(LOSS_SPEC, tmp_path, "ref")
+
+    def test_cli_reports_one_line_and_exits_2(self, tmp_path):
+        proc = run_dying(tmp_path, "1280", "cli", "run", "--construction", "bn", "--b", "3",
+                         "--p", "0.001", "--trials", "2048", "--workers", "2",
+                         "--checkpoint", str(tmp_path / "cli.ndjson"))
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run: a worker process died")
+        assert "point 0 (p=0.001) chunks 80-95" in lines[0]
