@@ -11,20 +11,33 @@ seed-dependent shortfall) and an open-loop saturation sweep the old
 inject-everything-at-cycle-0 model could not express at all.
 
 Also times the scalar engine against the vectorized lockstep kernel at
-this size and records the ISSUE 4 headline (>= 10x, identical results)
-in ``BENCH_traffic.json`` at the repo root.
+this size and records the headline (>= 10x, identical results) in
+``BENCH_traffic.json`` at the repo root, beside ``stage_split``:
+perfbench ``traffic``'s ``ops_per_s`` and the traced shares of the cycle
+loop and of route building (benchmarks/stage_split.py), for this
+checkout and, with ``--split-against CHECKOUT``, another one as
+"before".
+
+Runs two ways::
+
+    pytest benchmarks/bench_e14_routing.py      # tables + the artifact
+    python benchmarks/bench_e14_routing.py [--split-against CHECKOUT]
+                                                # regenerate BENCH_traffic.json
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import sys
 import time
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 from conftest import run_once
+from stage_split import stage_split_block
 
 from repro.api import ExperimentRunner, ExperimentSpec, TrafficSpec
 from repro.api.traffic import message_classes
@@ -41,6 +54,18 @@ from repro.util.tables import Table
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAFFIC_JSON = ROOT / "BENCH_traffic.json"
+
+#: Per-layer metrics of perfbench's traced ``traffic`` workload (defined
+#: in perfbench/README.md): the cycle loop's own time, route building's,
+#: and the cycles one simulation runs.
+STAGE_METRICS = (
+    "fastpath.traffic_batch.arbitrate_share",
+    "fastpath.traffic_batch.routes_share",
+    "fastpath.traffic_batch.cycles_per_trial",
+)
+
+#: Acceptance floor of the scalar-vs-batch speedup at the e14 size.
+SPEEDUP_FLOOR = 10.0
 
 PARAMS = BnParams(d=2, b=3, s=1, t=2)
 PATTERNS = ("uniform", "transpose", "neighbor", "hotspot")
@@ -290,8 +315,11 @@ def test_e14_router_class_matrix(benchmark, report):
             assert r["c0_p99"] <= r["cn_p99"]
 
 
-def measure_kernel(messages: int = 2000, repeats: int = 3) -> dict:
-    """Scalar engine vs vectorized kernel at the e14 size; identity + timing."""
+def measure_kernel(messages: int = 2000, repeats: int = 3,
+                   split_against: Path | None = None) -> dict:
+    """Scalar engine vs vectorized kernel at the e14 size (identity and
+    timing), plus perfbench ``traffic``'s ``stage_split`` (after = this
+    checkout, before = the checkout at ``split_against`` when given)."""
     shape = (PARAMS.n,) * PARAMS.d
     cases = {}
     closed = make_traffic(shape, "uniform", messages, spawn_rng(3, "bench"))
@@ -336,12 +364,23 @@ def measure_kernel(messages: int = 2000, repeats: int = 3) -> dict:
             "against BENCH_fastpath.json"
         ),
         **cases,
+        "stage_split": stage_split_block(ROOT, "traffic", STAGE_METRICS, split_against),
     }
 
 
+def kernel_failures(data: dict) -> list[str]:
+    """Acceptance violations of a :func:`measure_kernel` record."""
+    out = []
+    for key in ("closed_batch", "open_loop"):
+        if not data[key]["results_identical"]:
+            out.append(f"{key}: batched SimResult differs from the scalar engine's")
+        if data[key]["speedup"] < SPEEDUP_FLOOR:
+            out.append(f"{key}: batched speedup {data[key]['speedup']}x < {SPEEDUP_FLOOR}x")
+    return out
+
+
 def test_e14_kernel_speedup(benchmark, report):
-    """ISSUE 4 acceptance: >= 10x at the e14 size, recorded in
-    BENCH_traffic.json."""
+    """Acceptance: >= 10x at the e14 size, recorded in BENCH_traffic.json."""
 
     def compute():
         data = measure_kernel()
@@ -360,11 +399,7 @@ def test_e14_kernel_speedup(benchmark, report):
              f"{c['speedup']:.1f}x", "yes" if c["results_identical"] else "NO"]
         )
     report("e14_kernel", table)
-    for key in ("closed_batch", "open_loop"):
-        assert data[key]["results_identical"]
-        assert data[key]["speedup"] >= 10.0, (
-            f"{key}: batched speedup {data[key]['speedup']}x < 10x"
-        )
+    assert not kernel_failures(data)
 
 
 def test_e14_simulator_speed(benchmark):
@@ -377,3 +412,27 @@ def test_e14_batched_simulator_speed(benchmark):
     shape = (PARAMS.n, PARAMS.n)
     traffic = make_traffic(shape, "uniform", 200, spawn_rng(5))
     benchmark(lambda: simulate_batch(shape, traffic))
+
+
+# -- CLI ---------------------------------------------------------------------
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--split-against", dest="split_against", type=Path,
+                    metavar="CHECKOUT",
+                    help="also measure stage_split on another checkout (e.g. "
+                         "the parent commit) as 'before'")
+    args = ap.parse_args(argv)
+    data = measure_kernel(split_against=args.split_against)
+    print(json.dumps(data, indent=2, sort_keys=True))
+    TRAFFIC_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {TRAFFIC_JSON}")
+    failures = kernel_failures(data)
+    for line in failures:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

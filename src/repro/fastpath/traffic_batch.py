@@ -1,19 +1,24 @@
 """Vectorized lockstep store-and-forward kernel (the traffic fast path).
 
 The scalar engine (:func:`repro.sim.engine.simulate`) walks a Python dict
-of per-link queues message by message, every cycle — the last per-item
-pure-Python hot loop in the repo.  This kernel advances *all* live
-messages of one simulation in lockstep:
+of per-link queues message by message, every cycle.  This kernel
+advances *all* live messages of one simulation in lockstep:
 
-* routes are precomputed as padded ``(M, L)`` arrays of directed-link ids
-  (``u * size + v``) by a closed-form dimension-ordered route builder —
-  one masked numpy pass per axis over blocks of rows, never a loop over
-  messages or hops — or handed in by a caller that already built them;
-* per-cycle link arbitration is one stable sort over the live messages'
-  wanted link ids — live message ids are ascending, so the first entry of
-  every equal-link run *is* the scalar engine's lowest-id winner — plus a
-  run-length reduction for queue depths over a preallocated boundary
-  mask;
+* routes are padded ``(M, L + 1)`` node arrays of dimension-ordered
+  routes, built in closed form — one masked numpy pass per axis over
+  blocks of rows, never a loop over messages or hops — or handed in by a
+  caller that already built them;
+* every hop becomes a dense directed-link id ``u * 2d + port``
+  (:func:`link_ids`): a d-dimensional torus node has 2d neighbours, so
+  the ids fill ``[0, size * 2d)`` and index plain per-link tables;
+* the live set is kept incrementally: messages arrive in injection-cycle
+  order through one ``searchsorted`` per cycle (under credit flow
+  control they wait in id-sorted per-class pools), and delivered
+  messages leave it, so no cycle touches all M messages;
+* per-cycle arbitration sorts nothing: ``minimum.at`` leaves each wanted
+  link the lowest ``(class, id)`` key among its requesters — the scalar
+  engine's winner — and ``add.at`` counts them for the queue depth; both
+  tables are reset where they were touched;
 * winners advance, finishers record ``cycle + 1 - inject`` latencies, and
   the loop repeats until everything is delivered or ``max_cycles`` hits.
 
@@ -33,12 +38,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.engine import SimResult, byzantine_counts, classify_messages
+from repro.sim.engine import (
+    SimResult,
+    byzantine_counts,
+    check_sim_inputs,
+    classify_messages,
+)
 from repro.sim.routing import ROUTERS, adaptive_route
 from repro.topology.coords import CoordCodec
 
 __all__ = [
     "build_routes_batch",
+    "link_ids",
     "routes_batch",
     "routes_health_mask",
     "run_traffic_batch",
@@ -259,6 +270,48 @@ def _apply_byzantine_batch(plan, shape, nodes, lengths, routable):
     return out, lengths, actions
 
 
+def link_ids(shape: tuple[int, ...], nodes: np.ndarray) -> np.ndarray:
+    """Dense directed-link id of every hop of padded routes.
+
+    ``ids[i, j]`` is ``u * 2d + port`` for the hop ``u -> v`` from
+    ``nodes[i, j]`` to ``nodes[i, j + 1]``: every node of a d-dimensional
+    torus has 2d neighbours, so the ids fill ``[0, size * 2d)``.  The port
+    comes from the displacement ``v - u`` through a table.  Along an axis
+    of side ``n`` and stride ``s``, ``+s`` and its wrap ``-(n - 1) s`` are
+    the axis's ``+`` port, ``-s`` and ``+(n - 1) s`` its ``-`` port.  On
+    side 2 both directions reach the same neighbour, and all four
+    displacements fall on the ``+`` port; an axis of side 1 has no hops.
+    The strides are nested, so no two axes share a displacement, and the
+    id is one-to-one on distinct ``(u, v)`` hops: adaptive detours and
+    Byzantine misroute tails get their ids the same way.  Entries past a
+    route's end are never read.
+
+    Rows are handled in blocks of :data:`ROUTE_BLOCK`, so the peak is the
+    int32 output plus ``O(ROUTE_BLOCK * L)`` temporaries.
+    """
+    codec = CoordCodec(shape)
+    size, ports = codec.size, 2 * len(shape)
+    port = np.zeros(2 * size + 1, dtype=np.int64)  # indexed by v - u + size
+    for a, n in enumerate(shape):
+        s = int(codec.strides[a])
+        if n > 1:
+            port[size - s] = port[size + (n - 1) * s] = 2 * a + 1
+            port[size + s] = port[size - (n - 1) * s] = 2 * a
+    m, width = len(nodes), nodes.shape[1] - 1
+    dtype = np.int32 if size * ports <= np.iinfo(np.int32).max else np.int64
+    ids = np.empty((m, width), dtype=dtype)
+    for r0 in range(0, m, ROUTE_BLOCK):
+        block = nodes[r0 : r0 + ROUTE_BLOCK]
+        hop = block[:, 1:] - block[:, :-1]
+        hop += size
+        ids[r0 : r0 + ROUTE_BLOCK] = block[:, :-1] * ports + port[hop]
+    return ids
+
+
+#: Empty entry of the per-link winner table (above every message key).
+_NO_KEY = np.iinfo(np.int64).max
+
+
 def simulate_batch(
     shape: tuple[int, ...],
     traffic: np.ndarray,
@@ -297,75 +350,91 @@ def simulate_batch(
             byzantine, shape, nodes, lengths, routable
         )
     m = len(nodes)
-    size = CoordCodec(shape).size
-    if classes is None:
-        cls = np.zeros(m, dtype=np.int64)
-    else:
-        cls = np.asarray(classes, dtype=np.int64)
-        if cls.shape != (m,):
-            raise ValueError(f"classes shape {cls.shape} != ({m},)")
-        if m and cls.min() < 0:
-            raise ValueError("classes must be >= 0")
-    if credits < 0:
-        raise ValueError("credits must be >= 0 (0 = unlimited)")
+    cls, start = check_sim_inputs(m, inject=inject, classes=classes, credits=credits)
     num_classes = int(cls.max()) + 1 if m else 1
-    if inject is None:
-        start = np.zeros(m, dtype=np.int64)
-    else:
-        start = np.asarray(inject, dtype=np.int64)
-        if start.shape != (m,):
-            raise ValueError(f"inject shape {start.shape} != ({m},)")
-        if m and start.min() < 0:
-            raise ValueError("inject cycles must be >= 0")
-    # Directed-link id per hop: u * size + v (pad rows keep a harmless -1).
-    links = nodes[:, :-1] * size + nodes[:, 1:] if m else np.empty((0, 0), np.int64)
-
-    pos = np.zeros(m, dtype=np.int64)
-    # Run starts of one cycle's k sorted wanted links, plus entry k closing
-    # the last run: filled in place, so the cycle allocates no concatenation.
-    run_start = np.empty(m + 1, dtype=bool)
+    flat = link_ids(shape, nodes)
+    width = flat.shape[1]
+    flat = flat.ravel()
     # self-addressed: delivered at injection, latency 0 (unroutable rows
     # also have length 0 but never deliver — mask them out)
     done = (lengths == 0) & routable
     latencies = np.where(done, 0, -1).astype(np.int64)
-    entered = np.zeros(m, dtype=bool)
-    avail = np.full(num_classes, credits, dtype=np.int64) if credits else None
+    # The rest arrive by injection cycle; the stable sort keeps id order
+    # within a cycle, so each cycle's arrivals are one id-sorted run.
+    arrivals = np.flatnonzero(routable & (lengths > 0))
+    arrivals = arrivals[np.argsort(start[arrivals], kind="stable")]
+    due = start[arrivals]
+    # A link goes to its lowest (class, id); this key orders them, and the
+    # message id is ``key % m``.
+    key = cls * m + np.arange(m)
+
+    def entering(ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Live state of messages entering the network: the cursor into
+        ``flat``, the cursor's value at delivery, and the key."""
+        cursor = ids * width
+        return cursor, cursor + lengths[ids], key[ids]
+
+    cursor, end, lkey = entering(arrivals[:0])
+    if credits:
+        avail = np.full(num_classes, credits, dtype=np.int64)
+        # Arrived messages waiting for a credit, one id-sorted pool per class.
+        pools = [arrivals[:0]] * num_classes
+    else:
+        queued = entering(arrivals)
+    n_links = CoordCodec(shape).size * 2 * len(shape)
+    best = np.full(n_links, _NO_KEY)
+    queue = np.zeros(n_links, dtype=np.int64)
+    admitted = waiting = 0
     cycles = 0
     max_queue = 0
-    while not (done | ~routable).all() and cycles < max_cycles:
-        # Admission: arrivals whose scheduled cycle has come; with credit
-        # flow control each class admits in id order while its pool lasts.
-        candidates = routable & ~done & ~entered & (start <= cycles)
-        if avail is None:
-            entered |= candidates
-        elif candidates.any():
+    while cycles < max_cycles and (admitted < len(due) or waiting or len(lkey)):
+        entered = []
+        if admitted < len(due):
+            nxt = int(np.searchsorted(due, cycles, side="right"))
+            if not credits:
+                entered.append([q[admitted:nxt] for q in queued])
+            else:
+                new = arrivals[admitted:nxt]
+                for c in range(num_classes):
+                    run = new[cls[new] == c]
+                    pools[c] = np.insert(pools[c], np.searchsorted(pools[c], run), run)
+                waiting += len(new)
+            admitted = nxt
+        if waiting:
+            # Each class admits its lowest ids while its credits last.
             for c in range(num_classes):
-                if avail[c] <= 0:
-                    continue
-                ids = np.flatnonzero(candidates & (cls == c))[: avail[c]]
-                entered[ids] = True
-                avail[c] -= len(ids)
-        live = np.flatnonzero(entered & ~done)
-        if len(live):
-            wanted = links[live, pos[live]]
-            # Grant each link to its lowest (class, id): primary key link,
-            # then class, then ascending live id — with one class this is
-            # exactly the historical stable argsort on the link id.
-            order = np.lexsort((live, cls[live], wanted))
-            lk = wanted[order]
-            k = lk.size
-            run_start[0] = run_start[k] = True
-            np.not_equal(lk[1:], lk[:-1], out=run_start[1:k])
-            runs = np.flatnonzero(run_start[: k + 1])
-            max_queue = max(max_queue, int((runs[1:] - runs[:-1]).max()))
-            winners = live[order[runs[:-1]]]
-            pos[winners] += 1
-            finished = winners[pos[winners] == lengths[winners]]
-            done[finished] = True
-            latencies[finished] = cycles + 1 - start[finished]
-            if avail is not None and len(finished):
-                # Credits released by deliveries feed next cycle's admission.
-                avail += np.bincount(cls[finished], minlength=num_classes)
+                take = pools[c][: avail[c]]
+                entered.append(entering(take))
+                pools[c] = pools[c][len(take):]
+                avail[c] -= len(take)
+                waiting -= len(take)
+        if entered:
+            # The live set is unordered: the keys carry the ids.
+            cursor, end, lkey = (
+                np.concatenate(parts) for parts in zip((cursor, end, lkey), *entered)
+            )
+        if len(lkey):
+            # intp link ids spare each table access below a conversion.
+            wanted = flat[cursor].astype(np.intp)
+            # Each wanted link keeps the lowest key among its requesters
+            # and counts them; both tables are reset where touched.
+            np.minimum.at(best, wanted, lkey)
+            win = best[wanted] == lkey
+            best[wanted] = _NO_KEY
+            np.add.at(queue, wanted, 1)
+            max_queue = max(max_queue, int(queue[wanted].max()))
+            queue[wanted] = 0
+            cursor += win
+            fin = cursor == end
+            if fin.any():
+                ids = lkey[fin] % m
+                done[ids] = True
+                latencies[ids] = cycles + 1 - start[ids]
+                if credits:
+                    # Credits released by deliveries feed next cycle's admission.
+                    avail += np.bincount(cls[ids], minlength=num_classes)
+                keep = ~fin
+                cursor, end, lkey = cursor[keep], end[keep], lkey[keep]
         cycles += 1
     dropped = corrupted = misrouted = 0
     if actions is not None:

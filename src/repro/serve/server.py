@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro._version import __version__
 from repro.api.registry import available, get
+from repro.errors import ParameterError
 from repro.serve import protocol
 from repro.serve.state import MachineActor, MachineState
 from repro.serve.telemetry import ServerTelemetry
@@ -46,6 +47,14 @@ class ServeError(Exception):
     def __init__(self, message: str, *, code: str = "bad-request") -> None:
         super().__init__(message)
         self.code = code
+
+
+def _int(value, name: str) -> int:
+    """A frame field as an int; a value ``int`` rejects is a bad request."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ServeError(f"{name!r} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -268,12 +277,13 @@ class ReproServer:
             except ServeError as exc:
                 self.telemetry.errors += 1
                 response = protocol.error_response(rid, exc.code, str(exc))
-            except (KeyError, TypeError, ValueError) as exc:
+            except ParameterError as exc:
                 self.telemetry.errors += 1
                 response = protocol.error_response(rid, "bad-request", str(exc))
             except Exception as exc:
                 # A bug inside a handler: answer it and keep serving, so
-                # the client never waits on a request that died.
+                # the client never waits on a request that died.  Only the
+                # two errors above blame the client.
                 self.telemetry.errors += 1
                 log.exception("internal error in %r request from %s", op, conn.peer)
                 response = protocol.error_response(
@@ -303,10 +313,13 @@ class ReproServer:
         if op == "version":
             return {"server": __version__, "protocol": protocol.PROTOCOL_VERSION}
         if op == "create":
+            params = frame.get("params") or {}
+            if not isinstance(params, dict):
+                raise ServeError("'params' must be an object")
             actor = self.create_machine(
                 frame.get("machine"),
                 frame.get("construction"),
-                dict(frame.get("params") or {}),
+                dict(params),
                 exist_ok=bool(frame.get("exist_ok", False)),
             )
             return actor.state.info()
@@ -321,7 +334,7 @@ class ReproServer:
             model = frame.get("model")
             return await actor.apply_event(
                 frame.get("kind"),
-                frame.get("node"),
+                _int(frame.get("node"), "node"),
                 model=None if model is None else str(model),
             )
         if op == "events":
@@ -334,18 +347,19 @@ class ReproServer:
                     "'events' must be a list of [kind, node] or "
                     "[kind, node, model] entries"
                 )
+            events = [(e[0], _int(e[1], "node"), *e[2:]) for e in events]
             return {"results": await actor.apply_events(events)}
         if op == "traffic":
             actor = self._actor(frame.get("machine"))
             return actor.state.traffic_query(
                 str(frame.get("pattern", "uniform")),
-                int(frame.get("messages", 64)),
-                int(frame.get("seed", 0)),
+                _int(frame.get("messages", 64), "messages"),
+                _int(frame.get("seed", 0), "seed"),
                 live=bool(frame.get("live", True)),
-                max_cycles=int(frame.get("max_cycles", 10_000)),
+                max_cycles=_int(frame.get("max_cycles", 10_000), "max_cycles"),
                 router=str(frame.get("router", "dimension")),
-                qos_classes=int(frame.get("qos_classes", 1)),
-                credits=int(frame.get("credits", 0)),
+                qos_classes=_int(frame.get("qos_classes", 1), "qos_classes"),
+                credits=_int(frame.get("credits", 0), "credits"),
             )
         if op == "telemetry":
             return self._telemetry_snapshot(

@@ -45,10 +45,11 @@ import numpy as np
 from repro.api.lifetime import LifetimeOutcome, drive_timeline, lifetime_step, timeline_events
 from repro.api.protocol import LifetimeSpec
 from repro.api.registry import get
+from repro.errors import ParameterError
 from repro.faults.registry import fault_model_names
 from repro.serve.telemetry import MachineTelemetry
 from repro.sim.metrics import latency_stats
-from repro.sim.traffic import make_traffic
+from repro.sim.traffic import TRAFFIC_PATTERNS, make_traffic
 from repro.util.rng import spawn_rng
 
 __all__ = [
@@ -178,13 +179,13 @@ class MachineState:
         node = int(node)
         size = self.machine.faults.size
         if not (0 <= node < size):
-            raise ValueError(f"node {node} out of range [0, {size})")
+            raise ParameterError(f"node {node} out of range [0, {size})")
         if kind not in ("fault", "repair"):
-            raise ValueError(f"unknown event kind {kind!r} (fault | repair)")
+            raise ParameterError(f"unknown event kind {kind!r} (fault | repair)")
         if model is not None:
             names = fault_model_names()
             if model not in names:
-                raise ValueError(
+                raise ParameterError(
                     f"unknown fault model {model!r}; options: {', '.join(names)}"
                 )
         action = lifetime_step(self.machine, self.outcome, kind, node)
@@ -231,23 +232,32 @@ class MachineState:
         """
         c = self.construction
         if not hasattr(c, "guest_shape"):
-            raise ValueError(
+            raise ParameterError(
                 f"construction {self.construction_key!r} has no torus guest "
                 "(no traffic capability)"
             )
-        if messages < 0:
-            raise ValueError(f"messages must be >= 0, got {messages}")
-        if max_cycles < 0:
-            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
         from repro.api.traffic import message_classes
         from repro.sim.lifetime_traffic import serve_traffic
         from repro.sim.routing import ROUTERS
 
+        for name, value, least in (
+            ("messages", messages, 0), ("max_cycles", max_cycles, 0),
+            ("qos_classes", qos_classes, 1), ("credits", credits, 0),
+        ):
+            if value < least:
+                raise ParameterError(f"{name} must be >= {least}, got {value}")
         if router not in ROUTERS:
-            raise ValueError(f"unknown router {router!r}; options: {ROUTERS}")
+            raise ParameterError(f"unknown router {router!r}; options: {ROUTERS}")
+        if pattern not in TRAFFIC_PATTERNS:
+            raise ParameterError(
+                f"unknown pattern {pattern!r}; options: {', '.join(sorted(TRAFFIC_PATTERNS))}"
+            )
         guest = tuple(int(s) for s in c.guest_shape())
         rng = spawn_rng(int(seed), "serve-traffic", pattern)
-        traffic = make_traffic(guest, pattern, int(messages), rng)
+        try:
+            traffic = make_traffic(guest, pattern, int(messages), rng)
+        except ValueError as exc:  # a pattern the guest's shape has no traffic for
+            raise ParameterError(f"pattern {pattern!r}: {exc}") from None
         # Classes are assigned by original message id, before any
         # deliverability filtering, so a message keeps its class no matter
         # which router or fault set it meets.

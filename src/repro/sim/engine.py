@@ -70,6 +70,7 @@ __all__ = [
     "MSG_UNDELIVERABLE",
     "SimResult",
     "byzantine_counts",
+    "check_sim_inputs",
     "classify_messages",
     "simulate",
 ]
@@ -204,8 +205,13 @@ def classify_messages(done, routable, latencies) -> np.ndarray:
     return status
 
 
-def _check_classes(classes, m, credits):
-    """Validated per-message class array (always present, default all-0)."""
+def check_sim_inputs(m, *, inject=None, classes=None, credits=0):
+    """Validated ``(classes, inject)`` arrays for ``m`` messages.
+
+    Shared by the scalar engine and the vectorized kernel so their
+    argument errors cannot drift.  Classes default to all 0 and
+    injection cycles to all 0 (the closed-loop batch).
+    """
     if classes is None:
         cls = np.zeros(m, dtype=np.int64)
     else:
@@ -216,7 +222,15 @@ def _check_classes(classes, m, credits):
             raise ValueError("classes must be >= 0")
     if credits < 0:
         raise ValueError("credits must be >= 0 (0 = unlimited)")
-    return cls
+    if inject is None:
+        start = np.zeros(m, dtype=np.int64)
+    else:
+        start = np.asarray(inject, dtype=np.int64)
+        if start.shape != (m,):
+            raise ValueError(f"inject shape {start.shape} != ({m},)")
+        if m and start.min() < 0:
+            raise ValueError("inject cycles must be >= 0")
+    return cls, start
 
 
 def simulate(
@@ -249,18 +263,12 @@ def simulate(
     actions = None
     if byzantine is not None:
         routes, actions = byzantine.apply(shape, routes)
-    cls = _check_classes(classes, len(routes), credits)
+    cls, start = check_sim_inputs(
+        len(routes), inject=inject, classes=classes, credits=credits
+    )
     num_classes = int(cls.max()) + 1 if len(cls) else 1
     # message state: position index into its route
     pos = np.zeros(len(routes), dtype=np.int64)
-    if inject is None:
-        start = np.zeros(len(routes), dtype=np.int64)  # injection at cycle 0
-    else:
-        start = np.asarray(inject, dtype=np.int64)
-        if start.shape != (len(routes),):
-            raise ValueError(f"inject shape {start.shape} != ({len(routes)},)")
-        if len(start) and start.min() < 0:
-            raise ValueError("inject cycles must be >= 0")
     done = np.zeros(len(routes), dtype=bool)
     latencies = np.full(len(routes), -1, dtype=np.int64)
     avail = [credits] * num_classes if credits else None

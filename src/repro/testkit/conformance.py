@@ -305,6 +305,19 @@ def run_conformance(
         )
         report.oracle = f"sim-engines-adaptive:{shape}"
         done(report)
+        # Congestion: eight messages per node, all live from cycle 0, so
+        # most links are contended every cycle; again with two classes
+        # whose credits hold most arrivals in the waiting pools.
+        crowd = make_traffic(shape, "uniform", 8 * size,
+                             spawn_rng(19, "conf-congested", str(shape)))
+        report = sim_engines_oracle(shape, crowd)
+        report.oracle = f"sim-engines-congested:{shape}"
+        done(report)
+        report = sim_engines_oracle(
+            shape, crowd, classes=message_classes(len(crowd), 2), credits=size // 2,
+        )
+        report.oracle = f"sim-engines-congested-qos:{shape}"
+        done(report)
 
     params = BnParams(d=2, b=3, s=1, t=2)
     rng = spawn_rng(11, "conf-embed")

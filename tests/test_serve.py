@@ -21,6 +21,7 @@ import pytest
 
 from repro.api.protocol import LifetimeSpec
 from repro.api.registry import available
+from repro.errors import ParameterError
 from repro.serve import protocol
 from repro.serve.client import LoadGenConfig, LoadGenerator, ServeClient, ServeRequestError
 from repro.serve.server import ReproServer, ServeConfig, ServeError
@@ -437,10 +438,11 @@ class TestDeterminism:
 
 
 class TestTrafficQueries:
-    @pytest.mark.parametrize(
-        "field,value", [("messages", -1), ("max_cycles", -5)]
-    )
-    def test_negative_field_is_a_bad_request_naming_it(self, field, value):
+    @staticmethod
+    def _rejected_query(**fields) -> ServeRequestError:
+        """The error a ``traffic`` query with ``fields`` gets over the
+        wire; the connection and the machine must both survive it."""
+
         async def go() -> ServeRequestError:
             server = await _started_server()
             try:
@@ -448,8 +450,7 @@ class TestTrafficQueries:
                 await c.request("create", machine="m", construction="bn",
                                 params=BN_PARAMS)
                 with pytest.raises(ServeRequestError) as err:
-                    await c.request("traffic", machine="m", **{field: value})
-                # The connection and the machine both survive the rejection.
+                    await c.request("traffic", machine="m", **fields)
                 ok = await c.request("traffic", machine="m", messages=4)
                 assert ok["offered"] == 4
                 await c.close()
@@ -457,7 +458,26 @@ class TestTrafficQueries:
             finally:
                 await _stop(server)
 
-        err = asyncio.run(go())
+        return asyncio.run(go())
+
+    @pytest.mark.parametrize(
+        "field,value", [("messages", -1), ("max_cycles", -5)]
+    )
+    def test_negative_field_is_a_bad_request_naming_it(self, field, value):
+        err = self._rejected_query(**{field: value})
+        assert err.code == "bad-request"
+        assert field in str(err)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("messages", "lots"), ("seed", None), ("pattern", "spiral"),
+         ("pattern", "bitreverse"), ("qos_classes", 0), ("credits", -1)],
+    )
+    def test_bad_field_is_a_bad_request_naming_it(self, field, value):
+        """Fields are checked before any work: a wrong type, an unknown
+        pattern, a pattern the 36x36 guest has no traffic for, and knobs
+        out of range are all the client's fault."""
+        err = self._rejected_query(**{field: value})
         assert err.code == "bad-request"
         assert field in str(err)
 
@@ -689,6 +709,74 @@ class TestServeErrors:
         assert errors == 1
         assert any(r.exc_info and "internal error" in r.getMessage()
                    for r in caplog.records)
+
+    def test_kernel_value_error_is_internal_not_bad_request(self, monkeypatch):
+        """A ``ValueError`` raised inside the traffic kernel is the
+        server's bug, not the client's: it is answered ``internal``, and
+        the connection, the machine and its ``seq`` survive."""
+        import repro.fastpath.traffic_batch as traffic_batch
+
+        def broken(*args, **kwargs):
+            raise ValueError("kernel exploded")
+
+        async def go():
+            server = await _started_server()
+            try:
+                c = await ServeClient.connect("127.0.0.1", server.port)
+                await c.request("create", machine="m", construction="bn",
+                                params=BN_PARAMS)
+                for kind, node in scripted_events("bn", BN_PARAMS, BN_SPEC, 3)[:6]:
+                    await c.request("event", machine="m", kind=kind, node=node)
+                digest = await c.request("digest", machine="m")
+                with monkeypatch.context() as patch:
+                    patch.setattr(traffic_batch, "simulate_batch", broken)
+                    with pytest.raises(ServeRequestError) as err:
+                        await c.request("traffic", machine="m", messages=4)
+                ok = await c.request("traffic", machine="m", messages=4)
+                seq = (await c.request("telemetry", machine="m"))["seq"]
+                after = await c.request("digest", machine="m")
+                await c.close()
+                return err.value, ok, seq, (digest, after)
+            finally:
+                await _stop(server)
+
+        err, ok, seq, digests = asyncio.run(asyncio.wait_for(go(), 30))
+        assert err.code == "internal" and "kernel exploded" in str(err)
+        assert ok["offered"] == 4
+        assert seq == 6
+        assert canonical(digests[0]) == canonical(digests[1])
+
+    def test_bad_event_fields_are_bad_requests(self):
+        state = MachineState("m", "sparerows", {"n": 8, "sigma": 2})
+        for kind, node in (("fault", -1), ("meteor", 3)):
+            with pytest.raises(ParameterError):
+                state.apply_event(kind, node)
+
+        async def go() -> list[str]:
+            server = await _started_server()
+            try:
+                c = await ServeClient.connect("127.0.0.1", server.port)
+                await c.request("create", machine="m", construction="sparerows",
+                                params={"n": 8, "sigma": 2})
+                codes = []
+                for op, fields in (
+                    ("event", {"kind": "fault", "node": "three"}),
+                    ("event", {"kind": "fault"}),
+                    ("events", {"events": [["fault", 3], ["fault", [4]]]}),
+                    ("create", {"construction": "bn", "params": [1, 2]}),
+                ):
+                    with pytest.raises(ServeRequestError) as err:
+                        await c.request(op, machine="m", **fields)
+                    codes.append(err.value.code)
+                seq = (await c.request("telemetry", machine="m"))["seq"]
+                await c.close()
+                return codes, seq
+            finally:
+                await _stop(server)
+
+        codes, seq = asyncio.run(asyncio.wait_for(go(), 30))
+        assert codes == ["bad-request"] * 4
+        assert seq == 0  # the events batch was rejected before any of it applied
 
     def test_create_machine_validation(self):
         server = ReproServer()

@@ -22,6 +22,7 @@ diff the conformance suite and mutation tests use.
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -29,14 +30,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.traffic import message_classes
 from repro.fastpath.traffic_batch import (
     ROUTE_BLOCK,
+    link_ids,
     routes_batch,
     sim_results_identical,
     simulate_batch,
 )
 from repro.sim.engine import simulate
-from repro.sim.routing import dimension_ordered_route, route_length
+from repro.sim.routing import (
+    ByzantinePlan,
+    dimension_ordered_route,
+    fault_predicates,
+    route_length,
+)
 from repro.sim.traffic import (
     TRAFFIC_PATTERNS,
     bitreverse_index,
@@ -304,6 +312,119 @@ class TestBatchKernelEquivalence:
                 engine((4, 4), t, inject=np.array([1, 2]))
             with pytest.raises(ValueError):
                 engine((4, 4), t, inject=np.array([-1]))
+
+
+def _torus_hops(shape):
+    """Every directed torus hop ``(u, v)``, one row per (node, axis,
+    direction) — so side-2 axes list their single neighbour twice."""
+    codec = CoordCodec(shape)
+    coords = codec.unravel(codec.all_indices())
+    hops = []
+    for axis, n in enumerate(shape):
+        if n == 1:
+            continue
+        for step in (1, -1):
+            moved = coords.copy()
+            moved[:, axis] = (moved[:, axis] + step) % n
+            hops.append(np.stack([codec.all_indices(), codec.ravel(moved)], axis=1))
+    return np.concatenate(hops) if hops else np.empty((0, 2), dtype=np.int64)
+
+
+class TestDenseLinkKernel:
+    """The cycle loop's dense link ids and its sort-free arbitration."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_link_ids_are_one_to_one_on_hops(self, d):
+        """On every shape with sides 1, 2 and 3 the id ``u * 2d + port``
+        is a bijection between distinct hops and their ids: the two
+        directions of a side-2 axis (one neighbour) share one id, and no
+        other pair of hops does."""
+        for shape in itertools.product((1, 2, 3), repeat=d):
+            hops = _torus_hops(shape)
+            ids = link_ids(shape, hops)[:, 0]
+            size = int(np.prod(shape))
+            assert ((ids >= 0) & (ids < size * 2 * d)).all(), shape
+            assert (ids // (2 * d) == hops[:, 0]).all(), shape
+            pairs = {tuple(h) for h in hops.tolist()}
+            assert len(set(ids.tolist())) == len(pairs), shape
+            by_id = {}
+            for i, hop in zip(ids.tolist(), map(tuple, hops.tolist())):
+                assert by_id.setdefault(i, hop) == hop, shape
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (3,), (2, 2), (1, 3), (3, 2), (2, 1, 3), (3, 3, 2),
+                  (2, 2, 2, 2), (1, 2, 3, 2), (3, 3, 3, 3)],
+    )
+    def test_engines_identical_on_small_sides(self, shape):
+        size = int(np.prod(shape))
+        traffic = spawn_rng(size, "small-sides", str(shape)).integers(0, size, (150, 2))
+        assert_results_identical(simulate(shape, traffic), simulate_batch(shape, traffic))
+
+    def test_congested_adaptive_detours_identical(self):
+        shape = (6, 6)
+        faults = spawn_rng(3, "dense-adaptive").random(36) < 0.12
+        node_ok, edge_ok = fault_predicates(faults)
+        traffic = make_traffic(shape, "uniform", 300, spawn_rng(3, "dense-adaptive-t"))
+        kwargs = dict(node_ok=node_ok, edge_ok=edge_ok)
+        adaptive = simulate_batch(shape, traffic, router="adaptive", **kwargs)
+        assert adaptive.undeliverable < simulate_batch(shape, traffic, **kwargs).undeliverable
+        assert_results_identical(simulate(shape, traffic, router="adaptive", **kwargs),
+                                 adaptive)
+
+    def test_congested_byzantine_misroutes_identical(self):
+        shape = (6, 6)
+        traitors = spawn_rng(4, "dense-byz").random(36) < 0.2
+        traffic = make_traffic(shape, "uniform", 300, spawn_rng(4, "dense-byz-t"))
+
+        def plan():
+            return ByzantinePlan(traitors, (0.6, 0.2, 0.2), spawn_rng(4, "dense-byz-plan"))
+
+        batch = simulate_batch(shape, traffic, byzantine=plan())
+        assert batch.misrouted > 0 and batch.dropped > 0
+        assert_results_identical(simulate(shape, traffic, byzantine=plan()), batch)
+
+    def test_credits_hold_arrivals_in_the_pools(self):
+        """Three classes with two credits each: arrivals of every class
+        queue at the source, and each class admits its lowest ids first.
+        The schedule is shuffled, so a message arriving later can have a
+        lower id than one already waiting and must go ahead of it."""
+        shape = (6, 6)
+        traffic, inject = make_open_loop(shape, "uniform", 0.2, 30, spawn_rng(5, "pools"))
+        inject = spawn_rng(5, "pools-shuffle").permutation(inject)
+        classes = message_classes(len(traffic), 3)
+        gated = simulate_batch(shape, traffic, inject=inject, classes=classes, credits=2)
+        free = simulate_batch(shape, traffic, inject=inject, classes=classes)
+        assert gated.cycles > free.cycles
+        assert_results_identical(
+            simulate(shape, traffic, inject=inject, classes=classes, credits=2), gated
+        )
+
+    def test_max_cycles_cut_identical(self):
+        shape = (6, 6)
+        traffic = make_traffic(shape, "uniform", 400, spawn_rng(6, "cut"))
+        cut = simulate_batch(shape, traffic, max_cycles=7)
+        assert cut.cycles == 7 and cut.timed_out > 0 and cut.delivered > 0
+        assert_results_identical(simulate(shape, traffic, max_cycles=7), cut)
+
+    def test_link_ids_peak_memory_is_blocked(self):
+        """The id build's peak is its int32 output, its displacement
+        table and O(ROUTE_BLOCK * L) block temporaries — never one
+        (M, L) int64 temporary, which is what building all rows at once
+        costs."""
+        shape = (36, 36)
+        traffic = make_traffic(shape, "uniform", 100_000, spawn_rng(5, "peak"))
+        nodes, _ = routes_batch(shape, traffic)
+        tracemalloc.start()
+        try:
+            ids = link_ids(shape, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.dtype == np.int32 and ids.shape == (len(nodes), nodes.shape[1] - 1)
+        table = 8 * (2 * 36 * 36 + 1)
+        block = 8 * ROUTE_BLOCK * nodes.shape[1] * 8
+        assert peak <= ids.nbytes + table + block
+        assert table + block < 8 * ids.size  # tighter than one int64 (M, L) copy
 
 
 # ---------------------------------------------------------------------------
