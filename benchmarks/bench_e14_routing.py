@@ -44,10 +44,11 @@ from repro.api.traffic import message_classes
 from repro.core.bn import BTorus
 from repro.core.params import BnParams
 from repro.errors import ReconstructionError
-from repro.fastpath.traffic_batch import sim_results_identical, simulate_batch
+from repro.fastpath.traffic_batch import simulate_batch
 from repro.sim import make_open_loop, make_traffic, simulate
 from repro.sim.metrics import latency_stats, per_class_stats
 from repro.sim.routing import fault_predicates
+from repro.testkit.oracles import compare_sim_results
 from repro.topology.coords import CoordCodec
 from repro.util.rng import spawn_rng
 from repro.util.tables import Table
@@ -347,7 +348,7 @@ def measure_kernel(messages: int = 2000, repeats: int = 3,
             "scalar_s": round(scalar_s, 4),
             "batch_s": round(batch_s, 4),
             "speedup": round(scalar_s / batch_s, 2) if batch_s > 0 else float("inf"),
-            "results_identical": sim_results_identical(a, b),
+            "results_identical": not compare_sim_results(a, b),
         }
     return {
         "benchmark": (

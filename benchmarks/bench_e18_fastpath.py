@@ -49,20 +49,53 @@ FULL_BN = dict(d=2, b=4, s=1, t=2)
 FULL_AN = dict(d=2, b=3, s=1, t=2, k_sub=2, h=12)
 FULL_TRIALS = 64
 QUICK_TRIALS = 64
-#: Repeated timings per kernel; the minimum is reported.  The batched
-#: kernel is single-digit milliseconds, far inside shared-CI-runner
-#: scheduler jitter, so a one-shot sample would make the gate flaky —
-#: min-of-N discards descheduling spikes and is the stable statistic for
+#: Timing rounds per kernel pair; each side's minimum is reported.
+#: Min-of-N discards descheduling spikes and is the stable statistic for
 #: a deterministic kernel.
 REPEATS = 3
+#: Wall-clock the batched side is re-timed for in all, spread over the
+#: rounds.  A batched call is a few milliseconds, inside shared-runner
+#: scheduler jitter: with 3 calls (about 5 ms in all) the traffic gate
+#: read 25.9x-52.9x over 8 runs of one tree and failed one.
+TIMING_BUDGET_S = 0.2
+
+
+def _timed_pair(scalar_fn, batch_fn) -> tuple[dict, object, object]:
+    """Min-of-N wall-clock of a scalar and a batched kernel, interleaved so
+    that a drift in the machine's speed reaches both sides alike.
+
+    Each of :data:`REPEATS` rounds times one scalar call, then batched
+    calls until they add up to ``TIMING_BUDGET_S / REPEATS``.  Returns
+    the record's timing fields and each side's last result.
+    """
+    scalar_s = batch_s = float("inf")
+    batch_calls = 0
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        scalar_out = scalar_fn()
+        scalar_s = min(scalar_s, time.perf_counter() - t0)
+        spent = 0.0
+        while spent < TIMING_BUDGET_S / REPEATS:
+            t0 = time.perf_counter()
+            batch_out = batch_fn()
+            elapsed = time.perf_counter() - t0
+            batch_s, spent, batch_calls = min(batch_s, elapsed), spent + elapsed, batch_calls + 1
+    timing = {
+        "timing_repeats": REPEATS,
+        "batch_calls": batch_calls,
+        "scalar_s": round(scalar_s, 4),
+        "batch_s": round(batch_s, 4),
+        "speedup": round(scalar_s / batch_s, 2) if batch_s > 0 else float("inf"),
+    }
+    return timing, scalar_out, batch_out
 
 
 def _measure(name: str, params: dict, trials: int, p: float | None = None) -> dict:
     """Time scalar vs batched execution of the same seeds; verify identity.
 
-    Both kernels are timed ``REPEATS`` times and the minimum is kept; the
-    scalar reference is re-timed in the same process so the recorded
-    speedup stays machine-portable."""
+    Both kernels are timed min-of-N (:func:`_timed_pair`); the scalar
+    reference is re-timed in the same process so the recorded speedup
+    stays machine-portable."""
     from repro.api import FaultSpec
     from repro.api.registry import get
 
@@ -73,19 +106,10 @@ def _measure(name: str, params: dict, trials: int, p: float | None = None) -> di
     seeds = list(range(trials))
     construction.run_batch(spec, seeds[:2])  # warm both paths
     construction.trial(spec, 0)
-
-    batch_s = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        batch_outs = construction.run_batch(spec, seeds)
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    scalar_s = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        scalar_outs = [construction.trial(spec, s) for s in seeds]
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-
+    timing, scalar_outs, batch_outs = _timed_pair(
+        lambda: [construction.trial(spec, s) for s in seeds],
+        lambda: construction.run_batch(spec, seeds),
+    )
     identical = all(
         (a.success, a.category, a.num_faults, a.strategy_used)
         == (b.success, b.category, b.num_faults, b.strategy_used)
@@ -96,10 +120,7 @@ def _measure(name: str, params: dict, trials: int, p: float | None = None) -> di
         "params": params,
         "p": p,
         "trials": trials,
-        "timing_repeats": REPEATS,
-        "scalar_s": round(scalar_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(scalar_s / batch_s, 2) if batch_s > 0 else float("inf"),
+        **timing,
         "outcomes_identical": identical,
         "successes": sum(o.success for o in batch_outs),
     }
@@ -120,19 +141,10 @@ def _measure_lifetime(params: dict, trials: int) -> dict:
     seeds = list(range(trials))
     construction.run_lifetime_batch(spec, seeds[:2])  # warm both paths
     construction.lifetime_trial(spec, 0)
-
-    batch_s = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        batch_outs = construction.run_lifetime_batch(spec, seeds)
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    scalar_s = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        scalar_outs = [construction.lifetime_trial(spec, s) for s in seeds]
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-
+    timing, scalar_outs, batch_outs = _timed_pair(
+        lambda: [construction.lifetime_trial(spec, s) for s in seeds],
+        lambda: construction.run_lifetime_batch(spec, seeds),
+    )
     identical = all(
         (a.lifetime, a.steps, a.category, a.failed, a.masked, a.replaced)
         == (b.lifetime, b.steps, b.category, b.failed, b.masked, b.replaced)
@@ -143,10 +155,7 @@ def _measure_lifetime(params: dict, trials: int) -> dict:
         "params": params,
         "timeline": "uniform",
         "trials": trials,
-        "timing_repeats": REPEATS,
-        "scalar_s": round(scalar_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(scalar_s / batch_s, 2) if batch_s > 0 else float("inf"),
+        **timing,
         "outcomes_identical": identical,
         "median_lifetime": sorted(o.lifetime for o in batch_outs)[trials // 2],
     }
@@ -161,34 +170,22 @@ TRAFFIC_MESSAGES = 1200
 def _measure_traffic(shape: tuple, messages: int) -> dict:
     """Time the scalar engine vs the vectorized traffic kernel on the same
     workload; verify the SimResults are identical field for field."""
-    from repro.fastpath.traffic_batch import sim_results_identical, simulate_batch
+    from repro.fastpath.traffic_batch import simulate_batch
     from repro.sim import make_traffic, simulate
+    from repro.testkit.oracles import compare_sim_results
     from repro.util.rng import spawn_rng
 
     traffic = make_traffic(shape, "uniform", messages, spawn_rng(3, "e18-traffic"))
     simulate_batch(shape, traffic)  # warm
-
-    batch_s = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        b = simulate_batch(shape, traffic)
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    scalar_s = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        a = simulate(shape, traffic)
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-
+    timing, a, b = _timed_pair(
+        lambda: simulate(shape, traffic), lambda: simulate_batch(shape, traffic)
+    )
     return {
         "shape": list(shape),
         "pattern": "uniform",
         "messages": messages,
-        "timing_repeats": REPEATS,
-        "scalar_s": round(scalar_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(scalar_s / batch_s, 2) if batch_s > 0 else float("inf"),
-        "outcomes_identical": sim_results_identical(a, b),
+        **timing,
+        "outcomes_identical": not compare_sim_results(a, b),
         "cycles": int(a.cycles),
     }
 

@@ -81,9 +81,10 @@ class TrafficOutcome:
     #: Delivery-integrity counts under a Byzantine fault model (see
     #: :class:`~repro.sim.routing.ByzantinePlan`).  ``dropped`` is a loss
     #: bucket, counted like ``timed_out``; ``corrupted``/``misrouted``
-    #: messages were delivered, and stay trial-wide totals whatever the
-    #: measurement window.  All zero without a model, and then omitted
-    #: from JSON so pre-model result files are unchanged.
+    #: messages were delivered, and open-loop runs count them over the
+    #: measurement window too, so each is at most ``delivered``.  All zero
+    #: without a model, and then omitted from JSON so pre-model result
+    #: files are unchanged.
     dropped: int = 0
     corrupted: int = 0
     misrouted: int = 0
@@ -310,8 +311,8 @@ def run_traffic_trial(
             max_latency=float(stats["max"]),
             undeliverable=stats.get("undeliverable", 0),
             dropped=stats.get("dropped", 0),
-            corrupted=result.corrupted,
-            misrouted=result.misrouted,
+            corrupted=stats.get("corrupted", 0),
+            misrouted=stats.get("misrouted", 0),
             per_class=per_class,
         )
     traffic = make_traffic(shape, spec.pattern, spec.messages, rng)

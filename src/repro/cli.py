@@ -249,9 +249,7 @@ def _lifetime_report(args: argparse.Namespace, result, checkpoints: list) -> int
     try:
         snap = lifetime_traffic_snapshots(
             construction, result.spec.grid[0], args.seed, checkpoints,
-            pattern=args.traffic, messages=args.messages,
-            live_traffic=args.live_traffic,
-            router=args.router,
+            pattern=args.traffic, messages=args.messages, router=args.router,
         )
     except (KeyError, ValueError) as exc:
         # e.g. bitreverse on a non-power-of-two guest
@@ -259,7 +257,6 @@ def _lifetime_report(args: argparse.Namespace, result, checkpoints: list) -> int
         return 2
     print(
         f"traffic snapshots ('{args.traffic}', {args.messages} messages"
-        f"{', live' if args.live_traffic else ''}"
         f"{', adaptive' if args.router == 'adaptive' else ''}), "
         f"trial seed {args.seed}, lifetime {snap['lifetime']}:"
     )
@@ -648,14 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_life.add_argument("--messages", type=int, default=200)
     p_life.add_argument("--checkpoints", type=str, default="",
                         help="comma-separated arrival counts for traffic snapshots")
-    p_life.add_argument("--live-traffic", dest="live_traffic", action="store_true",
-                        help="measure the aged machine at each checkpoint: map "
-                             "every route through the current embedding, count "
-                             "messages crossing broken host elements as "
-                             "undeliverable, re-simulate the rest")
     p_life.add_argument("--router", choices=["dimension", "adaptive"],
                         default="dimension",
-                        help="live snapshots: 'adaptive' detours broken routes "
+                        help="traffic snapshots: 'adaptive' detours broken routes "
                              "around the live fault set instead of refusing them")
     p_life.set_defaults(fn=_cmd_lifetime)
 

@@ -33,7 +33,6 @@ recorded in BENCH_traffic.json and gated in CI).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -53,27 +52,8 @@ __all__ = [
     "routes_batch",
     "routes_health_mask",
     "run_traffic_batch",
-    "sim_results_identical",
     "simulate_batch",
 ]
-
-
-def sim_results_identical(a: SimResult, b: SimResult) -> bool:
-    """Field-for-field equality of two :class:`SimResult`\\ s.
-
-    The single definition of the batch contract's "identical", shared by
-    the benchmarks and the CI perf gate: it iterates the dataclass fields,
-    so a field added to ``SimResult`` later is compared automatically
-    instead of being silently skipped by a hand-maintained list.
-    """
-    for f in dataclasses.fields(SimResult):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-            if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                return False
-        elif va != vb:
-            return False
-    return True
 
 
 #: Rows per pass of :func:`routes_batch`.  Besides the ``(M, L)`` output it
@@ -344,7 +324,7 @@ def simulate_batch(
             shape, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok
         )
     nodes, lengths, routable = routes
-    actions = None
+    actions = np.zeros(len(nodes), dtype=np.int8)
     if byzantine is not None:
         nodes, lengths, actions = _apply_byzantine_batch(
             byzantine, shape, nodes, lengths, routable
@@ -437,7 +417,7 @@ def simulate_batch(
                 cursor, end, lkey = cursor[keep], end[keep], lkey[keep]
         cycles += 1
     dropped = corrupted = misrouted = 0
-    if actions is not None:
+    if byzantine is not None:
         dropped, corrupted, misrouted = byzantine_counts(actions, done, latencies)
     lat = latencies[done & (latencies >= 0)]
     return SimResult(
@@ -453,6 +433,7 @@ def simulate_batch(
         corrupted=corrupted,
         misrouted=misrouted,
         message_status=classify_messages(done, routable, latencies),
+        message_actions=actions,
     )
 
 

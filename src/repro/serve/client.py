@@ -9,7 +9,7 @@ with a telemetry stream on a single connection.
 
 :class:`LoadGenerator` drives the sustained mixed workload behind
 ``repro-ft loadgen`` and bench_e20: N concurrent clients against one
-machine, each alternating fault-ingest / repair / live-traffic queries,
+machine, each alternating fault-ingest / repair / live traffic queries,
 with wall-clock latencies folded into a shared
 :class:`~repro.serve.telemetry.LatencyHistogram`.  Each client faults
 only inside its own stripe of the host array and repairs what it faulted,

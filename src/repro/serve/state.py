@@ -15,11 +15,11 @@ same :class:`~repro.api.protocol.LifetimeSpec` offline — ingesting
 (asserted in tests/test_serve.py and gated by bench_e20).
 
 Traffic queries route through the **live** machine with
-:func:`repro.sim.lifetime_traffic.serve_traffic`, the helper the
-``--live-traffic`` snapshots use: on ``bn`` every message's e-cube route
-is mapped through the current embedding and checked against the live
-fault set (or detoured around it), broken-path messages are counted
-``undeliverable``, and the rest run on the vectorized kernel.
+:func:`repro.sim.lifetime_traffic.serve_traffic`, the path lifetime
+traffic snapshots take too: on ``bn`` every message's e-cube route is
+mapped through the current embedding and checked against the live fault
+set (or detoured around it), and the workload runs on the vectorized
+kernel with broken-path messages counted ``undeliverable``.
 Constructions without a maintained embedding serve their pristine guest
 torus (their recovery re-embeds it whole after every event).
 
@@ -160,6 +160,24 @@ class MachineState:
 
     # -- mutation (must be called under the actor's lock) --------------------
 
+    def _check_event(self, kind: str, node: int, model: str | None = None) -> int:
+        """Validate one event without applying it; returns ``node`` as an
+        int.  Raises :class:`~repro.errors.ParameterError` on an unknown
+        kind, a node outside the host or an unregistered model tag."""
+        node = int(node)
+        size = self.machine.faults.size
+        if not (0 <= node < size):
+            raise ParameterError(f"node {node} out of range [0, {size})")
+        if kind not in ("fault", "repair"):
+            raise ParameterError(f"unknown event kind {kind!r} (fault | repair)")
+        if model is not None:
+            names = fault_model_names()
+            if model not in names:
+                raise ParameterError(
+                    f"unknown fault model {model!r}; options: {', '.join(names)}"
+                )
+        return node
+
     def apply_event(self, kind: str, node: int, model: str | None = None) -> dict:
         """Apply one fault/repair event; returns the applied record.
 
@@ -176,18 +194,7 @@ class MachineState:
         tally is surfaced in :meth:`digest` / :meth:`telemetry_snapshot`
         only when non-empty.
         """
-        node = int(node)
-        size = self.machine.faults.size
-        if not (0 <= node < size):
-            raise ParameterError(f"node {node} out of range [0, {size})")
-        if kind not in ("fault", "repair"):
-            raise ParameterError(f"unknown event kind {kind!r} (fault | repair)")
-        if model is not None:
-            names = fault_model_names()
-            if model not in names:
-                raise ParameterError(
-                    f"unknown fault model {model!r}; options: {', '.join(names)}"
-                )
+        node = self._check_event(kind, node, model)
         action = lifetime_step(self.machine, self.outcome, kind, node)
         if action == "dead":
             self.telemetry.rejected_dead += 1
@@ -201,6 +208,23 @@ class MachineState:
         if action == "failed":
             out["category"] = self.outcome.category
         return out
+
+    def apply_events(self, events: Sequence[Sequence]) -> list[dict]:
+        """Apply a batch all-or-nothing: every event is checked
+        (:meth:`_check_event`) before any is applied, so a bad one leaves
+        the machine and ``seq`` untouched.
+
+        Each event is ``(kind, node)`` or ``(kind, node, model)``; the
+        optional third element is a fault-model tag (see
+        :meth:`apply_event`).
+        """
+        batch = [
+            (str(e[0]), int(e[1]), None if len(e) < 3 or e[2] is None else str(e[2]))
+            for e in events
+        ]
+        for kind, node, model in batch:
+            self._check_event(kind, node, model)
+        return [self.apply_event(*e) for e in batch]
 
     # -- queries -------------------------------------------------------------
 
@@ -220,12 +244,13 @@ class MachineState:
 
         On ``bn`` with ``live=True`` (the default) every route is walked
         through the *current* embedding against the live fault set;
-        messages crossing a broken host element count ``undeliverable``
-        and the rest are simulated on the vectorized kernel.  With
-        ``router="adaptive"`` broken e-cube routes are instead detoured
-        around the live fault set, so only disconnected endpoints stay
-        undeliverable.  ``qos_classes``/``credits`` enable priority
-        arbitration and credit flow control exactly as in
+        messages crossing a broken host element are refused and counted
+        ``undeliverable`` — in ``total`` and in their ``per_class`` row —
+        beside the simulated rest.  With ``router="adaptive"`` broken
+        e-cube routes are instead detoured around the live fault set, so
+        only disconnected endpoints stay undeliverable.
+        ``qos_classes``/``credits`` enable priority arbitration and credit
+        flow control exactly as in
         :class:`~repro.api.protocol.TrafficSpec`.  Constructions without
         a maintained embedding serve their pristine guest torus
         (recovery re-embeds it whole).
@@ -258,18 +283,15 @@ class MachineState:
             traffic = make_traffic(guest, pattern, int(messages), rng)
         except ValueError as exc:  # a pattern the guest's shape has no traffic for
             raise ParameterError(f"pattern {pattern!r}: {exc}") from None
-        # Classes are assigned by original message id, before any
-        # deliverability filtering, so a message keeps its class no matter
-        # which router or fault set it meets.
         classes = message_classes(len(traffic), int(qos_classes))
         live_path = bool(live) and self.machine.recovery is not None
-        result, undeliverable, lengths, classes = serve_traffic(
+        result, lengths = serve_traffic(
             guest, traffic, self.machine if live_path else None, router=router,
             max_cycles=max_cycles, classes=classes, credits=credits,
         )
         stats = latency_stats(result)
         stats["offered"] = len(traffic)
-        stats["undeliverable"] = undeliverable
+        stats["undeliverable"] = result.undeliverable
         stats["cycles"] = int(result.cycles)
         stats["max_queue"] = int(result.max_queue)
         stats["live"] = live_path
@@ -376,18 +398,10 @@ class MachineActor:
             return self.state.apply_event(kind, node, model=model)
 
     async def apply_events(self, events: Sequence[Sequence]) -> list[dict]:
-        """Apply a batch atomically — one lock hold, no interleaving.
-
-        Each event is ``(kind, node)`` or ``(kind, node, model)``; the
-        optional third element is a fault-model tag (see
-        :meth:`MachineState.apply_event`).
-        """
+        """Apply a batch atomically — one lock hold, no interleaving, and
+        all-or-nothing (:meth:`MachineState.apply_events`)."""
         async with self._lock:
-            out = []
-            for e in events:
-                model = None if len(e) < 3 or e[2] is None else str(e[2])
-                out.append(self.state.apply_event(str(e[0]), int(e[1]), model=model))
-            return out
+            return self.state.apply_events(events)
 
 
 def scripted_session(

@@ -126,9 +126,14 @@ class SimResult:
     #: with ``message_latencies``.  This is what disambiguates the shared
     #: ``-1`` latency sentinel: a negative latency can mean timed out,
     #: undeliverable *or* byzantine-dropped, and only this array says
-    #: which.  Empty on hand-built results predating the field; stats
-    #: helpers fall back to the sentinel-only view then.
+    #: which.  Both engines fill it.
     message_status: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
+    #: Per-message Byzantine action (``BYZ_*`` from :mod:`repro.sim.routing`,
+    #: all ``BYZ_NONE`` without a plan) in message-id order.  ``corrupted``
+    #: and ``misrouted`` count the delivered messages with each action over
+    #: the whole run; this array lets a measurement window count them over
+    #: its own messages (:func:`repro.sim.workload.open_loop_stats`).
+    message_actions: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
 
     @property
     def throughput(self) -> float:
@@ -260,7 +265,7 @@ def simulate(
     traitors did (see docs/faults.md).
     """
     routes = _build_routes(shape, traffic, router, node_ok, edge_ok)
-    actions = None
+    actions = np.zeros(len(routes), dtype=np.int8)
     if byzantine is not None:
         routes, actions = byzantine.apply(shape, routes)
     cls, start = check_sim_inputs(
@@ -335,7 +340,7 @@ def simulate(
         live = sorted(set(nxt_live))
         cycles += 1
     dropped = corrupted = misrouted = 0
-    if actions is not None:
+    if byzantine is not None:
         dropped, corrupted, misrouted = byzantine_counts(actions, done, latencies)
     # Undelivered messages keep their -1 sentinel in ``latencies``; filter
     # them out so downstream stats can never average a sentinel, and count
@@ -355,4 +360,5 @@ def simulate(
         corrupted=corrupted,
         misrouted=misrouted,
         message_status=classify_messages(done, routable, latencies),
+        message_actions=actions,
     )

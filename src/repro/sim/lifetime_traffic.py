@@ -9,24 +9,18 @@ node on a healthy host node, every guest link on a healthy host edge —
 which is the claim that *can* fail if the incremental repair pipeline
 ever produced a stale or fault-crossing embedding.
 
-Traffic numbers come in two flavours:
-
-* by default they are computed once on the pristine guest torus: the
-  embedding has dilation 1, so a verified checkpoint serves the guest
-  workload exactly like the pristine machine (hop-for-hop,
-  cycle-for-cycle) and rerunning the deterministic guest-space simulation
-  would reproduce the identical result;
-* with ``live_traffic=True`` each checkpoint *measures* the aged
-  machine: every message's e-cube route is mapped through the current
-  embedding ``phi`` and each host node / host edge it would actually use
-  is checked against the live fault set and host adjacency; messages
-  whose mapped path crosses a broken element are ``undeliverable``, and
-  the surviving traffic is re-simulated through the vectorized kernel
-  (guest-space simulation is exact for routes whose mapped elements are
-  healthy — dilation 1).  ``matches_pristine`` then requires zero
-  undeliverable messages *and* measured-stats equality with the pristine
-  run, so a stale or fault-crossing embedding shows up as degraded
-  service, not as an assumed-good number.
+Each checkpoint then *measures* the aged machine with
+:func:`serve_traffic`, the path the serve daemon's traffic queries take:
+every message's route is mapped through the current embedding ``phi``
+and each host node / host edge it would actually use is checked against
+the live fault set and host adjacency.  Messages whose mapped route
+crosses a broken element are refused (``undeliverable`` in the
+:class:`~repro.sim.engine.SimResult`, or detoured under
+``router="adaptive"``), and the workload is simulated on the vectorized
+kernel (guest-space simulation is exact for routes whose mapped
+elements are healthy — dilation 1).  ``matches_pristine`` requires the
+measured stats to equal the pristine run's, so a stale or fault-crossing
+embedding shows up as degraded service, not as an assumed-good number.
 
 Every requested checkpoint appears in the report: checkpoints the trial
 died before reaching are explicit ``{"arrivals": c, "reached": False}``
@@ -51,20 +45,18 @@ from repro.sim.traffic import make_traffic
 from repro.topology.embeddings import verify_torus_embedding
 from repro.util.rng import spawn_rng
 
-__all__ = ["lifetime_traffic_snapshots", "route_health_mask", "serve_traffic"]
+__all__ = ["lifetime_traffic_snapshots", "serve_traffic"]
 
 
-def route_health_mask(nodes, phi, fault_flat, is_adjacent) -> "np.ndarray":
-    """Per-message deliverability on the aged machine.
+def route_health_mask(nodes, phi, fault_flat, is_adjacent) -> np.ndarray:
+    """Per-route health of padded guest routes ``nodes`` mapped through the
+    embedding ``phi`` — :func:`repro.fastpath.traffic_batch.routes_health_mask`
+    over :func:`~repro.sim.routing.embedded_predicates`.
 
-    ``nodes`` are the messages' padded e-cube routes
-    (:func:`repro.fastpath.traffic_batch.routes_batch`).  Each route is
-    walked through the embedding ``phi`` (guest flat index -> host flat
-    index) and each host node and host edge it would actually use is
-    checked: ``mask[i]`` is True iff no element of message ``i``'s mapped
-    path is faulty or non-adjacent.  This is the measurement behind
-    :func:`serve_traffic` — a stale or fault-crossing embedding shows up
-    here as undeliverable messages.
+    No traffic path calls it: :func:`serve_traffic` refuses messages
+    inside :func:`~repro.fastpath.traffic_batch.build_routes_batch`.  It
+    stays only while perfbench's ``sim.lifetime_traffic.health_share``
+    metric traces it by name.
     """
     from repro.fastpath.traffic_batch import routes_health_mask
 
@@ -76,45 +68,33 @@ def serve_traffic(guest, traffic, machine=None, *, router: str = "dimension",
     """Route ``traffic`` over the guest torus of a live machine and
     simulate it on the vectorized kernel.
 
-    With ``machine`` None the pristine guest serves every message on its
-    e-cube route.  Given a live ``bn`` machine (its maintained embedding
-    ``recovery.phi``, fault set and host adjacency), e-cube routes are
-    checked by :func:`route_health_mask` — broken ones are undeliverable,
-    the rest simulated — or, with ``router="adaptive"``, broken routes are
-    detoured around the live faults so only disconnected endpoints stay
-    undeliverable.  Routes are built once and the simulation runs on
-    them.  Returns ``(result, undeliverable, lengths, classes)``:
-    ``lengths`` and ``classes`` are aligned with the simulated messages.
+    With ``machine`` None the pristine guest serves every message.  Given
+    a live ``bn`` machine, routes are checked through its maintained
+    embedding ``recovery.phi`` against its fault set and host adjacency
+    (:func:`~repro.sim.routing.embedded_predicates`): a broken e-cube
+    route is refused, or under ``router="adaptive"`` detoured around the
+    live faults so only disconnected endpoints are refused.  The routes
+    are built once, by :func:`~repro.fastpath.traffic_batch.build_routes_batch`,
+    and the simulation runs on them, so refused messages are counted in
+    the result's ``undeliverable`` and ``message_status``.  Returns
+    ``(result, lengths)``, ``lengths`` being each message's route length
+    (0 for refused ones).
     """
-    from repro.fastpath.traffic_batch import build_routes_batch, routes_batch, simulate_batch
+    from repro.fastpath.traffic_batch import build_routes_batch, simulate_batch
 
-    undeliverable = 0
-    embedding = None if machine is None else (
-        machine.recovery.phi, machine.faults.ravel(), machine.bt.bn.is_adjacent
-    )
-    if embedding is not None and router == "adaptive":
-        g_ok, ge_ok = embedded_predicates(*embedding)
-        nodes, lengths, routable = build_routes_batch(
-            guest, traffic, router="adaptive", node_ok=g_ok, edge_ok=ge_ok
+    node_ok = edge_ok = None
+    if machine is not None:
+        node_ok, edge_ok = embedded_predicates(
+            machine.recovery.phi, machine.faults.ravel(), machine.bt.bn.is_adjacent
         )
-        undeliverable = int((~routable).sum())
-    else:
-        nodes, lengths = routes_batch(guest, traffic)
-        routable = np.ones(len(traffic), dtype=bool)
-        if embedding is not None:
-            deliverable = route_health_mask(nodes, *embedding)
-            undeliverable = int((~deliverable).sum())
-            traffic, nodes, lengths, routable = (
-                traffic[deliverable], nodes[deliverable],
-                lengths[deliverable], routable[deliverable],
-            )
-            if classes is not None:
-                classes = classes[deliverable]
+    routes = build_routes_batch(
+        guest, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok
+    )
     result = simulate_batch(
         guest, traffic, max_cycles=max_cycles, classes=classes,
-        credits=credits, routes=(nodes, lengths, routable),
+        credits=credits, routes=routes,
     )
-    return result, undeliverable, lengths, classes
+    return result, routes[1]
 
 
 def lifetime_traffic_snapshots(
@@ -126,7 +106,6 @@ def lifetime_traffic_snapshots(
     pattern: str = "uniform",
     messages: int = 200,
     max_cycles: int = 10_000,
-    live_traffic: bool = False,
     router: str = "dimension",
 ) -> dict:
     """Run one lifetime trial of ``construction`` (the registered ``bn``
@@ -138,13 +117,12 @@ def lifetime_traffic_snapshots(
     ``lifetime_trial(spec, seed).lifetime``.  ``checkpoints`` are arrival
     counts (snapshots fire when the trial has survived exactly that many
     arrivals).  Per reached checkpoint the current embedding is
-    re-verified against the host adjacency and fault set; with
-    ``live_traffic`` the workload is served on the aged machine by
-    :func:`serve_traffic` (undeliverable messages counted, the rest
-    re-simulated) and ``matches_pristine`` requires zero undeliverable
-    plus measured-stats equality with the pristine run.
-    ``router="adaptive"`` (live snapshots only) detours each broken
-    e-cube route around the live fault set instead of refusing the
+    re-verified against the host adjacency and fault set, the workload is
+    served on the aged machine by :func:`serve_traffic`, and
+    ``matches_pristine`` requires a verified embedding and measured stats
+    equal to the pristine run's (scalar engine, pristine torus), so a
+    single refused message breaks it.  ``router="adaptive"`` detours each
+    broken e-cube route around the live fault set instead of refusing the
     message — ``undeliverable`` then counts only messages whose endpoints
     are disconnected on the aged machine.  Checkpoints beyond the trial's
     lifetime are reported as ``"reached": False`` entries.  Returns
@@ -181,30 +159,14 @@ def lifetime_traffic_snapshots(
             verified = True
         except EmbeddingError:
             verified = False
-        if live_traffic:
-            # Measure, don't assume: serve the workload on the aged
-            # machine (guest-space simulation is exact for healthy mapped
-            # routes — dilation 1).
-            result, undeliverable, _, _ = serve_traffic(
-                guest_shape, traffic, machine, router=router, max_cycles=max_cycles
-            )
-            stats = latency_stats(result)
-            stats["undeliverable"] = undeliverable
-            # json round makes NaN == NaN (both sides computed identically).
-            matches = (
-                verified
-                and stats["undeliverable"] == 0
-                and json.dumps(
-                    {k: s for k, s in stats.items() if k != "undeliverable"},
-                    sort_keys=True,
-                )
-                == json.dumps(pristine, sort_keys=True)
-            )
-        else:
-            # Dilation 1: a verified embedding serves the workload exactly
-            # like the pristine torus, so the shared stats are exact.
-            stats = pristine
-            matches = verified
+        result, _ = serve_traffic(
+            guest_shape, traffic, machine, router=router, max_cycles=max_cycles
+        )
+        stats = latency_stats(result)
+        # json round makes NaN == NaN (both sides computed identically).
+        matches = verified and (
+            json.dumps(stats, sort_keys=True) == json.dumps(pristine, sort_keys=True)
+        )
         snapshots.append(
             {
                 "arrivals": arrivals,

@@ -55,20 +55,6 @@ def latency_stats(result: SimResult) -> dict:
     return stats
 
 
-def _message_status(result: SimResult) -> np.ndarray:
-    """Per-message status aligned with ``message_latencies``.
-
-    Falls back to the sentinel-only view (negative latency == timed out,
-    the pre-classification behaviour) for hand-built results whose
-    ``message_status`` was never populated.
-    """
-    lat = result.message_latencies
-    status = np.asarray(result.message_status)
-    if status.shape == lat.shape:
-        return status
-    return np.where(lat >= 0, MSG_DELIVERED, MSG_TIMED_OUT).astype(np.int8)
-
-
 def per_class_stats(
     result: SimResult,
     classes: np.ndarray,
@@ -96,7 +82,7 @@ def per_class_stats(
         raise ValueError(f"classes shape {classes.shape} != {lat.shape}")
     if measured is None:
         measured = np.ones(len(lat), dtype=bool)
-    status = _message_status(result)
+    status = result.message_status
     rows = []
     for c in range(int(classes.max()) + 1 if len(classes) else 0):
         in_class = measured & (classes == c)

@@ -33,8 +33,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.sim.engine import MSG_DROPPED, MSG_TIMED_OUT, MSG_UNDELIVERABLE, SimResult, simulate
-from repro.sim.metrics import _message_status
+from repro.sim.engine import (
+    MSG_DELIVERED,
+    MSG_DROPPED,
+    MSG_TIMED_OUT,
+    MSG_UNDELIVERABLE,
+    SimResult,
+    simulate,
+)
+from repro.sim.routing import BYZ_CORRUPT, BYZ_MISROUTE
 from repro.sim.traffic import pattern_destinations
 from repro.topology.coords import CoordCodec
 from repro.util.rng import spawn_rng
@@ -117,7 +124,10 @@ def open_loop_stats(
     ``result.message_status``, never by the ``-1`` latency sentinel, and
     counted over the same measured messages: ``undeliverable`` and
     ``dropped`` (fault models only) appear when nonzero, so
-    ``offered == delivered + timed_out + undeliverable + dropped``.
+    ``offered == delivered + timed_out + undeliverable + dropped``.  The
+    Byzantine integrity counts ``corrupted`` and ``misrouted`` (nonzero
+    only under a plan) count measured deliveries by
+    ``result.message_actions``, so both are at most ``delivered``.
     """
     inject = np.asarray(inject, dtype=np.int64)
     lat = result.message_latencies
@@ -137,7 +147,7 @@ def open_loop_stats(
     in_window = int(((completion >= warmup) & (completion < warmup + window)).sum())
     mlat = lat[delivered]
     empty = len(mlat) == 0
-    status = _message_status(result)
+    status = result.message_status
     stats = {
         "offered": int(measured.sum()),
         "delivered": int(delivered.sum()),
@@ -152,6 +162,10 @@ def open_loop_stats(
     }
     for key, code in (("undeliverable", MSG_UNDELIVERABLE), ("dropped", MSG_DROPPED)):
         if count := int((measured & (status == code)).sum()):
+            stats[key] = count
+    arrived = measured & (status == MSG_DELIVERED)
+    for key, code in (("corrupted", BYZ_CORRUPT), ("misrouted", BYZ_MISROUTE)):
+        if count := int((arrived & (result.message_actions == code)).sum()):
             stats[key] = count
     return stats
 

@@ -47,7 +47,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -256,22 +256,14 @@ def lifetime_record(o) -> dict:
 
 
 def sim_record(r) -> dict:
-    """A :class:`~repro.sim.engine.SimResult` as a comparable record."""
-    return {
-        "delivered": int(r.delivered),
-        "total": int(r.total),
-        "cycles": int(r.cycles),
-        "max_queue": int(r.max_queue),
-        "timed_out": int(r.timed_out),
-        "undeliverable": int(r.undeliverable),
-        "dropped": int(r.dropped),
-        "corrupted": int(r.corrupted),
-        "misrouted": int(r.misrouted),
-        "latencies": [int(x) for x in r.latencies],
-        "message_latencies": [int(x) for x in r.message_latencies],
-        "message_status": [int(x) for x in r.message_status],
-        "throughput": float(r.throughput),
-    }
+    """A :class:`~repro.sim.engine.SimResult` as a comparable record: every
+    dataclass field plus ``throughput``, so a field added later is
+    compared too."""
+    from repro.sim.engine import SimResult
+
+    record = {f.name: getattr(r, f.name) for f in fields(SimResult)}
+    record["throughput"] = r.throughput
+    return record
 
 
 #: Comparable record of one per-trial outcome, by grid-point kind name

@@ -299,3 +299,19 @@ class TestOpenLoopConservation:
             assert scalar.offered == (scalar.delivered + scalar.timed_out
                                       + scalar.undeliverable + scalar.dropped)
             assert getattr(scalar, bucket) > 0 and scalar.timed_out > 0
+
+    def test_integrity_counts_are_windowed(self):
+        """``corrupted``/``misrouted`` count the measured window's
+        deliveries, like every other count of the record — here a short
+        window at the end of the run."""
+        from repro.api.protocol import TrafficSpec
+        from repro.api.traffic import run_traffic_trial
+
+        spec = TrafficSpec(pattern="uniform", injection="bernoulli", rate=0.1,
+                           cycles=40, warmup=35, max_cycles=40,
+                           fault_model={"name": "byzantine", "rate": 0.15})
+        for seed in range(3):
+            scalar = run_traffic_trial((8, 8), spec, seed)
+            batch = run_traffic_trial((8, 8), spec, seed, engine=simulate_batch)
+            assert scalar.to_dict() == batch.to_dict()
+            assert scalar.corrupted + scalar.misrouted <= scalar.delivered

@@ -123,10 +123,10 @@ class TestTraffic:
     def test_lifetime_snapshot_flags(self, capsys):
         assert main(["lifetime", "--construction", "bn", "--b", "3",
                      "--trials", "1", "--traffic", "uniform",
-                     "--checkpoints", "1,99999", "--messages", "30",
-                     "--live-traffic"]) == 0
+                     "--checkpoints", "1,99999", "--messages", "30"]) == 0
         out = capsys.readouterr().out
-        assert "live" in out and "not reached" in out
+        assert "@   1 arrivals: faults=1 " in out and "pristine=yes" in out
+        assert "not reached" in out
 
 
 class TestConformanceParser:

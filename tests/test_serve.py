@@ -492,6 +492,23 @@ class TestTrafficQueries:
         state.machine.faults.ravel()[phi[[5, 77, 140]]] = True
         return state
 
+    @pytest.mark.parametrize("router", ["dimension", "adaptive"])
+    def test_refused_messages_are_counted_on_both_routers(self, router):
+        """A message with no healthy route stays in the reply: in
+        ``total`` and as ``undeliverable`` in its class's row.  The
+        dimension router refuses some here; the adaptive one detours
+        them."""
+        stats = self._machine_with_stale_faults().traffic_query(
+            "uniform", 60, 1, router=router, qos_classes=2
+        )
+        assert (stats["undeliverable"] > 0) == (router == "dimension")
+        assert stats["total"] == stats["offered"] == 60
+        rows = stats["per_class"]
+        assert sum(r["offered"] for r in rows) == stats["offered"]
+        for r in rows:
+            assert r["offered"] == (r["delivered"] + r["timed_out"]
+                                    + r.get("undeliverable", 0) + r.get("dropped", 0))
+
     @pytest.mark.parametrize(
         "construction,live,router",
         [("bn", False, "dimension"), ("bn", True, "dimension"),
@@ -763,20 +780,25 @@ class TestServeErrors:
                     ("event", {"kind": "fault", "node": "three"}),
                     ("event", {"kind": "fault"}),
                     ("events", {"events": [["fault", 3], ["fault", [4]]]}),
+                    # Checked event by event before any is applied.
+                    ("events", {"events": [["fault", 3], ["fault", 9999]]}),
+                    ("events", {"events": [["fault", 3], ["meteor", 4]]}),
+                    ("events", {"events": [["fault", 3], ["fault", 4, "gremlin"]]}),
                     ("create", {"construction": "bn", "params": [1, 2]}),
                 ):
                     with pytest.raises(ServeRequestError) as err:
                         await c.request(op, machine="m", **fields)
                     codes.append(err.value.code)
-                seq = (await c.request("telemetry", machine="m"))["seq"]
+                snap = await c.request("telemetry", machine="m")
                 await c.close()
-                return codes, seq
+                return codes, snap
             finally:
                 await _stop(server)
 
-        codes, seq = asyncio.run(asyncio.wait_for(go(), 30))
-        assert codes == ["bad-request"] * 4
-        assert seq == 0  # the events batch was rejected before any of it applied
+        codes, snap = asyncio.run(asyncio.wait_for(go(), 30))
+        assert codes == ["bad-request"] * 7
+        # the events batches were rejected before any of them applied
+        assert snap["seq"] == 0 and snap["live_faults"] == 0
 
     def test_create_machine_validation(self):
         server = ReproServer()

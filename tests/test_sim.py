@@ -169,7 +169,7 @@ class TestLifetimeTraffic:
             assert snap["stats"]["timed_out"] == 0
             assert 0 < snap["num_faults"] <= snap["arrivals"]
 
-    def test_live_traffic_measures_and_matches(self, bn2_small, monkeypatch):
+    def test_snapshots_measure_and_match_pristine(self, bn2_small, monkeypatch):
         from repro.api.adapters import BnConstruction
         from repro.api.protocol import LifetimeSpec
         from repro.fastpath import traffic_batch
@@ -183,50 +183,44 @@ class TestLifetimeTraffic:
             return real_routes(*args, **kwargs)
 
         monkeypatch.setattr(traffic_batch, "routes_batch", counted_routes)
-        live = lifetime_traffic_snapshots(
+        report = lifetime_traffic_snapshots(
             BnConstruction(bn2_small), LifetimeSpec(), seed=0,
-            checkpoints=[2], messages=60, live_traffic=True,
+            checkpoints=[2, 4], messages=60,
         )
         # One route build per checkpoint serves the health check and the
         # simulation.
-        assert len(builds) == 1
-        assumed = lifetime_traffic_snapshots(
-            BnConstruction(bn2_small), LifetimeSpec(), seed=0,
-            checkpoints=[2], messages=60,
-        )
-        snap = live["snapshots"][0]
-        assert snap["reached"] and snap["matches_pristine"]
-        # every route's mapped host elements checked out healthy...
-        assert snap["stats"]["undeliverable"] == 0
-        # ...and the re-measured stats equal the assumed (pristine) ones —
-        # the dilation-1 claim, verified empirically instead of asserted
-        measured = {k: v for k, v in snap["stats"].items() if k != "undeliverable"}
-        assert measured == assumed["snapshots"][0]["stats"]
+        assert len(builds) == 2
+        for snap in report["snapshots"]:
+            assert snap["reached"] and snap["matches_pristine"]
+            # Every route's mapped host elements checked out healthy, and
+            # the stats measured on the aged machine equal the pristine
+            # scalar run's: the dilation-1 claim, verified empirically.
+            assert "undeliverable" not in snap["stats"]
+            assert snap["stats"] == report["pristine"]
 
-    def test_route_health_mask_detects_broken_embedding(self, bn2_small):
-        """The live-traffic measurement is not vacuous: a fault landing on
+    def test_serve_traffic_refuses_routes_over_a_broken_embedding(self, bn2_small):
+        """The aged-machine measurement is not vacuous: a fault landing on
         a host node the embedding still maps through makes exactly the
-        routes over it undeliverable."""
+        routes over it undeliverable, counted in the result."""
         import numpy as np
 
         from repro.core.bn import BTorus
-        from repro.fastpath.traffic_batch import routes_batch
-        from repro.sim.lifetime_traffic import route_health_mask
+        from repro.core.online import OnlineRecovery
+        from repro.sim.engine import MSG_UNDELIVERABLE
+        from repro.sim.lifetime_traffic import serve_traffic
 
-        bt = BTorus(bn2_small)
-        rec = bt.recover(np.zeros(bn2_small.shape, dtype=bool))
-        shape = rec.guest_shape()
+        machine = OnlineRecovery(BTorus(bn2_small))
+        shape = machine.recovery.guest_shape()
         traffic = make_traffic(shape, "uniform", 50, spawn_rng(9))
-        nodes, _ = routes_batch(shape, traffic)
-        fault_flat = np.zeros(bt.bn.codec.size, dtype=bool)
-        healthy = route_health_mask(nodes, rec.phi, fault_flat, bt.bn.is_adjacent)
-        assert healthy.all()  # pristine machine: everything deliverable
+        healthy, _ = serve_traffic(shape, traffic, machine)
+        assert healthy.undeliverable == 0  # pristine machine: all deliverable
         # Break the host node under one message's source: every message
         # whose mapped route visits it (at least that one) goes dark.
-        phi = np.asarray(rec.phi, dtype=np.int64).ravel()
-        victim = int(phi[traffic[0, 0]])
-        fault_flat[victim] = True
-        broken = route_health_mask(nodes, rec.phi, fault_flat, bt.bn.is_adjacent)
-        assert not broken[0]
-        assert broken.sum() < len(traffic)
+        phi = np.asarray(machine.recovery.phi, dtype=np.int64).ravel()
+        machine.faults.ravel()[phi[traffic[0, 0]]] = True
+        broken, lengths = serve_traffic(shape, traffic, machine)
+        assert broken.message_status[0] == MSG_UNDELIVERABLE and lengths[0] == 0
+        assert 0 < broken.undeliverable < len(traffic)
+        assert broken.total == len(traffic)
+        assert broken.delivered + broken.undeliverable == len(traffic)
 
