@@ -14,7 +14,7 @@ Runs two ways:
   the CI perf-regression gate.  ``--quick`` measures the headline bn
   configuration, the batched *lifetime* kernel on the same instance and
   the batched *traffic* kernel on the e14 guest torus (min-of-N timed,
-  a couple of seconds); ``--check`` compares all three against the
+  about 20 seconds); ``--check`` compares all three against the
   committed baseline and exits 1 on a >30% wall-clock regression of any
   vectorized kernel, or when either side lacks one of them.  Because CI
   runners and the machine that produced the baseline differ, the gate
@@ -49,45 +49,46 @@ FULL_BN = dict(d=2, b=4, s=1, t=2)
 FULL_AN = dict(d=2, b=3, s=1, t=2, k_sub=2, h=12)
 FULL_TRIALS = 64
 QUICK_TRIALS = 64
-#: Timing rounds per kernel pair; each side's minimum is reported.
-#: Min-of-N discards descheduling spikes and is the stable statistic for
-#: a deterministic kernel.
-REPEATS = 3
-#: Wall-clock the batched side is re-timed for in all, spread over the
-#: rounds.  A batched call is a few milliseconds, inside shared-runner
-#: scheduler jitter: with 3 calls (about 5 ms in all) the traffic gate
-#: read 25.9x-52.9x over 8 runs of one tree and failed one.
-TIMING_BUDGET_S = 0.2
+#: Wall-clock each side of a kernel pair is timed for; each side's
+#: minimum is reported, the stable statistic for a deterministic kernel.
+#: A batched call is a few milliseconds, inside shared-runner scheduler
+#: jitter: with 3 calls (about 5 ms in all) the traffic gate read
+#: 25.9x-52.9x over 8 runs of one tree and failed one.  Three scalar
+#: calls left the scalar minimum the noisiest number of the gate (14
+#: ``quick`` samples read 0.60-1.06 s).  A budget gives even the 64-trial
+#: ``quick`` scalar call a few tries.
+TIMING_BUDGET_S = 3.0
 
 
 def _timed_pair(scalar_fn, batch_fn) -> tuple[dict, object, object]:
-    """Min-of-N wall-clock of a scalar and a batched kernel, interleaved so
-    that a drift in the machine's speed reaches both sides alike.
+    """Min-of-N wall-clock of a scalar and a batched kernel.
 
-    Each of :data:`REPEATS` rounds times one scalar call, then batched
-    calls until they add up to ``TIMING_BUDGET_S / REPEATS``.  Returns
-    the record's timing fields and each side's last result.
+    Each side is called until its calls add up to
+    :data:`TIMING_BUDGET_S`, and the side timed less so far always goes
+    next, so a drift in the machine's speed reaches both sides alike.
+    Returns the record's timing fields and each side's last result.
     """
-    scalar_s = batch_s = float("inf")
-    batch_calls = 0
-    for _ in range(REPEATS):
+    fns = {"scalar": scalar_fn, "batch": batch_fn}
+    best = dict.fromkeys(fns, float("inf"))
+    spent = dict.fromkeys(fns, 0.0)
+    calls = dict.fromkeys(fns, 0)
+    out = {}
+    while min(spent.values()) < TIMING_BUDGET_S:
+        side = min(spent, key=spent.get)
         t0 = time.perf_counter()
-        scalar_out = scalar_fn()
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-        spent = 0.0
-        while spent < TIMING_BUDGET_S / REPEATS:
-            t0 = time.perf_counter()
-            batch_out = batch_fn()
-            elapsed = time.perf_counter() - t0
-            batch_s, spent, batch_calls = min(batch_s, elapsed), spent + elapsed, batch_calls + 1
+        out[side] = fns[side]()
+        elapsed = time.perf_counter() - t0
+        best[side] = min(best[side], elapsed)
+        spent[side] += elapsed
+        calls[side] += 1
     timing = {
-        "timing_repeats": REPEATS,
-        "batch_calls": batch_calls,
-        "scalar_s": round(scalar_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(scalar_s / batch_s, 2) if batch_s > 0 else float("inf"),
+        "scalar_calls": calls["scalar"],
+        "batch_calls": calls["batch"],
+        "scalar_s": round(best["scalar"], 4),
+        "batch_s": round(best["batch"], 4),
+        "speedup": round(best["scalar"] / best["batch"], 2) if best["batch"] > 0 else float("inf"),
     }
-    return timing, scalar_out, batch_out
+    return timing, out["scalar"], out["batch"]
 
 
 def _measure(name: str, params: dict, trials: int, p: float | None = None) -> dict:

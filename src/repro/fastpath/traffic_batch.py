@@ -4,13 +4,18 @@ The scalar engine (:func:`repro.sim.engine.simulate`) walks a Python dict
 of per-link queues message by message, every cycle.  This kernel
 advances *all* live messages of one simulation in lockstep:
 
-* routes are padded ``(M, L + 1)`` node arrays of dimension-ordered
-  routes, built in closed form — one masked numpy pass per axis over
-  blocks of rows, never a loop over messages or hops — or handed in by a
-  caller that already built them;
-* every hop becomes a dense directed-link id ``u * 2d + port``
-  (:func:`link_ids`): a d-dimensional torus node has 2d neighbours, so
-  the ids fill ``[0, size * 2d)`` and index plain per-link tables;
+* every hop is a dense directed-link id ``u * 2d + port``: a
+  d-dimensional torus node has 2d neighbours, so the ids fill
+  ``[0, size * 2d)`` and index plain per-link tables;
+* routes are one ragged int32 array of those ids (:func:`routes_batch`):
+  message ``i``'s hops are ``ids[offsets[i] : offsets[i] + lengths[i]]``.
+  The dimension-ordered routes are built in closed form from their
+  per-axis legs — per block of rows, one ``repeat`` of the legs over
+  their hop counts and one gather from a per-shape coordinate table,
+  never a loop over messages or hops;
+* route health is checked once per distinct link the routes use, not
+  once per hop; adaptive detours and Byzantine misroute tails are
+  appended to the end of ``ids`` and their rows repointed there;
 * the live set is kept incrementally: messages arrive in injection-cycle
   order through one ``searchsorted`` per cycle (under credit flow
   control they wait in id-sorted per-class pools), and delivered
@@ -33,6 +38,7 @@ recorded in BENCH_traffic.json and gated in CI).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,113 +49,188 @@ from repro.sim.engine import (
     check_sim_inputs,
     classify_messages,
 )
-from repro.sim.routing import ROUTERS, adaptive_route
+from repro.sim.routing import BYZ_DROP, BYZ_MISROUTE, ROUTERS, adaptive_route
 from repro.topology.coords import CoordCodec
 
 __all__ = [
     "build_routes_batch",
     "link_ids",
     "routes_batch",
-    "routes_health_mask",
     "run_traffic_batch",
     "simulate_batch",
 ]
 
 
-#: Rows per pass of :func:`routes_batch`.  Besides the ``(M, L)`` output it
-#: allocates only ``(ROUTE_BLOCK, d)`` legs and ``(ROUTE_BLOCK, L)``
-#: temporaries, so its peak is the output plus ``O(M * d)``, and no array
-#: but the output is big enough to fragment the heap across calls, which
-#: raised a long traffic run's peak RSS.
+#: Rows per pass of :func:`routes_batch` and :func:`link_ids`.  Besides
+#: the output a pass allocates only ``(ROUTE_BLOCK, d)`` legs and
+#: ``O(ROUTE_BLOCK * L)`` temporaries, so the peak is the output plus
+#: ``O(M * d)``, and no array but the output is big enough to fragment
+#: the heap across calls, which raised a long traffic run's peak RSS.
 ROUTE_BLOCK = 2048
+
+
+def _id_dtype(shape: tuple[int, ...]):
+    """int32 while every link id ``< size * 2d`` fits, else int64."""
+    n_links = int(np.prod(shape)) * 2 * len(shape)
+    return np.int32 if n_links <= np.iinfo(np.int32).max else np.int64
+
+
+@lru_cache(maxsize=16)
+def _coord_table(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis gather table of the e-cube route builder.
+
+    Hop ``j`` (``j = 0 .. count - 1``) of a leg along axis ``a`` (side
+    ``n``, stride ``st``) from source coordinate ``s`` leaves a node whose
+    axis-``a`` coordinate is ``c = (s + sign * j) mod n``; every other
+    coordinate is the leg's ``base``.  So its link id is
+    ``(base - s * st) * 2d + port + c * st * 2d``, and only the last term
+    varies along the leg.  The table holds ``c * st * 2d`` in two runs per
+    axis of ``n + n // 2`` entries, so that one index rising with ``j``
+    reads it: ``s + j`` for ``sign = +1``, ``(n - 1 - s) + j`` on the
+    second run for ``sign = -1``.  Returns ``(table, first, span)``: axis
+    ``a``'s runs start at ``first[a]`` and ``first[a] + span[a]``.
+    """
+    codec = CoordCodec(shape)
+    ports = 2 * len(shape)
+    runs, first, span = [], [], []
+    for a, n in enumerate(shape):
+        x = np.arange(n + n // 2)
+        step = int(codec.strides[a]) * ports
+        first.append(sum(len(r) for r in runs))
+        span.append(len(x))
+        runs += [x % n * step, (n - 1 - x) % n * step]
+    table = np.concatenate(runs).astype(_id_dtype(shape))
+    first, span = np.array(first), np.array(span)
+    for arr in (table, first, span):
+        arr.flags.writeable = False
+    return table, first, span
+
+
+@lru_cache(maxsize=16)
+def _link_heads(shape: tuple[int, ...]) -> np.ndarray:
+    """``heads[u * 2d + port]``: the node link ``u * 2d + port`` enters
+    (``u`` itself on a side-1 axis, whose ports no route uses)."""
+    codec = CoordCodec(shape)
+    coords = codec.unravel(codec.all_indices())
+    heads = np.empty((codec.size, 2 * len(shape)), dtype=np.int64)
+    for a, n in enumerate(shape):
+        for port, step in ((2 * a, 1), (2 * a + 1, -1)):
+            moved = coords.copy()
+            moved[:, a] = (moved[:, a] + step) % n
+            heads[:, port] = codec.ravel(moved)
+    heads = heads.ravel()
+    heads.flags.writeable = False
+    return heads
 
 
 def _route_legs(codec: CoordCodec, traffic: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-axis legs of the e-cube routes of ``traffic`` rows, each
-    ``(rows, d)``: the source coordinate ``s``, the step ``sign`` (the
-    shorter way round) and ``count``, the hop count ``start`` of the
-    earlier axes, and ``base``, the node the leg leaves from (earlier axes
-    at ``dst``, the rest at ``src``)."""
+    ``(rows, d)``: the source coordinate ``s``, ``back`` (the shorter way
+    round is the ``-`` step) and the hop ``count``, and ``base``, the node
+    the leg leaves from (earlier axes at ``dst``, the rest at ``src``)."""
     coords = codec.unravel(traffic)
     sc = coords[:, 0]
     shift = coords[:, 1] - sc
     sides = np.asarray(codec.shape, dtype=np.int64)
     fwd = shift % sides
-    sign = np.where(2 * fwd <= sides, 1, -1)  # the n/2 tie breaks toward +
+    back = 2 * fwd > sides  # the n/2 tie breaks toward +
     count = np.minimum(fwd, sides - fwd)
-    start = np.cumsum(count, axis=1) - count
     shift *= codec.strides
     base = traffic[:, :1] + np.cumsum(shift, axis=1) - shift
-    return sc, sign, count, start, base
+    return sc, back, count, base
 
 
 def routes_batch(
     shape: tuple[int, ...], traffic: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Padded node sequences of every message's dimension-ordered route.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense link ids of every message's dimension-ordered route.
 
-    Returns ``(nodes, lengths)``: ``nodes[i, :lengths[i] + 1]`` is exactly
-    ``dimension_ordered_route(shape, *traffic[i])`` and the padding beyond
-    it is ``-1``.
+    Returns ``(ids, offsets, lengths)``: message ``i``'s hops are
+    ``ids[offsets[i] : offsets[i] + lengths[i]]``, exactly
+    :func:`link_ids` of ``dimension_ordered_route(shape, *traffic[i])``,
+    and rows follow each other in message order.  ``ids`` is int32, or
+    int64 where ``size * 2d`` overflows int32.
 
-    Closed form: along axis ``a`` the route takes ``count`` steps of
-    ``sign`` from ``base`` (see :func:`_route_legs`).  Its leg fills
-    columns ``start + 1 .. start + count``, and column ``start + j`` holds
-    ``base + ((s + sign * j) mod n - s) * stride``.  Rows are handled in
-    blocks of :data:`ROUTE_BLOCK`, one masked numpy pass per axis per
-    block: ``O(d * M / ROUTE_BLOCK)`` numpy calls, no per-message or
-    per-hop Python, and temporaries bounded by ``O(ROUTE_BLOCK * L)``
-    beside the ``(M, L)`` output.
+    Closed form: along axis ``a`` the route takes ``count`` steps from
+    ``base``, the shorter way round (see :func:`_route_legs`), and its hop
+    ``j`` is a per-leg constant plus the :func:`_coord_table` entry at the
+    leg's start index plus ``j``.  Per block of :data:`ROUTE_BLOCK` rows,
+    each leg's start index is repeated over its hop count, one gather
+    reads the entries, and the leg constants, repeated the same way, are
+    added: ``O(M / ROUTE_BLOCK)`` numpy calls, no per-message or per-hop
+    Python, and temporaries bounded by ``O(ROUTE_BLOCK * L)`` beside the
+    output and ``O(M * d)`` legs.  The side-2 ``-`` step uses the ``+``
+    port, as in :func:`link_ids`.
     """
     codec = CoordCodec(shape)
     traffic = np.asarray(traffic, dtype=np.int64).reshape(-1, 2)
     m = len(traffic)
-    blocks = [slice(r0, r0 + ROUTE_BLOCK) for r0 in range(0, m, ROUTE_BLOCK)]
-    legs = [_route_legs(codec, traffic[rows]) for rows in blocks]
+    table, first, span = _coord_table(tuple(shape))
+    sides = np.asarray(shape, dtype=np.int64)
+    ports = 2 * len(shape)
+    plus = 2 * np.arange(len(shape))  # the + port of each axis
     lengths = np.zeros(m, dtype=np.int64)
-    for rows, (_, _, count, _, _) in zip(blocks, legs):
-        np.sum(count, axis=1, out=lengths[rows])
-    lmax = int(lengths.max(initial=0))
-    nodes = np.full((m, lmax + 1), -1, dtype=np.int64)
-    nodes[:, 0] = traffic[:, 0]
-    cols = np.arange(lmax + 1)
-    for rows, (sc, sign, count, start, base) in zip(blocks, legs):
-        out = nodes[rows]
-        for a, n in enumerate(shape):
-            j = cols - start[:, a, None]
-            leg = (j >= 1) & (j <= count[:, a, None])
-            s = sc[:, a, None]
-            j *= sign[:, a, None]
-            j += s
-            j %= n
-            j -= s
-            j *= codec.strides[a]
-            j += base[:, a, None]
-            np.copyto(out, j, where=leg)
-    return nodes, lengths
+    legs = []
+    for r0 in range(0, m, ROUTE_BLOCK):
+        sc, back, count, base = _route_legs(codec, traffic[r0 : r0 + ROUTE_BLOCK])
+        np.sum(count, axis=1, out=lengths[r0 : r0 + ROUTE_BLOCK])
+        start = first + np.where(back, span + sides - 1 - sc, sc)
+        const = (base - sc * codec.strides) * ports + plus + (back & (sides > 2))
+        count = count.ravel()
+        # Less the block position of each leg's first hop, so adding a
+        # hop's block position gives its table index.
+        start = start.ravel() - (np.cumsum(count) - count)
+        legs.append((start, count, const.astype(table.dtype).ravel()))
+    offsets = np.cumsum(lengths) - lengths
+    ids = np.empty(int(lengths.sum()), dtype=table.dtype)
+    lo = 0
+    for start, count, const in legs:
+        step = np.repeat(start, count)
+        step += np.arange(len(step))
+        out = ids[lo : lo + len(step)]
+        np.take(table, step, out=out)
+        out += np.repeat(const, count)
+        lo += len(step)
+    return ids, offsets, lengths
 
 
-def routes_health_mask(
-    nodes: np.ndarray, node_ok, edge_ok
-) -> np.ndarray:
-    """Per-route health of padded node sequences under the predicates.
+def _bad_hops(shape, ids, node_ok, edge_ok) -> np.ndarray:
+    """``bad[k]`` is True iff hop ``ids[k]`` fails the predicates.
 
-    ``mask[i]`` is True iff every node and every hop of route ``i``
-    (ignoring ``-1`` padding) passes ``node_ok``/``edge_ok`` — the
-    vectorized form of :func:`repro.sim.routing.route_is_healthy`.
+    Each distinct link is checked once: ``node_ok`` on its tail
+    ``id // 2d`` and head (:func:`_link_heads`), ``edge_ok`` on the pair;
+    the per-link verdict is gathered back per hop.
     """
-    m = len(nodes)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    pad = nodes < 0
-    safe = np.where(pad, 0, nodes)
-    bad = np.zeros(m, dtype=bool)
+    heads = _link_heads(tuple(shape))
+    marked = np.zeros(len(heads), dtype=bool)
+    marked[ids] = True
+    links = np.flatnonzero(marked)
+    tails, heads = links // (2 * len(shape)), heads[links]
+    ok = np.ones(len(links), dtype=bool)
     if node_ok is not None:
-        bad |= (~pad & ~node_ok(safe)).any(axis=1)
-    if edge_ok is not None and nodes.shape[1] > 1:
-        hop = ~pad[:, 1:]
-        bad |= (hop & ~edge_ok(safe[:, :-1], safe[:, 1:])).any(axis=1)
-    return ~bad
+        ok &= node_ok(tails)
+        ok &= node_ok(heads)
+    if edge_ok is not None:
+        ok &= edge_ok(tails, heads)
+    marked[links] = ~ok  # now: the bad links
+    return marked[ids]
+
+
+def _append_routes(shape, ids, offsets, lengths, routes: dict) -> np.ndarray:
+    """Point each row ``i`` of ``routes`` (a node sequence) at its hops,
+    appended to the end of ``ids`` through :func:`link_ids`.  ``offsets``
+    and ``lengths`` are repointed in place; returns the longer ``ids``."""
+    if not routes:
+        return ids
+    rows = np.fromiter(routes, dtype=np.int64, count=len(routes))
+    hops = np.array([len(r) - 1 for r in routes.values()], dtype=np.int64)
+    nodes = np.full((len(rows), int(hops.max()) + 1), -1, dtype=np.int64)
+    for k, r in enumerate(routes.values()):
+        nodes[k, : len(r)] = r
+    tail = link_ids(shape, nodes)[np.arange(nodes.shape[1] - 1) < hops[:, None]]
+    offsets[rows] = len(ids) + np.cumsum(hops) - hops
+    lengths[rows] = hops
+    return np.concatenate([ids, tail])
 
 
 def build_routes_batch(
@@ -159,32 +240,43 @@ def build_routes_batch(
     router: str = "dimension",
     node_ok=None,
     edge_ok=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded routes under the selected router and health predicates.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Routes under the selected router and health predicates.
 
-    Returns ``(nodes, lengths, routable)``.  The dimension-ordered batch
-    builder covers every message; under predicates, broken routes either
-    mark the message unroutable (``router="dimension"``) or are replaced
-    by the scalar adaptive detour (``router="adaptive"`` — only the
-    usually-few broken messages drop to per-message work, and they call
-    the *same* :func:`~repro.sim.routing.adaptive_route` the scalar
-    engine uses, so batched and scalar routes are identical by
-    construction).  ``routable[i]`` is False for messages no healthy
-    route exists for; their ``nodes`` row is all padding.
+    Returns ``(ids, offsets, lengths, routable)``, the first three as
+    :func:`routes_batch` lays them out.  The dimension-ordered batch
+    builder covers every message.  Under predicates a message is broken
+    when a hop of its route fails them (each distinct link checked once)
+    or its source does (so a self-addressed message on a faulty node is
+    refused, as the scalar engine refuses it).  A broken message is
+    unroutable under ``router="dimension"``; under ``router="adaptive"``
+    it gets the scalar adaptive detour — only the usually-few broken
+    messages drop to per-message work, and they call the *same*
+    :func:`~repro.sim.routing.adaptive_route` the scalar engine uses, so
+    batched and scalar routes are identical by construction.  Detours are
+    appended to ``ids``.  ``routable[i]`` is False for messages no healthy
+    route exists for; their ``lengths`` entry is 0.
     """
     if router not in ROUTERS:
         raise ValueError(f"unknown router {router!r}; options: {ROUTERS}")
     traffic = np.asarray(traffic, dtype=np.int64).reshape(-1, 2)
-    nodes, lengths = routes_batch(shape, traffic)
-    m = len(nodes)
+    ids, offsets, lengths = routes_batch(shape, traffic)
+    routable = np.ones(len(traffic), dtype=bool)
     if node_ok is None and edge_ok is None:
-        return nodes, lengths, np.ones(m, dtype=bool)
-    routable = routes_health_mask(nodes, node_ok, edge_ok)
+        return ids, offsets, lengths, routable
+    if node_ok is not None:
+        routable &= node_ok(traffic[:, 0])
+    bad = _bad_hops(shape, ids, node_ok, edge_ok)
+    if bad.any():
+        # A row is broken when its running count of bad hops moves
+        # across its span.
+        seen = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(bad, out=seen[1:])
+        routable &= seen[offsets + lengths] == seen[offsets]
     broken = np.flatnonzero(~routable)
-    if not len(broken):
-        return nodes, lengths, routable
-    detours: dict[int, np.ndarray] = {}
+    lengths[broken] = 0  # refused: never enters the network
     if router == "adaptive":
+        detours = {}
         for i in broken:
             r = adaptive_route(
                 shape, int(traffic[i, 0]), int(traffic[i, 1]),
@@ -193,65 +285,51 @@ def build_routes_batch(
             if r is not None:
                 detours[int(i)] = r
                 routable[i] = True
-    lmax = nodes.shape[1] - 1
-    if detours:
-        lmax = max(lmax, max(len(r) - 1 for r in detours.values()))
-    out = np.full((m, lmax + 1), -1, dtype=np.int64)
-    out[:, : nodes.shape[1]] = nodes
-    for i in broken:
-        r = detours.get(int(i))
-        if r is None:
-            out[i, :] = -1  # unroutable: never enters the network
-            lengths[i] = 0
-        else:
-            out[i, :] = -1
-            out[i, : len(r)] = r
-            lengths[i] = len(r) - 1
-    return out, lengths, routable
+        ids = _append_routes(shape, ids, offsets, lengths, detours)
+    return ids, offsets, lengths, routable
 
 
-def _apply_byzantine_batch(plan, shape, nodes, lengths, routable):
-    """Perturb the padded route matrix under a Byzantine plan.
+def _apply_byzantine_batch(plan, shape, ids, offsets, lengths, routable):
+    """Perturb the routes under a Byzantine plan.
 
     Touched rows — routable, at least two hops, at least one traitor
-    intermediate — are detected with one vectorized mask, then perturbed
-    by the *same* :meth:`~repro.sim.routing.ByzantinePlan._perturb` the
-    scalar engine uses, in the same ascending-id order, consuming the
-    same rng draws; the matrix is re-padded since misroute tails can
-    exceed the old width.  Returns ``(nodes, lengths, actions)``.
+    intermediate (a hop's tail ``id // 2d``, the first hop's excepted) —
+    are detected with one running count over the hops, then perturbed by
+    the *same* :meth:`~repro.sim.routing.ByzantinePlan._perturb` the
+    scalar engine uses, on node rows rebuilt for them alone, in the same
+    ascending-id order, consuming the same rng draws.  A drop shortens
+    the row in place; a misroute tail is appended to ``ids``.  Returns
+    ``(ids, offsets, lengths, actions)``; the arguments are not modified
+    (they may be the caller's prebuilt routes).
     """
-    m = len(nodes)
-    actions = np.zeros(m, dtype=np.int8)
-    if m == 0 or nodes.shape[1] <= 2:
-        return nodes, lengths, actions
-    pad = nodes < 0
-    mid = plan.byz_flat[np.where(pad, 0, nodes)]
-    mid[:, 0] = False
-    mid &= np.arange(nodes.shape[1])[None, :] < lengths[:, None]
-    mid &= ~pad
-    touched = np.flatnonzero(routable & (lengths >= 2) & mid.any(axis=1))
+    actions = np.zeros(len(lengths), dtype=np.int8)
+    rows = np.flatnonzero(routable & (lengths >= 2))
+    if not len(rows):
+        return ids, offsets, lengths, actions
+    ports = 2 * len(shape)
+    traitors = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.repeat(plan.byz_flat, ports)[ids], out=traitors[1:])
+    start = offsets[rows]
+    touched = rows[traitors[start + lengths[rows]] != traitors[start + 1]]
     if not len(touched):
-        return nodes, lengths, actions
-    new_routes: dict[int, np.ndarray] = {}
-    lmax = nodes.shape[1] - 1
+        return ids, offsets, lengths, actions
+    offsets, lengths = offsets.copy(), lengths.copy()
+    heads = _link_heads(tuple(shape))
+    misroutes = {}
     for i in touched:
-        route = nodes[i, : lengths[i] + 1]
-        pos = plan.first_traitor_hop(route)
-        actions[i], nr = plan._perturb(shape, route, pos)
-        new_routes[int(i)] = nr
-        lmax = max(lmax, len(nr) - 1)
-    out = np.full((m, lmax + 1), -1, dtype=np.int64)
-    out[:, : nodes.shape[1]] = nodes
-    lengths = lengths.copy()  # may be the caller's prebuilt routes
-    for i, nr in new_routes.items():
-        out[i, :] = -1
-        out[i, : len(nr)] = nr
-        lengths[i] = len(nr) - 1
-    return out, lengths, actions
+        hops = ids[offsets[i] : offsets[i] + lengths[i]]
+        route = np.append(hops // ports, heads[hops[-1]])
+        actions[i], new = plan._perturb(shape, route, plan.first_traitor_hop(route))
+        if actions[i] == BYZ_MISROUTE:
+            misroutes[int(i)] = new
+        elif actions[i] == BYZ_DROP:
+            lengths[i] = len(new) - 1  # a prefix of the route
+    ids = _append_routes(shape, ids, offsets, lengths, misroutes)
+    return ids, offsets, lengths, actions
 
 
 def link_ids(shape: tuple[int, ...], nodes: np.ndarray) -> np.ndarray:
-    """Dense directed-link id of every hop of padded routes.
+    """Dense directed-link id of every hop of padded node routes.
 
     ``ids[i, j]`` is ``u * 2d + port`` for the hop ``u -> v`` from
     ``nodes[i, j]`` to ``nodes[i, j + 1]``: every node of a d-dimensional
@@ -262,12 +340,13 @@ def link_ids(shape: tuple[int, ...], nodes: np.ndarray) -> np.ndarray:
     side 2 both directions reach the same neighbour, and all four
     displacements fall on the ``+`` port; an axis of side 1 has no hops.
     The strides are nested, so no two axes share a displacement, and the
-    id is one-to-one on distinct ``(u, v)`` hops: adaptive detours and
-    Byzantine misroute tails get their ids the same way.  Entries past a
-    route's end are never read.
+    id is one-to-one on distinct ``(u, v)`` hops.  Adaptive detours and
+    Byzantine misroute tails get their ids this way; :func:`routes_batch`
+    gives e-cube routes the same ids without a node array.  Entries past
+    a route's end are never read.
 
     Rows are handled in blocks of :data:`ROUTE_BLOCK`, so the peak is the
-    int32 output plus ``O(ROUTE_BLOCK * L)`` temporaries.
+    output plus ``O(ROUTE_BLOCK * L)`` temporaries.
     """
     codec = CoordCodec(shape)
     size, ports = codec.size, 2 * len(shape)
@@ -278,8 +357,7 @@ def link_ids(shape: tuple[int, ...], nodes: np.ndarray) -> np.ndarray:
             port[size - s] = port[size + (n - 1) * s] = 2 * a + 1
             port[size + s] = port[size - (n - 1) * s] = 2 * a
     m, width = len(nodes), nodes.shape[1] - 1
-    dtype = np.int32 if size * ports <= np.iinfo(np.int32).max else np.int64
-    ids = np.empty((m, width), dtype=dtype)
+    ids = np.empty((m, width), dtype=_id_dtype(shape))
     for r0 in range(0, m, ROUTE_BLOCK):
         block = nodes[r0 : r0 + ROUTE_BLOCK]
         hop = block[:, 1:] - block[:, :-1]
@@ -304,7 +382,7 @@ def simulate_batch(
     classes: np.ndarray | None = None,
     credits: int = 0,
     byzantine=None,
-    routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    routes: tuple[np.ndarray, ...] | None = None,
 ) -> SimResult:
     """Vectorized twin of :func:`repro.sim.engine.simulate`.
 
@@ -313,28 +391,26 @@ def simulate_batch(
     included — and an identical :class:`SimResult` field for field; only
     the wall clock differs.
 
-    ``routes`` is ``(nodes, lengths, routable)`` as :func:`build_routes_batch`
-    returns it for ``traffic``, passed by a caller that already built them
-    (to check them against live faults, or to sum their hops): the build
-    is skipped, ``router``/``node_ok``/``edge_ok`` are not consulted, and
-    the result is the one the same build would give.
+    ``routes`` is ``(ids, offsets, lengths, routable)`` as
+    :func:`build_routes_batch` returns it for ``traffic``, passed by a
+    caller that already built them (to check them against live faults, or
+    to sum their hops): the build is skipped, ``router``/``node_ok``/
+    ``edge_ok`` are not consulted, and the result is the one the same
+    build would give.
     """
     if routes is None:
         routes = build_routes_batch(
             shape, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok
         )
-    nodes, lengths, routable = routes
-    actions = np.zeros(len(nodes), dtype=np.int8)
+    flat, offsets, lengths, routable = routes
+    actions = np.zeros(len(lengths), dtype=np.int8)
     if byzantine is not None:
-        nodes, lengths, actions = _apply_byzantine_batch(
-            byzantine, shape, nodes, lengths, routable
+        flat, offsets, lengths, actions = _apply_byzantine_batch(
+            byzantine, shape, flat, offsets, lengths, routable
         )
-    m = len(nodes)
+    m = len(lengths)
     cls, start = check_sim_inputs(m, inject=inject, classes=classes, credits=credits)
     num_classes = int(cls.max()) + 1 if m else 1
-    flat = link_ids(shape, nodes)
-    width = flat.shape[1]
-    flat = flat.ravel()
     # self-addressed: delivered at injection, latency 0 (unroutable rows
     # also have length 0 but never deliver — mask them out)
     done = (lengths == 0) & routable
@@ -351,7 +427,7 @@ def simulate_batch(
     def entering(ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """Live state of messages entering the network: the cursor into
         ``flat``, the cursor's value at delivery, and the key."""
-        cursor = ids * width
+        cursor = offsets[ids]
         return cursor, cursor + lengths[ids], key[ids]
 
     cursor, end, lkey = entering(arrivals[:0])

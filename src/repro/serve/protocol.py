@@ -31,6 +31,8 @@ from typing import Any
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "MAX_QUERY_CYCLES",
+    "MAX_QUERY_HOPS",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "decode_frame",
@@ -48,6 +50,17 @@ PROTOCOL_VERSION = 1
 #: a batched event ingest or a full telemetry snapshot, small enough that
 #: a misbehaving peer cannot balloon server memory.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Upper bound on ``messages`` times the guest's diameter in one traffic
+#: query: the most link ids its route build can write.  Sized so the
+#: costliest pattern at the bound ends in about a second (41,666 hotspot
+#: messages on the 36x36 guest took 0.9 s on a 2-CPU container).
+MAX_QUERY_HOPS = 1_500_000
+
+#: Upper bound on ``max_cycles`` in one traffic query.  A credit-gated
+#: query can keep a message or two in flight for every cycle it is
+#: allowed; 50,000 such cycles took 1.0-1.4 s on a 2-CPU container.
+MAX_QUERY_CYCLES = 40_000
 
 
 class ProtocolError(Exception):

@@ -27,10 +27,10 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._version import __version__
-from repro.api.registry import available, get
+from repro.api.registry import available
 from repro.errors import ParameterError
 from repro.serve import protocol
 from repro.serve.state import MachineActor, MachineState

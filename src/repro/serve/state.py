@@ -47,6 +47,7 @@ from repro.api.protocol import LifetimeSpec
 from repro.api.registry import get
 from repro.errors import ParameterError
 from repro.faults.registry import fault_model_names
+from repro.serve.protocol import MAX_QUERY_CYCLES, MAX_QUERY_HOPS
 from repro.serve.telemetry import MachineTelemetry
 from repro.sim.metrics import latency_stats
 from repro.sim.traffic import TRAFFIC_PATTERNS, make_traffic
@@ -271,13 +272,23 @@ class MachineState:
         ):
             if value < least:
                 raise ParameterError(f"{name} must be >= {least}, got {value}")
+        guest = tuple(int(s) for s in c.guest_shape())
+        diameter = sum(n // 2 for n in guest)
+        if messages * diameter > MAX_QUERY_HOPS:
+            raise ParameterError(
+                f"messages x guest diameter must be <= MAX_QUERY_HOPS={MAX_QUERY_HOPS}, "
+                f"got {messages} x {diameter}"
+            )
+        if max_cycles > MAX_QUERY_CYCLES:
+            raise ParameterError(
+                f"max_cycles must be <= MAX_QUERY_CYCLES={MAX_QUERY_CYCLES}, got {max_cycles}"
+            )
         if router not in ROUTERS:
             raise ParameterError(f"unknown router {router!r}; options: {ROUTERS}")
         if pattern not in TRAFFIC_PATTERNS:
             raise ParameterError(
                 f"unknown pattern {pattern!r}; options: {', '.join(sorted(TRAFFIC_PATTERNS))}"
             )
-        guest = tuple(int(s) for s in c.guest_shape())
         rng = spawn_rng(int(seed), "serve-traffic", pattern)
         try:
             traffic = make_traffic(guest, pattern, int(messages), rng)

@@ -40,7 +40,7 @@ from repro.api.protocol import LifetimeSpec
 from repro.errors import EmbeddingError
 from repro.sim.engine import simulate
 from repro.sim.metrics import latency_stats
-from repro.sim.routing import embedded_predicates
+from repro.sim.routing import embedded_predicates, route_is_healthy
 from repro.sim.traffic import make_traffic
 from repro.topology.embeddings import verify_torus_embedding
 from repro.util.rng import spawn_rng
@@ -48,19 +48,18 @@ from repro.util.rng import spawn_rng
 __all__ = ["lifetime_traffic_snapshots", "serve_traffic"]
 
 
-def route_health_mask(nodes, phi, fault_flat, is_adjacent) -> np.ndarray:
-    """Per-route health of padded guest routes ``nodes`` mapped through the
-    embedding ``phi`` — :func:`repro.fastpath.traffic_batch.routes_health_mask`
-    over :func:`~repro.sim.routing.embedded_predicates`.
+def route_health_mask(routes, phi, fault_flat, is_adjacent) -> np.ndarray:
+    """Per-route health of guest node routes mapped through the embedding
+    ``phi``: :func:`~repro.sim.routing.route_is_healthy` of each route
+    under :func:`~repro.sim.routing.embedded_predicates`.
 
     No traffic path calls it: :func:`serve_traffic` refuses messages
     inside :func:`~repro.fastpath.traffic_batch.build_routes_batch`.  It
     stays only while perfbench's ``sim.lifetime_traffic.health_share``
     metric traces it by name.
     """
-    from repro.fastpath.traffic_batch import routes_health_mask
-
-    return routes_health_mask(nodes, *embedded_predicates(phi, fault_flat, is_adjacent))
+    node_ok, edge_ok = embedded_predicates(phi, fault_flat, is_adjacent)
+    return np.array([route_is_healthy(r, node_ok, edge_ok) for r in routes], dtype=bool)
 
 
 def serve_traffic(guest, traffic, machine=None, *, router: str = "dimension",
@@ -94,7 +93,7 @@ def serve_traffic(guest, traffic, machine=None, *, router: str = "dimension",
         guest, traffic, max_cycles=max_cycles, classes=classes,
         credits=credits, routes=routes,
     )
-    return result, routes[1]
+    return result, routes[2]
 
 
 def lifetime_traffic_snapshots(

@@ -36,15 +36,16 @@ from repro.api.registry import get
 from repro.api.traffic import message_classes, run_traffic_trial
 from repro.fastpath.traffic_batch import (
     build_routes_batch,
-    routes_health_mask,
+    link_ids,
     simulate_batch,
 )
-from repro.sim.engine import simulate
+from repro.sim.engine import MSG_DELIVERED, MSG_UNDELIVERABLE, simulate
 from repro.sim.metrics import per_class_stats
 from repro.sim.routing import (
     ROUTERS,
     adaptive_route,
     dimension_ordered_route,
+    embedded_predicates,
     fault_predicates,
     route_is_healthy,
 )
@@ -258,24 +259,68 @@ class TestBackendIdentity:
         bn = get("bn", d=2, b=3, s=1, t=2)
         trial_backend_oracle(bn, spec, range(2)).raise_on_mismatch()
 
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_self_addressed_message_on_a_faulty_node_is_refused(self, router):
+        """A faulty node cannot reach even itself: both engines refuse its
+        self-addressed message (no hop to check, only the source)."""
+        faults = np.zeros(16, dtype=bool)
+        faults[5] = True
+        node_ok, edge_ok = fault_predicates(faults)
+        traffic = np.array([[5, 5], [0, 1]])
+        kwargs = dict(router=router, node_ok=node_ok, edge_ok=edge_ok)
+        a = simulate((4, 4), traffic, **kwargs)
+        b = simulate_batch((4, 4), traffic, **kwargs)
+        assert not compare_sim_results(a, b)
+        assert b.undeliverable == 1 and b.delivered == 1
+        assert b.message_status.tolist() == [MSG_UNDELIVERABLE, MSG_DELIVERED]
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_self_addressed_message_on_a_faulty_host_is_refused_live(
+        self, bn2_small, router
+    ):
+        """The same through ``serve_traffic`` on a live bn machine: a guest
+        node whose host image is faulty cannot reach itself."""
+        from repro.core.bn import BTorus
+        from repro.core.online import OnlineRecovery
+        from repro.sim.lifetime_traffic import serve_traffic
+
+        machine = OnlineRecovery(BTorus(bn2_small))
+        shape = tuple(int(n) for n in machine.recovery.guest_shape())
+        phi = np.asarray(machine.recovery.phi, dtype=np.int64).ravel()
+        machine.faults.ravel()[phi[5]] = True
+        traffic = np.array([[5, 5], [0, 1]])
+        live, lengths = serve_traffic(shape, traffic, machine, router=router)
+        node_ok, edge_ok = embedded_predicates(
+            phi, machine.faults.ravel(), machine.bt.bn.is_adjacent
+        )
+        scalar = simulate(shape, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok)
+        assert not compare_sim_results(scalar, live)
+        assert live.message_status.tolist() == [MSG_UNDELIVERABLE, MSG_DELIVERED]
+        assert lengths.tolist() == [0, 1]
+
     def test_batch_route_builder_matches_scalar_routes(self):
+        """Each ragged row is the link ids of the scalar adaptive route —
+        the e-cube route where it is healthy, else the appended detour —
+        and a message with no healthy route is refused with length 0."""
         shape = (6, 6)
         faults = _random_faults(shape, 21, 0.15)
         node_ok, edge_ok = fault_predicates(faults)
         traffic = make_traffic(shape, "uniform", 40, spawn_rng(21, "routes"))
-        nodes, lengths, routable = build_routes_batch(
+        ids, offsets, lengths, routable = build_routes_batch(
             shape, traffic, router="adaptive", node_ok=node_ok, edge_ok=edge_ok
         )
-        assert routes_health_mask(nodes, node_ok, edge_ok)[routable].all()
+        detoured = 0
         for i, (src, dst) in enumerate(traffic):
             r = adaptive_route(shape, int(src), int(dst),
                                node_ok=node_ok, edge_ok=edge_ok)
             if r is None:
                 assert not routable[i] and lengths[i] == 0
-                assert (nodes[i] == -1).all()
             else:
                 assert routable[i] and lengths[i] == len(r) - 1
-                assert np.array_equal(nodes[i, : len(r)], r)
+                row = ids[offsets[i] : offsets[i] + lengths[i]]
+                assert row.tolist() == link_ids(shape, r[None])[0].tolist()
+                detoured += not np.array_equal(r, dimension_ordered_route(shape, src, dst))
+        assert detoured and not routable.all()
 
 
 # ---------------------------------------------------------------------------

@@ -471,15 +471,48 @@ class TestTrafficQueries:
     @pytest.mark.parametrize(
         "field,value",
         [("messages", "lots"), ("seed", None), ("pattern", "spiral"),
-         ("pattern", "bitreverse"), ("qos_classes", 0), ("credits", -1)],
+         ("pattern", "bitreverse"), ("qos_classes", 0), ("credits", -1),
+         ("messages", protocol.MAX_QUERY_HOPS // 36 + 1), ("messages", 10**12),
+         ("max_cycles", protocol.MAX_QUERY_CYCLES + 1)],
     )
-    def test_bad_field_is_a_bad_request_naming_it(self, field, value):
+    def test_bad_field_is_a_bad_request_naming_it(self, monkeypatch, field, value):
         """Fields are checked before any work: a wrong type, an unknown
-        pattern, a pattern the 36x36 guest has no traffic for, and knobs
-        out of range are all the client's fault."""
+        pattern, a pattern the 36x36 guest has no traffic for, knobs out
+        of range and a query past the work bounds (its ``messages`` times
+        the guest's diameter of 36, or its ``max_cycles``) are all the
+        client's fault.  No workload is generated for any of them."""
+        import repro.serve.state as state_mod
+
+        real = state_mod.make_traffic
+
+        def guarded(shape, pattern, count, rng):
+            assert count * 36 <= protocol.MAX_QUERY_HOPS, "built a workload past the bound"
+            return real(shape, pattern, count, rng)
+
+        monkeypatch.setattr(state_mod, "make_traffic", guarded)
         err = self._rejected_query(**{field: value})
         assert err.code == "bad-request"
         assert field in str(err)
+        if isinstance(value, int) and value > protocol.MAX_QUERY_CYCLES:
+            assert ("MAX_QUERY_HOPS" if field == "messages" else "MAX_QUERY_CYCLES") in str(err)
+
+    def test_query_at_the_bounds_is_admitted(self, monkeypatch):
+        """The largest query the bounds admit reaches the workload
+        generator (stubbed here, so no real huge workload is built)."""
+        import repro.serve.state as state_mod
+
+        seen = []
+
+        def stub(shape, pattern, count, rng):
+            seen.append(count)
+            raise ValueError("stub")
+
+        monkeypatch.setattr(state_mod, "make_traffic", stub)
+        state = MachineState("m", "bn", BN_PARAMS)
+        with pytest.raises(ParameterError, match="stub"):
+            state.traffic_query("uniform", protocol.MAX_QUERY_HOPS // 36, 0,
+                                max_cycles=protocol.MAX_QUERY_CYCLES)
+        assert seen == [protocol.MAX_QUERY_HOPS // 36]
 
     @staticmethod
     def _machine_with_stale_faults() -> MachineState:
@@ -581,6 +614,25 @@ class TestMemory:
         assert state.alive and state.seq == 20_000
         assert growth < 64 * 1024
 
+
+    def test_live_query_peak_memory(self):
+        """A 10,000-message query on a live bn machine with a fault holds
+        its routes as ragged int32 link ids and checks each distinct link
+        once: its traced peak stays under 8 MiB (2.4 MiB measured; one
+        int64 node id per route position alone would be 2.9 MiB)."""
+        import tracemalloc
+
+        state = MachineState("m", "bn", BN_PARAMS)
+        state.apply_event("fault", 7)
+        state.traffic_query("uniform", 32, 1)  # warm the per-shape tables
+        tracemalloc.start()
+        try:
+            stats = state.traffic_query("uniform", 10_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats["offered"] == 10_000 and stats["live"]
+        assert peak < 8 * 2**20
 
 class TestTelemetryPrimitives:
     def test_latency_histogram_percentiles(self):

@@ -37,8 +37,9 @@ from repro.fastpath.traffic_batch import (
     routes_batch,
     simulate_batch,
 )
-from repro.sim.engine import simulate
+from repro.sim.engine import MSG_UNDELIVERABLE, simulate
 from repro.sim.routing import (
+    BYZ_MISROUTE,
     ByzantinePlan,
     dimension_ordered_route,
     fault_predicates,
@@ -240,12 +241,13 @@ class TestBatchKernelEquivalence:
     )
     def test_routes_batch_matches_scalar_routes(self, shape, seed):
         t = make_traffic(shape, "uniform", 40, spawn_rng(seed))
-        nodes, lengths = routes_batch(shape, t)
+        ids, offsets, lengths = routes_batch(shape, t)
+        assert ids.dtype == np.int32 and len(ids) == lengths.sum()
         for i, (s, d) in enumerate(t):
             r = dimension_ordered_route(shape, int(s), int(d))
             assert lengths[i] == len(r) - 1
-            assert nodes[i, : lengths[i] + 1].tolist() == r.tolist()
-            assert (nodes[i, lengths[i] + 1:] == -1).all()
+            row = ids[offsets[i] : offsets[i] + lengths[i]]
+            assert row.tolist() == link_ids(shape, r[None])[0].tolist()
 
     @pytest.mark.parametrize(
         "shape",
@@ -255,40 +257,43 @@ class TestBatchKernelEquivalence:
     def test_routes_batch_matches_scalar_routes_across_blocks(self, shape):
         """Every (src, dst) pair — so every n/2 tie on even sides — tiled and
         shuffled past ROUTE_BLOCK rows, so rows land on both sides of the
-        block boundaries; each row must be the scalar e-cube route."""
+        block boundaries; each ragged row must be the link ids of the
+        scalar e-cube route, and the rows must follow each other."""
         size = int(np.prod(shape))
         pairs = np.indices((size, size)).reshape(2, -1).T
-        ref = np.full((len(pairs), sum(n // 2 for n in shape) + 1), -1)
-        for k, (s, d) in enumerate(pairs):
-            r = dimension_ordered_route(shape, int(s), int(d))
-            ref[k, : len(r)] = r
-        ref = ref[:, : int((ref >= 0).sum(axis=1).max())]
+        ref = [
+            link_ids(shape, dimension_ordered_route(shape, int(s), int(d))[None])[0]
+            for s, d in pairs
+        ]
         reps = ROUTE_BLOCK // len(pairs) + 2
         idx = spawn_rng(size, "route-blocks").permutation(np.tile(np.arange(len(pairs)), reps))
         assert len(idx) > ROUTE_BLOCK
-        nodes, lengths = routes_batch(shape, pairs[idx])
-        np.testing.assert_array_equal(nodes, ref[idx])
-        np.testing.assert_array_equal(lengths, (ref[idx] >= 0).sum(axis=1) - 1)
-        empty_nodes, empty_lengths = routes_batch(shape, np.empty((0, 2), dtype=np.int64))
-        assert empty_nodes.shape == (0, 1) and empty_lengths.shape == (0,)
+        ids, offsets, lengths = routes_batch(shape, pairs[idx])
+        np.testing.assert_array_equal(lengths, [len(ref[k]) for k in idx])
+        np.testing.assert_array_equal(offsets, np.cumsum(lengths) - lengths)
+        np.testing.assert_array_equal(ids, np.concatenate([ref[k] for k in idx]))
+        empty = routes_batch(shape, np.empty((0, 2), dtype=np.int64))
+        assert [a.shape for a in empty] == [(0,), (0,), (0,)]
 
     def test_routes_batch_peak_memory_is_blocked(self):
-        """The builder's peak is its output, its O(M * d) per-message legs
-        and O(ROUTE_BLOCK * L) block temporaries — never a few (M, L)
-        temporaries, which is what building all rows at once costs."""
+        """The builder's peak is its ragged output, its O(M * d) legs and
+        O(ROUTE_BLOCK * L) block temporaries — never an (M, L) temporary,
+        and below one int64 node id per route position (8 * M * (L + 1)
+        bytes)."""
         shape = (36, 36)
         traffic = make_traffic(shape, "uniform", 100_000, spawn_rng(5, "peak"))
         tracemalloc.start()
         try:
-            nodes, lengths = routes_batch(shape, traffic)
+            ids, offsets, lengths = routes_batch(shape, traffic)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        m, width = nodes.shape
-        legs = 8 * m * len(shape) * 8
+        m, d, width = len(traffic), len(shape), int(lengths.max())
+        out = ids.nbytes + offsets.nbytes + lengths.nbytes
+        legs = 4 * m * d * 8
         block = 8 * ROUTE_BLOCK * width * 8
-        assert peak <= nodes.nbytes + lengths.nbytes + legs + block
-        assert legs + block < nodes.nbytes  # the bound is tighter than one more copy
+        assert peak <= out + legs + block
+        assert peak < 8 * m * (width + 1)
 
     def test_edge_cases_identical(self):
         # self-addressed only, empty traffic, mixed
@@ -377,6 +382,31 @@ class TestDenseLinkKernel:
         assert batch.misrouted > 0 and batch.dropped > 0
         assert_results_identical(simulate(shape, traffic, byzantine=plan()), batch)
 
+    @pytest.mark.parametrize("router", ["dimension", "adaptive"])
+    def test_crash_faults_and_byzantine_plan_together_identical(self, router):
+        """Crash predicates and a Byzantine plan in one run.  Under the
+        adaptive router some detoured row is misrouted too, so its
+        route is rewritten twice — the detour, then the misroute tail."""
+        shape = (6, 6)
+        faults = spawn_rng(8, "crash-byz").random(36) < 0.12
+        traitors = spawn_rng(8, "crash-byz-traitors").random(36) < 0.2
+        node_ok, edge_ok = fault_predicates(faults)
+        traffic = make_traffic(shape, "uniform", 300, spawn_rng(8, "crash-byz-t"))
+        kwargs = dict(router=router, node_ok=node_ok, edge_ok=edge_ok)
+
+        def plan():
+            return ByzantinePlan(traitors, (0.6, 0.2, 0.2), spawn_rng(8, "crash-byz-plan"))
+
+        batch = simulate_batch(shape, traffic, byzantine=plan(), **kwargs)
+        assert batch.undeliverable > 0 and batch.misrouted > 0 and batch.dropped > 0
+        assert_results_identical(simulate(shape, traffic, byzantine=plan(), **kwargs), batch)
+        if router == "adaptive":
+            ecube = simulate_batch(shape, traffic, node_ok=node_ok, edge_ok=edge_ok)
+            detoured = (ecube.message_status == MSG_UNDELIVERABLE) & (
+                batch.message_status != MSG_UNDELIVERABLE
+            )
+            assert (detoured & (batch.message_actions == BYZ_MISROUTE)).any()
+
     def test_credits_hold_arrivals_in_the_pools(self):
         """Three classes with two credits each: arrivals of every class
         queue at the source, and each class admits its lowest ids first.
@@ -404,10 +434,16 @@ class TestDenseLinkKernel:
         """The id build's peak is its int32 output, its displacement
         table and O(ROUTE_BLOCK * L) block temporaries — never one
         (M, L) int64 temporary, which is what building all rows at once
-        costs."""
+        costs.  The padded node routes are rebuilt from the ragged e-cube
+        ids (each hop's tail, then the destination), so the ids of the
+        padded rows must also give those ids back."""
         shape = (36, 36)
         traffic = make_traffic(shape, "uniform", 100_000, spawn_rng(5, "peak"))
-        nodes, _ = routes_batch(shape, traffic)
+        ragged, _, lengths = routes_batch(shape, traffic)
+        nodes = np.full((len(traffic), int(lengths.max()) + 1), -1, dtype=np.int64)
+        on_route = np.arange(nodes.shape[1] - 1) < lengths[:, None]
+        nodes[:, :-1][on_route] = ragged // (2 * len(shape))
+        nodes[np.arange(len(traffic)), lengths] = traffic[:, 1]
         tracemalloc.start()
         try:
             ids = link_ids(shape, nodes)
@@ -415,6 +451,7 @@ class TestDenseLinkKernel:
         finally:
             tracemalloc.stop()
         assert ids.dtype == np.int32 and ids.shape == (len(nodes), nodes.shape[1] - 1)
+        np.testing.assert_array_equal(ids[on_route], ragged)
         table = 8 * (2 * 36 * 36 + 1)
         block = 8 * ROUTE_BLOCK * nodes.shape[1] * 8
         assert peak <= ids.nbytes + table + block
