@@ -11,6 +11,9 @@ Implementation notes (see DESIGN.md §2):
 * Regions are labelled with **king-move connectivity** (paper: torus-edge
   adjacency).  Overriding paint can make two frames' interiors touch
   diagonally; king connectivity merges them, which is always safe.
+  Labelling walks a table of each tile's cyclic king neighbours, built
+  once per tile-grid shape; labels ascend with each region's smallest
+  flat tile.
 * After painting, black regions are **dilated by one tile along dim 0** so
   that straight segments whose masked window pokes across a tile-row
   boundary are still pinned by black tiles at every column they mask.
@@ -21,6 +24,8 @@ Implementation notes (see DESIGN.md §2):
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,41 +98,48 @@ def _dilate_dim0(black: np.ndarray) -> np.ndarray:
 def _label_regions(
     black: np.ndarray, geo: TileGeometry, params: BnParams
 ) -> tuple[np.ndarray, list[Region]]:
-    """Cyclic king-connectivity components of the black tile set."""
-    grid_shape = black.shape
-    labels = np.full(grid_shape, -1, dtype=np.int64)
-    flat_black = black.ravel()
-    ndim = black.ndim
-    offsets = _king_offsets(ndim)
+    """Cyclic king-connectivity components of the black tile set.
 
+    A depth-first walk over the grid shape's king-neighbour table
+    (:func:`_king_neighbours`), started from each unlabelled black tile
+    in flat order, so labels ascend with each region's smallest flat
+    tile."""
+    neighbours = _king_neighbours(black.shape)
+    is_black = black.ravel().tolist()
+    lab = [-1] * len(is_black)
     regions: list[Region] = []
-    for start in np.flatnonzero(flat_black):
-        if labels.ravel()[start] != -1:
+    for start in np.flatnonzero(black).tolist():
+        if lab[start] != -1:
             continue
         label = len(regions)
-        stack = [int(start)]
+        lab[start] = label
+        stack = [start]
         members = []
-        lab_flat = labels.ravel()
-        lab_flat[start] = label
         while stack:
             cur = stack.pop()
             members.append(cur)
-            cc = np.unravel_index(cur, grid_shape)
-            for off in offsets:
-                nb = tuple((cc[a] + off[a]) % grid_shape[a] for a in range(ndim))
-                nb_flat = int(np.ravel_multi_index(nb, grid_shape))
-                if flat_black[nb_flat] and lab_flat[nb_flat] == -1:
-                    lab_flat[nb_flat] = label
-                    stack.append(nb_flat)
+            for nb in neighbours[cur]:
+                if is_black[nb] and lab[nb] == -1:
+                    lab[nb] = label
+                    stack.append(nb)
         region = Region(label=label, tiles_flat=np.array(sorted(members), dtype=np.int64))
         _finish_region(region, geo, params)
         regions.append(region)
-    return labels, regions
+    return np.array(lab, dtype=np.int64).reshape(black.shape), regions
+
+
+@functools.lru_cache(maxsize=16)
+def _king_neighbours(grid_shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per flat tile of a ``grid_shape`` tile grid, the flat indices of its
+    ``3^d - 1`` cyclic king neighbours; built once per grid shape."""
+    ndim = len(grid_shape)
+    tiles = np.indices(grid_shape).reshape(ndim, -1).T
+    nbrs = (tiles[:, None, :] + np.array(_king_offsets(ndim))) % np.array(grid_shape)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid_shape)
+    return tuple(map(tuple, flat.tolist()))
 
 
 def _king_offsets(ndim: int):
-    import itertools
-
     return [
         off
         for off in itertools.product((-1, 0, 1), repeat=ndim)

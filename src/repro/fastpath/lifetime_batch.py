@@ -15,17 +15,25 @@ luck: the kernel replays the *same decision sequence* —
 1. masked check against the incumbent straight bottoms (the scalar
    masked predicate restricted to straight bands, where every column is
    identical);
-2. all of one step's unmasked arrivals go to the straight-cover
-   classifier the survival kernel shares (``bn_batch._straight_cover``),
-   which returns exactly ``_cover_rows_cyclic``'s sorted bottoms — the
-   tallies depend on them, not just on coverage; cheap vectorized
-   spacing/coverage re-checks guard the result, and any discrepancy
-   reruns the scalar ``place_straight_rows`` so even defensive failures
-   match;
-3. when the straight cover fails under the ``auto`` strategy, the same
-   paper-pipeline recovery the scalar path would run; if the paper
-   strategy *survives* (non-straight incumbent — rare), the whole trial
-   is delegated to the scalar ``lifetime_trial``, the ground truth.
+2. the arrivals that escape their bands get the straight cover of their
+   trial's faulty-row profile from the classifier the survival kernel
+   shares (``bn_batch._straight_cover``), which returns exactly
+   ``_cover_rows_cyclic``'s sorted bottoms — the tallies depend on them,
+   not just on coverage; cheap vectorized spacing/coverage re-checks
+   guard the result, and any discrepancy reruns the scalar
+   ``place_straight_rows`` so even defensive failures match.  A cover is
+   a pure function of the profile, and the arrival order fixes the
+   profile after every step, so the classifier runs once per block of
+   :data:`STEP_BLOCK` steps, on every active trial's profile after each
+   step of the block; the masked/replaced decisions are then replayed
+   step by step from those covers;
+3. when the straight cover fails under the ``auto`` strategy, the paper
+   *placement* the scalar path's ``BTorus.recover`` runs first
+   (``place_bands(..., strategy="paper")``): if it raises, that is the
+   category the scalar path reports; if it succeeds (non-straight
+   incumbent — rare), the whole trial is delegated to the scalar
+   ``lifetime_trial``, the ground truth, so the kernel never extracts or
+   verifies a torus itself.
 
 First-failure times, failure categories and masked/replaced tallies are
 therefore trial-for-trial identical (asserted in tests/test_fastpath.py).
@@ -38,12 +46,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.lifetime import LifetimeOutcome
-from repro.core.placement import place_straight_rows
+from repro.core.placement import place_bands, place_straight_rows
 from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import _masks_cover, _straight_cover, cover_bytes_per_trial
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
 
-__all__ = ["lifetime_bytes_per_trial", "run_bn_lifetime_batch"]
+__all__ = ["STEP_BLOCK", "lifetime_bytes_per_trial", "run_bn_lifetime_batch"]
+
+#: Arrival steps per straight-classifier call.  At b=4 most trials die
+#: within 16 arrivals, so a 48-trial slice makes one or two calls instead
+#: of one per step.
+STEP_BLOCK = 16
 
 
 def _straight_repairs(params, profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,24 +110,23 @@ def run_bn_lifetime_batch(
 def lifetime_bytes_per_trial(params, max_steps: int | None = None) -> int:
     """Per-trial working-set bytes of the lifetime kernel at its peak: the
     ``limit``-long arrival order in the smallest unsigned type that holds
-    a node id, the bool row profile and its copy for the classifier, the
+    a node id, the bool row profile and the copy a block takes of it, the
     int64 incumbent bottoms, the tallies (four int64, three bool and a
-    list slot: under 48 bytes), and the shared classifier's footprint —
-    when every trial's arrival escapes its bands in the same step.  The
+    list slot: under 48 bytes), and one block's footprint — per step, the
+    int64 arrival row, the bool prefix profile and what the shared
+    classifier holds for it (:func:`cover_bytes_per_trial`).  The
     one-trial permutation draw is not per trial."""
     size = params.num_nodes
     limit = size if max_steps is None else min(max_steps, size)
     m, K = params.m, params.num_bands
     return (np.min_scalar_type(size).itemsize * limit + 2 * m + 8 * K + 48
-            + cover_bytes_per_trial(m, K))
+            + STEP_BLOCK * (8 + m + cover_bytes_per_trial(m, K)))
 
 
 def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOutcome]:
     """One resident slice of the lockstep kernel (the pre-streaming body)."""
-    torus = adapter.torus
     params = adapter.params
-    m, b = params.m, params.b
-    shape = params.shape
+    m, b, K = params.m, params.b, params.num_bands
     size = params.num_nodes
     num_cols = size // m
     limit = size if spec.max_steps is None else min(spec.max_steps, size)
@@ -128,8 +140,10 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
         orders[i] = adapter.lifetime_rng(seed).permutation(size)[:limit]
 
     fault_rows = np.zeros((trials, m), dtype=bool)
-    _, empty_cover = _straight_repairs(params, np.zeros((1, m), dtype=bool))
-    bottoms = np.repeat(empty_cover, trials, axis=0)
+    # Every trial's first incumbent: the scalar path's cover of the empty
+    # profile.
+    empty = place_straight_rows(params, np.empty(0, dtype=np.int64)).bottoms[:, 0]
+    bottoms = np.repeat(empty[None, :], trials, axis=0)
     active = np.ones(trials, dtype=bool)     # still advancing in the kernel
     delegate = np.zeros(trials, dtype=bool)  # paper placement survived: scalar replay
     lifetime = np.full(trials, limit, dtype=np.int64)
@@ -139,48 +153,53 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     failed = np.zeros(trials, dtype=bool)
     category = ["ok"] * trials
 
-    for k in range(limit):
-        if not active.any():
+    for k0 in range(0, limit, STEP_BLOCK):
+        act = np.flatnonzero(active)
+        if act.size == 0:
             break
-        r = orders[:, k].astype(np.int64) // num_cols
-        covered = ((r[:, None] - bottoms) % m < b).any(axis=1)
-        act_idx = np.flatnonzero(active)
-        fault_rows[act_idx, r[act_idx]] = True
-        masked_ct[active & covered] += 1
-        unmasked = np.flatnonzero(active & ~covered)
-        if unmasked.size == 0:
-            continue
-        # Every arrival that escaped its bands this step, in one call.
-        repaired, covers = _straight_repairs(params, fault_rows[unmasked])
-        bottoms[unmasked[repaired]] = covers[repaired]
-        replaced_ct[unmasked[repaired]] += 1
-        for t in unmasked[~repaired].tolist():
-            if adapter.strategy == "straight":
-                exc = _scalar_straight_error(params, fault_rows[t])
-                active[t] = False
+        width = min(STEP_BLOCK, limit - k0)
+        rows = orders[act, k0 : k0 + width].astype(np.int64) // num_cols
+        # Each active trial's faulty-row profile after every step of the
+        # block, classified in one call.
+        prefix = np.zeros((act.size, width, m), dtype=bool)
+        prefix[np.arange(act.size)[:, None], np.arange(width), rows] = True
+        np.logical_or.accumulate(prefix, axis=1, out=prefix)
+        prefix |= fault_rows[act, None, :]
+        ok, covers = _straight_repairs(params, prefix.reshape(-1, m))
+        ok = ok.reshape(act.size, width)
+        covers = covers.reshape(act.size, width, K)
+
+        # Replay the block's steps against the incumbent covers.
+        cur = bottoms[act]
+        live = np.ones(act.size, dtype=bool)
+        for j in range(width):
+            k = k0 + j
+            covered = ((rows[:, j, None] - cur) % m < b).any(axis=1)
+            masked_ct[act[live & covered]] += 1
+            unmasked = np.flatnonzero(live & ~covered)
+            repaired = ok[unmasked, j]
+            fixed = unmasked[repaired]
+            cur[fixed] = covers[fixed, j]
+            replaced_ct[act[fixed]] += 1
+            for u in unmasked[~repaired].tolist():
+                live[u] = False
+                t = act[u]
+                death = _cover_failure(adapter, orders[t, : k + 1], prefix[u, j])
+                if death is None:
+                    # Paper placement survived: the incumbent is no longer
+                    # straight, so this trial leaves the kernel and is
+                    # replayed on the scalar path (identical by determinism).
+                    delegate[t] = True
+                    continue
+                category[t] = death
                 failed[t] = True
-                category[t] = exc
                 lifetime[t] = k
                 steps[t] = k + 1
-                continue
-            # The scalar auto chain's paper fallback, on this trial's
-            # reconstructed fault stack slice.
-            stack = np.zeros(size, dtype=bool)
-            stack[orders[t, : k + 1]] = True
-            try:
-                torus.recover(stack.reshape(shape), strategy="paper")
-            except ReconstructionError as exc:
-                active[t] = False
-                failed[t] = True
-                category[t] = exc.category
-                lifetime[t] = k
-                steps[t] = k + 1
-            else:
-                # Paper placement survived: the incumbent is no longer
-                # straight, so this trial leaves the kernel and is
-                # replayed on the scalar path (identical by determinism).
-                active[t] = False
-                delegate[t] = True
+            if not live.any():
+                break
+        bottoms[act] = cur
+        fault_rows[act] = prefix[:, -1]
+        active[act] = live
 
     outcomes: list[LifetimeOutcome] = []
     for i, seed in enumerate(seeds):
@@ -201,10 +220,23 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     return outcomes
 
 
-def _scalar_straight_error(params, row_profile: np.ndarray) -> str:
-    """The exact failure category the scalar ``straight`` strategy reports."""
+def _cover_failure(adapter, order: np.ndarray, row_profile: np.ndarray) -> str | None:
+    """The category the scalar path reports when the straight cover of a
+    trial fails after the arrivals ``order``, or ``None`` where its
+    ``auto`` chain survives on the paper placement (the placement that
+    ``BTorus.recover(strategy="paper")`` runs first)."""
+    params = adapter.params
+    if adapter.strategy == "straight":
+        try:
+            place_straight_rows(params, np.flatnonzero(row_profile))
+        except ReconstructionError as exc:
+            return exc.category
+        raise AssertionError("straight cover unexpectedly succeeded")  # pragma: no cover
+    stack = np.zeros(params.num_nodes, dtype=bool)
+    stack[order] = True
     try:
-        place_straight_rows(params, np.flatnonzero(row_profile))
+        place_bands(params, stack.reshape(params.shape), strategy="paper",
+                    geo=adapter.torus.geo)
     except ReconstructionError as exc:
         return exc.category
-    raise AssertionError("straight cover unexpectedly succeeded")  # pragma: no cover
+    return None

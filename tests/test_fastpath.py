@@ -21,6 +21,7 @@ the same generators every other conformance consumer uses.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.api import (
 from repro.core.healthiness import check_healthiness, check_healthiness_batch
 from repro.core.params import BnParams
 from repro.fastpath.bn_batch import sample_bn_faults_batch, straight_survival_batch
+from repro.fastpath.lifetime_batch import STEP_BLOCK
 from repro.testkit.oracles import health_record, lifetime_record, outcome_record
 from repro.testkit.strategies import BN_PARAM_SETS
 from repro.util.rng import spawn_rng
@@ -138,6 +140,78 @@ def test_lifetime_batch_falls_back_for_unsupported_spec():
     )
     res = ExperimentRunner(backend="batch").run(es)
     assert res.points[0].result.lifetimes == [o.lifetime for o in scalar]
+
+
+# Lifetime kernel edges: prefix blocks of STEP_BLOCK steps, and the
+# placement-only paper check that decides a failed cover.
+
+B4 = {"d": 2, "b": 4, "s": 1, "t": 2}
+
+
+def _lifetime_kernel_matches_scalar(bn, spec, seeds):
+    """Assert the kernel's records equal scalar ``lifetime_trial``'s, and
+    return the scalar outcomes."""
+    scalar = [bn.lifetime_trial(spec, s) for s in seeds]
+    batch = bn.run_lifetime_batch(spec, seeds)
+    assert [lifetime_record(o) for o in batch] == [lifetime_record(o) for o in scalar]
+    return scalar
+
+
+def test_lifetime_kernel_trial_outlives_the_first_block():
+    (out,) = _lifetime_kernel_matches_scalar(get("bn", **B4), LifetimeSpec(), [197])
+    assert out.lifetime == 17 > STEP_BLOCK
+
+
+def test_lifetime_kernel_straight_strategy_across_blocks():
+    bn = get("bn", **B4, strategy="straight")
+    outs = _lifetime_kernel_matches_scalar(bn, LifetimeSpec(), list(range(190, 206)))
+    assert max(o.lifetime for o in outs) > STEP_BLOCK
+    assert {o.category for o in outs} == {"capacity"}
+
+
+@pytest.mark.parametrize("kw, max_steps", [
+    # Ends inside the first block; ends one step into the second.
+    (B4, STEP_BLOCK // 2 + 1),
+    (dict(d=2, b=5, s=1, t=2, strategy="straight"), STEP_BLOCK + 1),
+])
+def test_lifetime_kernel_max_steps_off_the_block_grid(kw, max_steps):
+    spec = LifetimeSpec(max_steps=max_steps)
+    outs = _lifetime_kernel_matches_scalar(get("bn", **kw), spec, list(range(48)))
+    exhausted = [o for o in outs if not o.failed]
+    assert exhausted and all(o.lifetime == max_steps for o in exhausted)
+    crossed = any(o.failed and o.lifetime >= STEP_BLOCK for o in outs)
+    assert crossed == (max_steps > STEP_BLOCK)
+
+
+def test_lifetime_kernel_classifies_per_block_and_never_extracts(monkeypatch):
+    """One straight-classifier call per block of STEP_BLOCK arrival steps,
+    and a failed cover runs only the paper *placement*: the kernel never
+    extracts a torus.  Where the placement survives (seeds 313 and 366),
+    the trial is delegated to the scalar replay, which does."""
+    from repro.core import bn as core_bn
+    from repro.fastpath import lifetime_batch
+
+    bn = get("bn", **B4)
+    spec = LifetimeSpec()
+    seeds = list(range(300, 348)) + [366]  # one slice
+    scalar = _lifetime_kernel_matches_scalar(bn, spec, seeds)
+    calls = []
+    classify = lifetime_batch._straight_repairs
+    monkeypatch.setattr(lifetime_batch, "_straight_repairs",
+                        lambda *a: calls.append(a[1].shape) or classify(*a))
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("the lifetime kernel extracted a torus")
+
+    monkeypatch.setattr(core_bn, "extract_torus", no_extraction)
+    delegated = []
+    monkeypatch.setattr(bn, "lifetime_trial", lambda spec, seed: delegated.append(seed)
+                        or scalar[seeds.index(seed)])
+    batch = bn.run_lifetime_batch(spec, seeds)
+    assert delegated == [313, 366]
+    assert [lifetime_record(o) for o in batch] == [lifetime_record(o) for o in scalar]
+    longest = max(o.lifetime for o in scalar)
+    assert len(calls) <= math.ceil(longest / STEP_BLOCK) + 1
 
 
 # ---------------------------------------------------------------------------

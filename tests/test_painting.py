@@ -84,3 +84,62 @@ class TestFailureModes:
         with pytest.raises(ReconstructionError) as ei:
             paint_tiles(p, faults_at(p, coords), geo)
         assert ei.value.category == "no-frame"
+
+
+class TestLabellingReference:
+    """``_label_regions`` against networkx connected components of the
+    cyclic king graph on random black tile grids."""
+
+    @staticmethod
+    def _king_graph(nx, grid_shape):
+        """Tiles are adjacent when every coordinate differs by at most one,
+        cyclically (so a side of 3 makes all its rows mutual neighbours)."""
+        coords = np.indices(grid_shape).reshape(len(grid_shape), -1).T.tolist()
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(coords)))
+        for u, cu in enumerate(coords):
+            for v in range(u + 1, len(coords)):
+                if all((a - c) % side in (0, 1, side - 1)
+                       for a, c, side in zip(cu, coords[v], grid_shape)):
+                    graph.add_edge(u, v)
+        return graph
+
+    @staticmethod
+    def _strip_range(rows, n_rows):
+        """The tile-row range a region covers: the shortest cyclic window
+        holding its rows, starting after the first largest gap."""
+        rows = sorted(set(rows))
+        if len(rows) == n_rows:
+            return 0, n_rows
+        gaps = [(rows[(i + 1) % len(rows)] - r - 1) % n_rows for i, r in enumerate(rows)]
+        j = gaps.index(max(gaps))
+        return rows[(j + 1) % len(rows)], n_rows - max(gaps)
+
+    @pytest.mark.parametrize("grid_shape", [(3, 3), (6, 4), (8, 7), (3, 4, 3), (5, 4, 4)])
+    def test_matches_networkx_components(self, grid_shape):
+        from types import SimpleNamespace
+
+        from repro.core.painting import _label_regions
+
+        nx = pytest.importorskip("networkx")
+        geo = TileGeometry(tuple(9 * side for side in grid_shape), 3)
+        # A band width no region can exceed, so no draw overflows.
+        params = SimpleNamespace(b=max(grid_shape))
+        graph = self._king_graph(nx, grid_shape)
+        rng = np.random.default_rng(len(graph))
+        for density in (0.05, 0.15, 0.3, 0.5, 0.8):
+            for _ in range(4):
+                black = rng.random(grid_shape) < density
+                labels, regions = _label_regions(black, geo, params)
+                tiles = graph.subgraph(np.flatnonzero(black).tolist())
+                comps = sorted(sorted(c) for c in nx.connected_components(tiles))
+                assert [r.label for r in regions] == list(range(len(comps)))
+                assert [r.tiles_flat.tolist() for r in regions] == comps
+                expected = np.full(black.size, -1)
+                for label, comp in enumerate(comps):
+                    expected[comp] = label
+                assert labels.ravel().tolist() == expected.tolist()
+                for region, comp in zip(regions, comps):
+                    rows = np.unravel_index(comp, grid_shape)[0].tolist()
+                    assert (region.strip_start, region.strip_count) == self._strip_range(
+                        rows, grid_shape[0])
