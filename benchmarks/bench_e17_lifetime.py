@@ -15,8 +15,8 @@ beyond laptop sizes, so the *shape* claim here is the scaling against
 Since ISSUE 3 this experiment runs through the lifetime subsystem: one
 ``ExperimentSpec`` per size with a uniform ``LifetimeSpec`` grid point,
 executed by ``ExperimentRunner`` on the batched lifetime kernel (the
-scalar path is outcome-identical; the RNG streams are the historical
-``fault_lifetime`` ones, so the numbers match the pre-subsystem bench).
+scalar path is outcome-identical; the RNG streams are bn's historical
+``lifetime_rng`` ones, so the numbers match the pre-subsystem bench).
 The full ``ExperimentResult`` JSON per size is committed under
 ``benchmarks/results/`` alongside the table.
 """

@@ -87,19 +87,27 @@ def measure_survival_curves() -> dict:
 
 def measure_incremental_speedup() -> dict:
     from repro.api.adapters import BnConstruction
-    from repro.core.online import fault_lifetime
+    from repro.api.lifetime import drive_timeline
+    from repro.api.protocol import LifetimeSpec
+    from repro.core.online import OnlineRecovery
     from repro.core.params import BnParams
 
     bn = BnConstruction(BnParams(**SPEED_BN))
     seeds = list(range(SPEED_TRIALS))
-    fault_lifetime(bn, 0, max_faults=5)  # warm caches either way
+    spec = LifetimeSpec()
+
+    def full_lifetime(seed: int) -> int:
+        machine = OnlineRecovery(bn.torus, incremental=False, strategy=bn.strategy)
+        return drive_timeline(spec, machine, bn.lifetime_rng(seed)).lifetime
+
+    bn.lifetime_trial(LifetimeSpec(max_steps=5), 0)  # warm caches either way
 
     t0 = time.perf_counter()
-    inc = [fault_lifetime(bn, s, incremental=True) for s in seeds]
+    inc = [bn.lifetime_trial(spec, s).lifetime for s in seeds]
     inc_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    full = [fault_lifetime(bn, s, incremental=False) for s in seeds]
+    full = [full_lifetime(s) for s in seeds]
     full_s = time.perf_counter() - t0
 
     return {

@@ -206,8 +206,8 @@ class BnConstruction(_TorusTrafficMixin, _AdapterBase):
         return run_bn_batch(self, spec, seeds, max_batch_bytes=max_batch_bytes)
 
     def lifetime_rng(self, seed: int) -> np.random.Generator:
-        """The historical ``fault_lifetime`` stream, so registry-driven
-        lifetime experiments reproduce the pre-subsystem numbers."""
+        """The historical bn lifetime stream, so registry-driven lifetime
+        experiments reproduce the pre-subsystem numbers."""
         return spawn_rng(seed, "lifetime", self.params.n, self.params.d)
 
     def live_machine(self):

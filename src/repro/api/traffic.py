@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.api.protocol import TrafficSpec
 from repro.sim.engine import SimResult, simulate
+from repro.sim.metrics import latency_stats, per_class_stats
 from repro.sim.traffic import make_traffic
 from repro.sim.workload import make_open_loop, open_loop_stats
 from repro.util.rng import spawn_rng
@@ -279,67 +280,42 @@ def run_traffic_trial(
     """
     sim = engine if engine is not None else simulate
     rng = traffic_rng(spec, seed)
-    model_kwargs = _model_sim_kwargs(shape, spec, seed)
     if spec.open_loop:
         traffic, inject = make_open_loop(
             shape, spec.pattern, spec.rate, spec.cycles, rng, injection=spec.injection
         )
-        classes = message_classes(len(traffic), spec.qos_classes)
-        result = sim(
-            shape, traffic, inject=inject, max_cycles=spec.max_cycles,
-            router=spec.router, classes=classes, credits=spec.credits,
-            **model_kwargs,
-        )
-        stats = open_loop_stats(result, inject, warmup=spec.warmup, horizon=spec.cycles)
-        per_class = None
-        if classes is not None:
-            from repro.sim.metrics import per_class_stats
-
-            per_class = per_class_stats(
-                result, classes, measured=np.asarray(inject) >= spec.warmup
-            )
-        return TrafficOutcome(
-            offered=stats["offered"],
-            delivered=stats["delivered"],
-            timed_out=stats["timed_out"],
-            cycles=result.cycles,
-            max_queue=result.max_queue,
-            throughput=stats["throughput"],
-            mean_latency=stats["mean"],
-            p50=stats["p50"],
-            p99=stats["p99"],
-            max_latency=float(stats["max"]),
-            undeliverable=stats.get("undeliverable", 0),
-            dropped=stats.get("dropped", 0),
-            corrupted=stats.get("corrupted", 0),
-            misrouted=stats.get("misrouted", 0),
-            per_class=per_class,
-        )
-    traffic = make_traffic(shape, spec.pattern, spec.messages, rng)
+        measured = inject >= spec.warmup
+    else:
+        traffic = make_traffic(shape, spec.pattern, spec.messages, rng)
+        inject = measured = None
     classes = message_classes(len(traffic), spec.qos_classes)
     result = sim(
-        shape, traffic, max_cycles=spec.max_cycles,
+        shape, traffic, inject=inject, max_cycles=spec.max_cycles,
         router=spec.router, classes=classes, credits=spec.credits,
-        **model_kwargs,
+        **_model_sim_kwargs(shape, spec, seed),
     )
-    from repro.sim.metrics import latency_stats, per_class_stats
-
-    stats = latency_stats(result)
-    per_class = per_class_stats(result, classes) if classes is not None else None
+    if spec.open_loop:
+        stats = open_loop_stats(result, inject, warmup=spec.warmup, horizon=spec.cycles)
+    else:
+        stats = latency_stats(result)
+        stats["offered"] = stats.pop("total")
     return TrafficOutcome(
-        offered=result.total,
-        delivered=result.delivered,
-        timed_out=result.timed_out,
+        offered=stats["offered"],
+        delivered=stats["delivered"],
+        timed_out=stats["timed_out"],
         cycles=result.cycles,
         max_queue=result.max_queue,
-        throughput=result.throughput,
+        throughput=stats["throughput"],
         mean_latency=stats["mean"],
         p50=stats["p50"],
         p99=stats["p99"],
-        max_latency=float(stats["max"]),
-        undeliverable=result.undeliverable,
-        dropped=result.dropped,
-        corrupted=result.corrupted,
-        misrouted=result.misrouted,
-        per_class=per_class,
+        max_latency=stats["max"],
+        undeliverable=stats.get("undeliverable", 0),
+        dropped=stats.get("dropped", 0),
+        corrupted=stats.get("corrupted", 0),
+        misrouted=stats.get("misrouted", 0),
+        per_class=(
+            None if classes is None
+            else per_class_stats(result, classes, measured=measured)
+        ),
     )

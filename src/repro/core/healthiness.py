@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.params import BnParams
 from repro.topology.grid import TileGeometry
 
-__all__ = ["HealthReport", "check_healthiness", "check_healthiness_batch"]
+__all__ = ["HealthReport", "check_healthiness"]
 
 
 @dataclass
@@ -132,24 +132,6 @@ def check_healthiness(
             if len(report.cond3_violations) < max_violations:
                 report.cond3_violations.append(tile)
     return report
-
-
-def check_healthiness_batch(
-    params: BnParams,
-    faults: np.ndarray,
-    geometry: TileGeometry | None = None,
-    *,
-    max_violations: int = 8,
-) -> "list[HealthReport]":
-    """Vectorized form of :func:`check_healthiness` over a ``(T, *shape)``
-    fault stack: the brick and tile scans become sliding-window array
-    reductions over the trial axis, with reports identical slice-for-slice
-    to the scalar checker.  Implemented in :mod:`repro.fastpath.health`
-    (imported lazily — the fast path depends on this module, not vice
-    versa)."""
-    from repro.fastpath.health import check_healthiness_batch as _batch
-
-    return _batch(params, faults, geometry, max_violations=max_violations)
 
 
 def find_enclosing_frame(

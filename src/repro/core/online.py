@@ -40,8 +40,10 @@ produce the same placements, the same event sequence and the same
 lifetimes — hypothesis-asserted in tests/test_online.py, wall-clock
 quantified in BENCH_lifetime.json.
 
-:func:`fault_lifetime` drives uniformly random arrivals until recovery
-first fails.
+A lifetime is :func:`repro.api.lifetime.drive_timeline` over one of
+these machines until recovery first fails:
+``BnConstruction.lifetime_trial`` for the incremental mode, or an
+``OnlineRecovery(bt, incremental=False)`` for the reference.
 """
 
 from __future__ import annotations
@@ -50,14 +52,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.lifetime import drive_timeline
-from repro.api.protocol import LifetimeSpec
 from repro.core.bn import BTorus
 from repro.core.placement import place_straight_rows
 from repro.core.reconstruction import Recovery, extract_torus_straight
 from repro.errors import ReconstructionError
 
-__all__ = ["OnlineRecovery", "fault_lifetime"]
+__all__ = ["OnlineRecovery"]
 
 
 @dataclass
@@ -146,26 +146,3 @@ class OnlineRecovery:
             self.faults[coord] = False
             self._row_faults[coord[0]] -= 1
 
-
-def fault_lifetime(
-    bn,
-    seed: int,
-    *,
-    max_faults: int | None = None,
-    incremental: bool = True,
-) -> int:
-    """Inject uniformly random distinct faults one at a time into the
-    registered ``bn`` construction ``bn`` until recovery first fails;
-    return how many were survived.
-
-    The RNG stream is ``bn.lifetime_rng(seed)`` feeding one permutation
-    draw, unchanged from the pre-subsystem implementation, so historical
-    lifetime numbers reproduce exactly.  ``incremental`` switches between
-    the incremental and full-recompute repair pipelines (same result
-    either way; see :class:`OnlineRecovery`).
-    """
-    if max_faults == 0:  # LifetimeSpec requires max_steps >= 1
-        return 0
-    machine = OnlineRecovery(bn.torus, incremental=incremental, strategy=bn.strategy)
-    spec = LifetimeSpec(timeline="uniform", max_steps=max_faults)
-    return drive_timeline(spec, machine, bn.lifetime_rng(seed)).lifetime

@@ -28,10 +28,11 @@ advances *all* live messages of one simulation in lockstep:
   the loop repeats until everything is delivered or ``max_cycles`` hits.
 
 The decision sequence is the scalar engine's, replayed with array
-reductions, so :func:`simulate_batch` returns a
+reductions, and both engines end in the same
+:func:`~repro.sim.engine.sim_result`, so :func:`simulate_batch` returns a
 :class:`~repro.sim.engine.SimResult` identical **field for field** —
-delivered order, latency arrays, ``cycles``, ``max_queue``, ``timed_out``
-— for any traffic array and injection schedule (hypothesis-tested in
+latency, status and action arrays, ``cycles``, ``max_queue`` — for any
+traffic array and injection schedule (hypothesis-tested in
 tests/test_traffic.py; the measured wall-clock win at the e14 size is
 recorded in BENCH_traffic.json and gated in CI).
 """
@@ -43,12 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.engine import (
-    SimResult,
-    byzantine_counts,
-    check_sim_inputs,
-    classify_messages,
-)
+from repro.sim.engine import SimResult, check_sim_inputs, sim_result
 from repro.sim.routing import BYZ_DROP, BYZ_MISROUTE, ROUTERS, adaptive_route
 from repro.topology.coords import CoordCodec
 
@@ -492,25 +488,7 @@ def simulate_batch(
                 keep = ~fin
                 cursor, end, lkey = cursor[keep], end[keep], lkey[keep]
         cycles += 1
-    dropped = corrupted = misrouted = 0
-    if byzantine is not None:
-        dropped, corrupted, misrouted = byzantine_counts(actions, done, latencies)
-    lat = latencies[done & (latencies >= 0)]
-    return SimResult(
-        delivered=int(done.sum()) - dropped,
-        total=m,
-        latencies=np.asarray(lat),
-        cycles=cycles,
-        max_queue=max_queue,
-        timed_out=int((~done & routable).sum()),
-        message_latencies=latencies,
-        undeliverable=int((~routable).sum()),
-        dropped=dropped,
-        corrupted=corrupted,
-        misrouted=misrouted,
-        message_status=classify_messages(done, routable, latencies),
-        message_actions=actions,
-    )
+    return sim_result(done, routable, latencies, actions, cycles, max_queue)
 
 
 def run_traffic_batch(shape: tuple[int, ...], spec, seeds: Sequence[int]) -> list:

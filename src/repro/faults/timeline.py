@@ -13,7 +13,7 @@ Timeline kinds (registry :data:`TIMELINE_KINDS`):
 
 * ``uniform``      one uniformly random node per step, each node at most
                    once (a random permutation — exactly the historical
-                   :func:`repro.core.online.fault_lifetime` model);
+                   bn lifetime model);
 * ``bernoulli``    every node fails independently with probability
                    ``rate`` at every step (a node may be hit again while
                    already faulty — such arrivals are redundant and the
@@ -87,8 +87,8 @@ class UniformTimeline:
     """Uniformly random distinct nodes, one arrival per step.
 
     The single upfront ``rng.permutation(size)`` draw is bit-identical to
-    the historical ``fault_lifetime`` sampling, so lifetime trials keyed
-    with the same generator reproduce the pre-subsystem numbers exactly.
+    the historical bn lifetime sampling, so lifetime trials keyed with
+    the same generator reproduce the pre-subsystem numbers exactly.
     """
 
     name: str = "uniform"

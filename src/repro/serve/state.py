@@ -301,8 +301,8 @@ class MachineState:
             max_cycles=max_cycles, classes=classes, credits=credits,
         )
         stats = latency_stats(result)
-        stats["offered"] = len(traffic)
-        stats["undeliverable"] = result.undeliverable
+        stats["offered"] = stats["total"]
+        stats.setdefault("undeliverable", 0)
         stats["cycles"] = int(result.cycles)
         stats["max_queue"] = int(result.max_queue)
         stats["live"] = live_path

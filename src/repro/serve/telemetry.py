@@ -125,13 +125,14 @@ class MachineTelemetry:
     last_query: dict = field(default_factory=dict)
 
     def record_traffic(self, stats: dict) -> None:
-        """Fold one traffic query's stats dict (latency_stats + extras)."""
+        """Fold one traffic query's reply
+        (:meth:`~repro.serve.state.MachineState.traffic_query`)."""
         self.traffic_queries += 1
-        self.messages_offered += int(stats.get("offered", stats.get("total", 0)))
-        self.messages_delivered += int(stats.get("delivered", 0))
-        self.messages_timed_out += int(stats.get("timed_out", 0))
-        self.messages_undeliverable += int(stats.get("undeliverable", 0))
-        self.peak_queue_depth = max(self.peak_queue_depth, int(stats.get("max_queue", 0)))
+        self.messages_offered += stats["offered"]
+        self.messages_delivered += stats["delivered"]
+        self.messages_timed_out += stats["timed_out"]
+        self.messages_undeliverable += stats["undeliverable"]
+        self.peak_queue_depth = max(self.peak_queue_depth, stats["max_queue"])
         self.last_query = dict(stats)
 
     def snapshot(self, outcome, state: dict) -> dict:

@@ -23,8 +23,8 @@ from repro.sim.traffic import (
     transpose_index,
 )
 from repro.sim.engine import SimResult, simulate
-from repro.sim.metrics import latency_stats, per_class_stats
-from repro.sim.workload import INJECTIONS, make_open_loop, open_loop_stats, saturation_sweep
+from repro.sim.metrics import latency_stats, message_stats, per_class_stats
+from repro.sim.workload import INJECTIONS, make_open_loop, open_loop_stats
 
 __all__ = [
     "ROUTERS",
@@ -41,11 +41,11 @@ __all__ = [
     "make_open_loop",
     "open_loop_stats",
     "pattern_destinations",
-    "saturation_sweep",
     "transpose_index",
     "SimResult",
     "simulate",
     "latency_stats",
+    "message_stats",
     "lifetime_traffic_snapshots",
 ]
 

@@ -15,8 +15,8 @@ is counted ``undeliverable``.  ``router="adaptive"`` detours around the
 live fault set (:func:`repro.sim.routing.adaptive_route`): only messages
 whose endpoints are disconnected in the live fault graph stay
 undeliverable.  Undeliverable messages never enter the network; they
-keep a ``-1`` sentinel in ``message_latencies`` and are counted in
-``SimResult.undeliverable`` — separately from ``timed_out``.
+keep a ``-1`` sentinel in ``message_latencies`` and the status
+``MSG_UNDELIVERABLE`` — separate from ``MSG_TIMED_OUT``.
 
 QoS classes and credit flow control
 -----------------------------------
@@ -40,6 +40,16 @@ same engine open-loop: message ``i`` enters the network at cycle
 messages (``src == dst``) never enter the network — they are delivered at
 injection with latency 0 and consume no link bandwidth or credits.
 
+Results
+-------
+Both engines end in :func:`sim_result`, which gives every message one
+of the four ``MSG_*`` fates.  :class:`SimResult` stores only the
+per-message latency, status and Byzantine action arrays plus ``cycles``
+and ``max_queue``; every count on it (``delivered``, ``timed_out``,
+``undeliverable``, ``dropped``, ...) is derived from those arrays by
+:func:`repro.sim.metrics.message_stats`, so the fates partition the
+messages by construction.
+
 This scalar engine is the reference semantics; the vectorized twin
 (:func:`repro.fastpath.traffic_batch.simulate_batch`) reproduces its
 :class:`SimResult` field-for-field (hypothesis-tested) at a large
@@ -49,14 +59,13 @@ wall-clock win — see docs/traffic.md.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.sim.routing import (
-    BYZ_CORRUPT,
     BYZ_DROP,
-    BYZ_MISROUTE,
     ROUTERS,
     adaptive_route,
     dimension_ordered_route,
@@ -69,9 +78,8 @@ __all__ = [
     "MSG_TIMED_OUT",
     "MSG_UNDELIVERABLE",
     "SimResult",
-    "byzantine_counts",
     "check_sim_inputs",
-    "classify_messages",
+    "sim_result",
     "simulate",
 ]
 
@@ -85,67 +93,82 @@ MSG_UNDELIVERABLE = 2
 MSG_DROPPED = 3
 
 
-@dataclass
+def _derived(key: str, doc: str) -> property:
+    """A read-only :class:`SimResult` summary: ``key`` of the run's
+    :func:`~repro.sim.metrics.latency_stats`, 0 where it omits the key."""
+    return property(lambda self: self._summary.get(key, 0), doc=doc)
+
+
+@dataclass(frozen=True)
 class SimResult:
-    delivered: int
-    total: int
-    latencies: np.ndarray  # per *delivered* message only — never -1 sentinels
+    """One run's outcome, message by message.
+
+    Only the per-message arrays (message-id order) and two run totals are
+    stored; only :func:`sim_result` builds one, and nothing modifies it
+    after.  Every count is derived from ``message_status``, so ``total ==
+    delivered + timed_out + undeliverable + dropped`` holds by
+    construction.
+    """
+
+    #: Latency of each message, ``-1`` for one that was not delivered.
+    message_latencies: np.ndarray
+    #: Fate of each message (``MSG_*``).  A negative latency can mean timed
+    #: out, undeliverable *or* byzantine-dropped; only this array says which.
+    message_status: np.ndarray
+    #: Byzantine action of each message (``BYZ_*`` from
+    #: :mod:`repro.sim.routing`), all ``BYZ_NONE`` without a plan; lets a
+    #: measurement window count integrity over its own messages.
+    message_actions: np.ndarray
     cycles: int
     max_queue: int
-    #: *Routed* messages still undelivered when ``max_cycles`` was hit
-    #: (including ones whose injection time was never reached).
-    #: Self-addressed messages are always delivered — they complete at
-    #: injection without entering the network, whatever the horizon.  Kept
-    #: separate so lifetime traffic checkpoints can report undelivered
-    #: traffic instead of silently averaging sentinel values into latency
-    #: stats.
-    timed_out: int = 0
-    #: Per-message latency in message-id order, ``-1`` for undelivered
-    #: messages.  ``latencies`` is the compressed (sentinel-free) view of
-    #: this array; the open-loop measurement window
-    #: (:func:`repro.sim.workload.open_loop_stats`) needs the alignment
-    #: with the injection schedule that only the full array provides.
-    message_latencies: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    #: Messages the router could not route at all on the live fault graph
-    #: (static route broken under ``router="dimension"``, endpoints
-    #: disconnected under ``"adaptive"``).  Never counted in
-    #: ``timed_out`` — these were refused at the door, not stranded by
-    #: the horizon.
-    undeliverable: int = 0
-    #: Delivery-integrity accounting under a Byzantine plan (all zero
-    #: without one).  ``dropped`` — swallowed by a traitor (never
-    #: delivered, latency ``-1``, not in ``delivered`` or ``timed_out``);
-    #: ``corrupted`` — delivered on time with damaged payload;
-    #: ``misrouted`` — delivered late via a traitor's wrong forward.
-    #: Corrupted/misrouted messages *are* counted in ``delivered`` — the
-    #: network moved them; only their integrity is suspect.
-    dropped: int = 0
-    corrupted: int = 0
-    misrouted: int = 0
-    #: Per-message outcome code (``MSG_*``) in message-id order, aligned
-    #: with ``message_latencies``.  This is what disambiguates the shared
-    #: ``-1`` latency sentinel: a negative latency can mean timed out,
-    #: undeliverable *or* byzantine-dropped, and only this array says
-    #: which.  Both engines fill it.
-    message_status: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
-    #: Per-message Byzantine action (``BYZ_*`` from :mod:`repro.sim.routing`,
-    #: all ``BYZ_NONE`` without a plan) in message-id order.  ``corrupted``
-    #: and ``misrouted`` count the delivered messages with each action over
-    #: the whole run; this array lets a measurement window count them over
-    #: its own messages (:func:`repro.sim.workload.open_loop_stats`).
-    message_actions: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
+
+    @cached_property
+    def _summary(self) -> dict:
+        """The run's :func:`~repro.sim.metrics.latency_stats`, computed once
+        for all the derived counts."""
+        from repro.sim.metrics import latency_stats  # metrics imports this module
+
+        return latency_stats(self)
 
     @property
-    def throughput(self) -> float:
-        """Messages delivered per cycle.
+    def total(self) -> int:
+        """Messages offered."""
+        return len(self.message_status)
 
-        A run can deliver messages in zero cycles — every message
-        self-addressed, so the network was never entered.  Those deliveries
-        complete within the injection cycle, so the zero-cycle case counts
-        the run as one cycle (``delivered / 1``) instead of dividing by
-        zero or reporting ``0.0`` for work that *was* delivered.
-        """
-        return self.delivered / self.cycles if self.cycles else float(self.delivered)
+    @property
+    def latencies(self) -> np.ndarray:
+        """Latencies of the delivered messages in message-id order — never
+        a ``-1`` sentinel."""
+        return self.message_latencies[self.message_status == MSG_DELIVERED]
+
+    delivered = _derived(
+        "delivered",
+        "Messages delivered, corrupted and misrouted ones included: the "
+        "network moved them; only their integrity is suspect.",
+    )
+    timed_out = _derived(
+        "timed_out",
+        "Routed messages still undelivered when ``max_cycles`` was hit "
+        "(including ones whose injection time was never reached).  "
+        "Self-addressed messages are always delivered, whatever the horizon.",
+    )
+    undeliverable = _derived(
+        "undeliverable",
+        "Messages the router refused at the door: static route broken under "
+        '``router="dimension"``, endpoints disconnected under ``"adaptive"``.',
+    )
+    dropped = _derived(
+        "dropped", "Messages a Byzantine traitor swallowed (latency ``-1``)."
+    )
+    corrupted = _derived(
+        "corrupted", "Delivered messages whose payload a traitor damaged."
+    )
+    misrouted = _derived(
+        "misrouted", "Delivered messages a traitor forwarded the wrong way (late)."
+    )
+    throughput = _derived(
+        "throughput", "Messages delivered per cycle (see ``latency_stats``)."
+    )
 
 
 def _build_routes(shape, traffic, router, node_ok, edge_ok):
@@ -168,46 +191,34 @@ def _build_routes(shape, traffic, router, node_ok, edge_ok):
     return routes
 
 
-def byzantine_counts(actions, done, latencies):
-    """Fold a Byzantine plan's per-message actions into integrity counts.
+def sim_result(done, routable, latencies, actions, cycles, max_queue) -> SimResult:
+    """The :class:`SimResult` of a finished run, shared by both engines so
+    their accounting cannot drift.
 
-    Shared by the scalar engine and the vectorized kernel so their
-    accounting cannot drift: messages a traitor dropped *completed* their
-    truncated route (the engine "delivered" them to the traitor), so here
-    their latency reverts to the ``-1`` sentinel and they leave the
-    delivered count; corrupt/misroute deliveries keep their latency and
-    only tick the integrity counters.  Returns
-    ``(dropped, corrupted, misrouted)`` for the messages flagged done.
-    """
-    actions = np.asarray(actions)
-    done = np.asarray(done, dtype=bool)
-    drop = (actions == BYZ_DROP) & done
-    latencies[drop] = -1
-    return (
-        int(drop.sum()),
-        int(((actions == BYZ_CORRUPT) & done).sum()),
-        int(((actions == BYZ_MISROUTE) & done).sum()),
-    )
-
-
-def classify_messages(done, routable, latencies) -> np.ndarray:
-    """Per-message ``MSG_*`` status from the engines' terminal state.
-
-    Shared by the scalar engine and the vectorized kernel so the
-    classification cannot drift.  The four codes partition the messages:
-    ``done`` with a non-negative latency is delivered; ``done`` with the
-    ``-1`` sentinel is a byzantine drop (the only way a completed message
-    keeps the sentinel); not routable means the router refused it at the
-    door; everything else ran out of horizon (timed out).
+    ``done`` marks messages that completed their route, ``routable`` those
+    the router accepted, ``actions`` each message's Byzantine action, and
+    ``latencies`` (updated in place) holds ``cycle + 1 - inject`` for done
+    messages and ``-1`` for the rest.  The four ``MSG_*`` codes partition
+    the messages: not routable is undeliverable; done is delivered, unless
+    a traitor dropped it — such a message completed its truncated route
+    (the engine "delivered" it to the traitor), so it is dropped and its
+    latency reverts to ``-1``; the rest ran out of horizon (timed out).
+    Corrupted and misrouted deliveries keep their latency.
     """
     done = np.asarray(done, dtype=bool)
-    routable = np.asarray(routable, dtype=bool)
-    latencies = np.asarray(latencies)
+    dropped = done & (np.asarray(actions) == BYZ_DROP)
+    latencies[dropped] = -1
     status = np.full(len(done), MSG_TIMED_OUT, dtype=np.int8)
-    status[~routable] = MSG_UNDELIVERABLE
-    status[done & (latencies >= 0)] = MSG_DELIVERED
-    status[done & (latencies < 0)] = MSG_DROPPED
-    return status
+    status[~np.asarray(routable, dtype=bool)] = MSG_UNDELIVERABLE
+    status[done] = MSG_DELIVERED
+    status[dropped] = MSG_DROPPED
+    return SimResult(
+        message_latencies=latencies,
+        message_status=status,
+        message_actions=actions,
+        cycles=cycles,
+        max_queue=max_queue,
+    )
 
 
 def check_sim_inputs(m, *, inject=None, classes=None, credits=0):
@@ -279,13 +290,13 @@ def simulate(
     avail = [credits] * num_classes if credits else None
     cycles = 0
     max_queue = 0
-    undeliverable = 0
     live: list[int] = []
     pending: list[int] = []
+    routable = np.array([r is not None for r in routes], dtype=bool)
     for i, r in enumerate(routes):
         if r is None:
-            undeliverable += 1
-        elif len(r) <= 1:
+            continue
+        if len(r) <= 1:
             # Self-addressed: delivered at injection, latency 0, no link use.
             done[i] = True
             latencies[i] = 0
@@ -339,26 +350,4 @@ def simulate(
             nxt_live.extend(q[1:])  # losers retry next cycle
         live = sorted(set(nxt_live))
         cycles += 1
-    dropped = corrupted = misrouted = 0
-    if byzantine is not None:
-        dropped, corrupted, misrouted = byzantine_counts(actions, done, latencies)
-    # Undelivered messages keep their -1 sentinel in ``latencies``; filter
-    # them out so downstream stats can never average a sentinel, and count
-    # them explicitly.
-    lat = latencies[done & (latencies >= 0)]
-    routable = np.array([r is not None for r in routes], dtype=bool)
-    return SimResult(
-        delivered=int(done.sum()) - dropped,
-        total=len(routes),
-        latencies=np.asarray(lat),
-        cycles=cycles,
-        max_queue=max_queue,
-        timed_out=int((~done).sum()) - undeliverable,
-        message_latencies=latencies,
-        undeliverable=undeliverable,
-        dropped=dropped,
-        corrupted=corrupted,
-        misrouted=misrouted,
-        message_status=classify_messages(done, routable, latencies),
-        message_actions=actions,
-    )
+    return sim_result(done, routable, latencies, actions, cycles, max_queue)

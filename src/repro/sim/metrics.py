@@ -1,12 +1,15 @@
 """Latency / throughput summaries for simulator output.
 
-Both summaries account for the full message population: a negative entry
-in ``message_latencies`` is a shared sentinel for three distinct fates
-(timed out, undeliverable, byzantine-dropped), disambiguated by
-``SimResult.message_status``.  Fields that are zero for the historical
-workloads (``undeliverable``, ``dropped``, ``corrupted``, ``misrouted``)
-are serialised only when nonzero so pre-fault-model result JSON is
-byte-identical.  Conservation holds per class and in aggregate::
+Every summary is :func:`message_stats` over some of a run's messages:
+the whole run (:func:`latency_stats`), one QoS class
+(:func:`per_class_stats`) or an open-loop measurement window
+(:func:`repro.sim.workload.open_loop_stats`).  Messages are counted by
+``SimResult.message_status``, never by the ``-1`` latency sentinel that
+three fates share (timed out, undeliverable, byzantine-dropped).  Counts
+that are zero for the historical workloads (``undeliverable``,
+``dropped``, ``corrupted``, ``misrouted``) are serialised only when
+nonzero so pre-fault-model result JSON is byte-identical.  Conservation
+holds per class and in aggregate::
 
     offered == delivered + timed_out + undeliverable + dropped
 """
@@ -22,36 +25,68 @@ from repro.sim.engine import (
     MSG_UNDELIVERABLE,
     SimResult,
 )
+from repro.sim.routing import BYZ_CORRUPT, BYZ_MISROUTE
 
-__all__ = ["latency_stats", "per_class_stats"]
+__all__ = ["latency_stats", "message_stats", "per_class_stats"]
+
+
+def message_stats(result: SimResult, measured: np.ndarray | None = None) -> dict:
+    """Counts and latency summary of the messages ``measured`` selects.
+
+    ``measured`` is a boolean mask over message ids (default: every
+    message).  ``offered`` counts the selected messages, and the four
+    ``MSG_*`` fates partition them: ``delivered`` and ``timed_out`` always
+    appear, ``undeliverable`` and ``dropped`` only when nonzero.  So do the
+    Byzantine integrity counts ``corrupted`` and ``misrouted``, which count
+    delivered messages by ``result.message_actions`` and so are at most
+    ``delivered``.  ``mean``/``p50``/``p99``/``max`` summarise the
+    delivered latencies and are always floats: NaN when nothing was
+    delivered, since a type that flips with emptiness breaks strict
+    differential comparison.
+    """
+    status = result.message_status
+    lat = result.message_latencies
+    actions = result.message_actions
+    if measured is not None:
+        status, lat, actions = status[measured], lat[measured], actions[measured]
+    fates = np.bincount(status, minlength=4)
+    arrived = status == MSG_DELIVERED
+    got = lat[arrived]
+    empty = len(got) == 0
+    p50, p99 = (np.nan, np.nan) if empty else np.percentile(got, (50, 99))
+    stats = {
+        "offered": len(status),
+        "delivered": int(fates[MSG_DELIVERED]),
+        "timed_out": int(fates[MSG_TIMED_OUT]),
+        "mean": float("nan") if empty else float(got.mean()),
+        "p50": float(p50),
+        "p99": float(p99),
+        "max": float("nan") if empty else float(got.max()),
+    }
+    for key, count in (
+        ("undeliverable", fates[MSG_UNDELIVERABLE]),
+        ("dropped", fates[MSG_DROPPED]),
+        ("corrupted", np.count_nonzero(actions[arrived] == BYZ_CORRUPT)),
+        ("misrouted", np.count_nonzero(actions[arrived] == BYZ_MISROUTE)),
+    ):
+        if count:
+            stats[key] = int(count)
+    return stats
 
 
 def latency_stats(result: SimResult) -> dict:
-    """Mean / p50 / p99 / max latency plus delivery + throughput numbers.
+    """:func:`message_stats` of the whole run, with ``offered`` reported as
+    ``total``, plus ``throughput``: messages delivered per cycle.
 
-    ``max`` is always a float (it is NaN when nothing was delivered, and a
-    type that flips with emptiness breaks strict differential comparison);
-    ``undeliverable`` and the byzantine integrity counters appear only
-    when nonzero, so ``delivered + timed_out + undeliverable + dropped ==
-    total`` can be checked from the dict alone under adaptive routing and
-    byzantine models without changing historical JSON.
+    A run can deliver messages in zero cycles — every message
+    self-addressed, so the network was never entered.  Those deliveries
+    complete within the injection cycle, so the zero-cycle case counts
+    the run as one cycle instead of dividing by zero or reporting ``0.0``
+    for work that *was* delivered.
     """
-    lat = result.latencies
-    empty = len(lat) == 0
-    stats = {
-        "delivered": result.delivered,
-        "total": result.total,
-        "timed_out": result.timed_out,
-        "mean": float("nan") if empty else float(lat.mean()),
-        "p50": float("nan") if empty else float(np.percentile(lat, 50)),
-        "p99": float("nan") if empty else float(np.percentile(lat, 99)),
-        "max": float("nan") if empty else float(lat.max()),
-        "throughput": result.throughput,
-    }
-    for key in ("undeliverable", "dropped", "corrupted", "misrouted"):
-        value = getattr(result, key)
-        if value:
-            stats[key] = value
+    stats = message_stats(result)
+    stats["total"] = stats.pop("offered")
+    stats["throughput"] = stats["delivered"] / max(result.cycles, 1)
     return stats
 
 
@@ -68,13 +103,9 @@ def per_class_stats(
     restricts to the open-loop measurement window (messages injected at
     or after warmup).  Classes are reported ``0..max`` even when a class
     delivered nothing — the JSON row then carries NaN latencies, never a
-    silent omission.
-
-    Each row's negative-latency messages are split by
-    ``result.message_status`` into ``timed_out`` / ``undeliverable`` /
-    ``dropped`` (the latter two serialised only when nonzero), so
-    ``offered == delivered + timed_out + undeliverable + dropped`` holds
-    per class.
+    silent omission.  Each row is the class's :func:`message_stats`
+    without the integrity counts, so ``offered == delivered + timed_out +
+    undeliverable + dropped`` holds per class.
     """
     classes = np.asarray(classes, dtype=np.int64)
     lat = result.message_latencies
@@ -82,27 +113,10 @@ def per_class_stats(
         raise ValueError(f"classes shape {classes.shape} != {lat.shape}")
     if measured is None:
         measured = np.ones(len(lat), dtype=bool)
-    status = result.message_status
     rows = []
     for c in range(int(classes.max()) + 1 if len(classes) else 0):
-        in_class = measured & (classes == c)
-        got = lat[in_class & (status == MSG_DELIVERED)]
-        empty = len(got) == 0
-        row = {
-            "qos_class": c,
-            "offered": int(in_class.sum()),
-            "delivered": int(len(got)),
-            "timed_out": int((in_class & (status == MSG_TIMED_OUT)).sum()),
-            "mean": float("nan") if empty else float(got.mean()),
-            "p50": float("nan") if empty else float(np.percentile(got, 50)),
-            "p99": float("nan") if empty else float(np.percentile(got, 99)),
-            "max": float("nan") if empty else float(got.max()),
-        }
-        undeliverable = int((in_class & (status == MSG_UNDELIVERABLE)).sum())
-        dropped = int((in_class & (status == MSG_DROPPED)).sum())
-        if undeliverable:
-            row["undeliverable"] = undeliverable
-        if dropped:
-            row["dropped"] = dropped
+        row = {"qos_class": c, **message_stats(result, measured & (classes == c))}
+        row.pop("corrupted", None)
+        row.pop("misrouted", None)
         rows.append(row)
     return rows

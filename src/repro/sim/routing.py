@@ -294,7 +294,7 @@ class ByzantinePlan:
         undeliverable, untouched); ``actions`` the per-message
         ``BYZ_*`` codes.  Dropped messages keep their truncated route —
         the engine delivers them *to the traitor* and the accounting
-        (:func:`repro.sim.engine.byzantine_counts`) reclassifies them.
+        (:func:`repro.sim.engine.sim_result`) reclassifies them.
         """
         actions = np.zeros(len(routes), dtype=np.int8)
         out = list(routes)

@@ -16,10 +16,12 @@ interconnection-network literature:
   to talk to), random patterns resample ``dst == src``;
 * a **warmup + steady-state measurement window**: statistics are taken
   over messages injected at or after ``warmup``, so transient start-up
-  behaviour does not pollute steady-state numbers;
-* a **saturation sweep**: run the same pattern at increasing rates and
-  watch delivered throughput peel away from offered load — the saturation
-  point of the (possibly recovered) torus.
+  behaviour does not pollute steady-state numbers.
+
+A saturation sweep is a ladder of ``TrafficSpec`` rates run through
+:func:`repro.api.traffic.run_traffic_trial` (``repro-ft traffic --rate
+a,b,c``): delivered throughput peels away from offered load at the
+saturation point of the (possibly recovered) torus.
 
 Both engines understand the resulting ``(traffic, inject)`` pair: the
 scalar reference (:func:`repro.sim.engine.simulate`) and the vectorized
@@ -29,24 +31,14 @@ injection schedule via ``inject=`` and return identical results.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from repro.sim.engine import (
-    MSG_DELIVERED,
-    MSG_DROPPED,
-    MSG_TIMED_OUT,
-    MSG_UNDELIVERABLE,
-    SimResult,
-    simulate,
-)
-from repro.sim.routing import BYZ_CORRUPT, BYZ_MISROUTE
+from repro.sim.engine import SimResult
+from repro.sim.metrics import message_stats
 from repro.sim.traffic import pattern_destinations
 from repro.topology.coords import CoordCodec
-from repro.util.rng import spawn_rng
 
-__all__ = ["INJECTIONS", "make_open_loop", "open_loop_stats", "saturation_sweep"]
+__all__ = ["INJECTIONS", "make_open_loop", "open_loop_stats"]
 
 #: Injection processes understood by :func:`make_open_loop`.
 INJECTIONS = ("bernoulli", "periodic")
@@ -115,19 +107,14 @@ def open_loop_stats(
     window is ``[warmup, horizon)`` — **not** the full run: a congested run
     keeps draining long after injection stops, and normalising by that
     drain-inclusive length would understate offered load exactly where
-    saturation makes it interesting.  ``offered_rate`` is measured
-    injections per window cycle; ``throughput`` counts deliveries whose
-    completion cycle falls inside the window (deliveries during the
-    post-horizon drain remain in ``delivered`` but are drain, not
-    sustained service).  Latency statistics cover every measured delivery,
-    drain included.  Lost messages are classified by
-    ``result.message_status``, never by the ``-1`` latency sentinel, and
-    counted over the same measured messages: ``undeliverable`` and
-    ``dropped`` (fault models only) appear when nonzero, so
-    ``offered == delivered + timed_out + undeliverable + dropped``.  The
-    Byzantine integrity counts ``corrupted`` and ``misrouted`` (nonzero
-    only under a plan) count measured deliveries by
-    ``result.message_actions``, so both are at most ``delivered``.
+    saturation makes it interesting.  The counts and latency statistics
+    are :func:`~repro.sim.metrics.message_stats` of the measured messages,
+    drain included, so ``offered == delivered + timed_out + undeliverable
+    + dropped`` and ``corrupted``/``misrouted`` are at most ``delivered``.
+    ``offered_rate`` is measured injections per window cycle;
+    ``throughput`` counts deliveries whose completion cycle falls inside
+    the window (deliveries during the post-horizon drain remain in
+    ``delivered`` but are drain, not sustained service).
     """
     inject = np.asarray(inject, dtype=np.int64)
     lat = result.message_latencies
@@ -137,6 +124,7 @@ def open_loop_stats(
         horizon = int(inject.max()) + 1 if len(inject) else 1
     window = max(int(horizon) - warmup, 1)
     measured = inject >= warmup
+    stats = message_stats(result, measured)
     delivered = measured & (lat >= 0)
     # ``inject + latency`` is the 1-based completion cycle: a message that
     # finished *during* cycle c has latency c + 1 - inject, so it counts as
@@ -145,61 +133,7 @@ def open_loop_stats(
     # included, post-horizon drain excluded.
     completion = inject[delivered] + lat[delivered] - 1
     in_window = int(((completion >= warmup) & (completion < warmup + window)).sum())
-    mlat = lat[delivered]
-    empty = len(mlat) == 0
-    status = result.message_status
-    stats = {
-        "offered": int(measured.sum()),
-        "delivered": int(delivered.sum()),
-        "timed_out": int((measured & (status == MSG_TIMED_OUT)).sum()),
-        "window": window,
-        "offered_rate": float(measured.sum() / window),
-        "throughput": float(in_window / window),
-        "mean": float("nan") if empty else float(mlat.mean()),
-        "p50": float("nan") if empty else float(np.percentile(mlat, 50)),
-        "p99": float("nan") if empty else float(np.percentile(mlat, 99)),
-        "max": float("nan") if empty else int(mlat.max()),
-    }
-    for key, code in (("undeliverable", MSG_UNDELIVERABLE), ("dropped", MSG_DROPPED)):
-        if count := int((measured & (status == code)).sum()):
-            stats[key] = count
-    arrived = measured & (status == MSG_DELIVERED)
-    for key, code in (("corrupted", BYZ_CORRUPT), ("misrouted", BYZ_MISROUTE)):
-        if count := int((arrived & (result.message_actions == code)).sum()):
-            stats[key] = count
+    stats["window"] = window
+    stats["offered_rate"] = stats["offered"] / window
+    stats["throughput"] = in_window / window
     return stats
-
-
-def saturation_sweep(
-    shape: tuple[int, ...],
-    pattern: str,
-    rates: Sequence[float],
-    *,
-    cycles: int,
-    warmup: int = 0,
-    injection: str = "bernoulli",
-    seed: int = 0,
-    max_cycles: int = 10_000,
-    engine: Callable[..., SimResult] = simulate,
-) -> list[dict]:
-    """Offered-load sweep: one open-loop run per rate, same seed discipline.
-
-    Each rate draws a fresh generator keyed by ``(seed, pattern, injection,
-    rate)``, so adding rates never perturbs existing points.  Pass
-    ``engine=simulate_batch`` for the vectorized kernel (identical numbers).
-    Returns one stats row per rate (:func:`open_loop_stats` plus the rate).
-    """
-    rows = []
-    for rate in rates:
-        rng = spawn_rng(seed, "workload", pattern, injection, f"{float(rate):g}")
-        traffic, inject = make_open_loop(
-            shape, pattern, float(rate), cycles, rng, injection=injection
-        )
-        result = engine(shape, traffic, inject=inject, max_cycles=max_cycles)
-        rows.append(
-            {
-                "rate": float(rate),
-                **open_loop_stats(result, inject, warmup=warmup, horizon=cycles),
-            }
-        )
-    return rows

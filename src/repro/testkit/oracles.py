@@ -257,12 +257,14 @@ def lifetime_record(o) -> dict:
 
 def sim_record(r) -> dict:
     """A :class:`~repro.sim.engine.SimResult` as a comparable record: every
-    dataclass field plus ``throughput``, so a field added later is
-    compared too."""
+    dataclass field and every derived property (the counts, ``latencies``
+    and ``throughput``), so one added later is compared too."""
     from repro.sim.engine import SimResult
 
     record = {f.name: getattr(r, f.name) for f in fields(SimResult)}
-    record["throughput"] = r.throughput
+    for name, attr in vars(SimResult).items():
+        if isinstance(attr, property):
+            record[name] = getattr(r, name)
     return record
 
 
@@ -1282,7 +1284,8 @@ def healthiness_oracle(params, fault_stack: np.ndarray) -> OracleReport:
     and the vectorized batch checker, and all three records must agree
     field for field (including the bounded violation samples).
     """
-    from repro.core.healthiness import check_healthiness, check_healthiness_batch
+    from repro.core.healthiness import check_healthiness
+    from repro.fastpath.health import check_healthiness_batch
 
     report = OracleReport("healthiness", ("brute-force", "scalar", "batch"))
     batch_reports = check_healthiness_batch(params, fault_stack)

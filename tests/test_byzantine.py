@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.fastpath.traffic_batch import simulate_batch
 from repro.faults.models import ByzantineNodeFaults
-from repro.sim.engine import byzantine_counts, simulate
+from repro.sim.engine import sim_result, simulate
 from repro.sim.routing import (
     BYZ_CORRUPT,
     BYZ_DROP,
@@ -159,11 +159,11 @@ class TestEngineAccounting:
         actions = np.array([BYZ_NONE, BYZ_DROP, BYZ_CORRUPT, BYZ_MISROUTE, BYZ_DROP])
         done = np.array([True, True, True, True, False])
         latencies = np.array([3, 2, 4, 9, -1])
-        dropped, corrupted, misrouted = byzantine_counts(actions, done, latencies)
-        assert (dropped, corrupted, misrouted) == (1, 1, 1)
+        res = sim_result(done, np.ones(5, dtype=bool), latencies, actions, 10, 1)
+        assert (res.dropped, res.corrupted, res.misrouted) == (1, 1, 1)
         # The done drop reverted to the sentinel; the not-done one (a drop
         # whose truncated route timed out) is someone else's count.
-        assert latencies.tolist() == [3, -1, 4, 9, -1]
+        assert res.message_latencies.tolist() == [3, -1, 4, 9, -1]
 
 
 class TestScalarBatchIdentity:

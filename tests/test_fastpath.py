@@ -36,9 +36,10 @@ from repro.api import (
     LifetimeSpec,
     get,
 )
-from repro.core.healthiness import check_healthiness, check_healthiness_batch
+from repro.core.healthiness import check_healthiness
 from repro.core.params import BnParams
 from repro.fastpath.bn_batch import sample_bn_faults_batch, straight_survival_batch
+from repro.fastpath.health import check_healthiness_batch
 from repro.fastpath.lifetime_batch import STEP_BLOCK
 from repro.testkit.oracles import health_record, lifetime_record, outcome_record
 from repro.testkit.strategies import BN_PARAM_SETS

@@ -22,7 +22,7 @@ from repro.api.adapters import BnConstruction
 from repro.api.lifetime import LifetimeOutcome, drive_timeline, lifetime_step, timeline_events
 from repro.api.protocol import LifetimeSpec
 from repro.core.bn import BTorus
-from repro.core.online import OnlineRecovery, fault_lifetime
+from repro.core.online import OnlineRecovery
 from repro.errors import ReconstructionError
 from repro.testkit.oracles import repair_mode_oracle
 from repro.testkit.strategies import timeline_cases
@@ -37,6 +37,11 @@ def online(bn2_small):
 def node(online, *coord) -> int:
     """Flat node id of a coordinate (live machines take flat ids)."""
     return int(np.ravel_multi_index(coord, online.faults.shape))
+
+
+def lifetime(bn, seed, max_steps=None) -> int:
+    """Uniform arrivals survived by the incremental live machine."""
+    return bn.lifetime_trial(LifetimeSpec(max_steps=max_steps), seed).lifetime
 
 
 class TestOnlineRecovery:
@@ -144,9 +149,10 @@ class TestIncrementalEqualsFull:
     def test_fault_lifetime_modes_agree(self, bn2_small):
         bn = BnConstruction(bn2_small)
         for seed in range(20):
-            assert fault_lifetime(bn, seed, incremental=True) == fault_lifetime(
-                bn, seed, incremental=False
-            )
+            full = OnlineRecovery(bn.torus, incremental=False, strategy=bn.strategy)
+            assert lifetime(bn, seed) == drive_timeline(
+                LifetimeSpec(), full, bn.lifetime_rng(seed)
+            ).lifetime
 
     def test_full_recompute_oracle_matches_current_state(self, online):
         rows = online.recovery.bands.unmasked_rows(0)
@@ -160,23 +166,22 @@ class TestIncrementalEqualsFull:
 class TestLifetime:
     def test_lifetime_positive_and_reproducible(self, bn2_small):
         bn = BnConstruction(bn2_small)
-        a = fault_lifetime(bn, seed=1, max_faults=40)
-        b = fault_lifetime(bn, seed=1, max_faults=40)
+        a = lifetime(bn, seed=1, max_steps=40)
+        b = lifetime(bn, seed=1, max_steps=40)
         assert a == b
         assert a >= 3  # survives at least a few random faults
 
     def test_lifetime_cap(self, bn2_small):
         bn = BnConstruction(bn2_small)
-        assert fault_lifetime(bn, seed=2, max_faults=2) <= 2
-        assert fault_lifetime(bn, seed=2, max_faults=0) == 0
+        assert lifetime(bn, seed=2, max_steps=2) <= 2
 
     def test_lifetime_seed_determinism_across_instances(self, bn2_small):
         """Same seed, fresh construction objects: identical lifetime (the
         stream is keyed by (seed, 'lifetime', n, d), not object state)."""
-        a = fault_lifetime(BnConstruction(bn2_small), seed=11)
-        b = fault_lifetime(BnConstruction(bn2_small), seed=11)
+        a = lifetime(BnConstruction(bn2_small), seed=11)
+        b = lifetime(BnConstruction(bn2_small), seed=11)
         assert a == b
-        assert fault_lifetime(BnConstruction(bn2_small), seed=12) >= 0  # different stream runs
+        assert lifetime(BnConstruction(bn2_small), seed=12) >= 0  # different stream runs
 
     def test_run_online_timeline_outcome_fields(self, bn2_small):
         bt = BTorus(bn2_small)

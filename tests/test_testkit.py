@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from repro.api import ExperimentRunner, ExperimentSpec, FaultSpec, get
 from repro.api.protocol import LifetimeSpec, TrafficSpec
 from repro.core.healthiness import check_healthiness
-from repro.sim.engine import simulate
+from repro.sim.engine import MSG_DELIVERED, MSG_DROPPED, MSG_TIMED_OUT, simulate
 from repro.sim.routing import dimension_ordered_route
 from repro.sim.traffic import make_traffic
 from repro.testkit import strategies as tks
@@ -212,12 +212,10 @@ class TestSimResultMutation:
         lying_msg = honest.message_latencies.copy()
         dropped = int(np.flatnonzero(lying_msg >= 0)[-1])
         lying_msg[dropped] = -1
+        lying_status = honest.message_status.copy()
+        lying_status[dropped] = MSG_TIMED_OUT
         lying = dataclasses.replace(
-            honest,
-            delivered=honest.delivered - 1,
-            timed_out=honest.timed_out + 1,
-            latencies=lying_msg[lying_msg >= 0],
-            message_latencies=lying_msg,
+            honest, message_status=lying_status, message_latencies=lying_msg
         )
         ms = compare_sim_results(honest, lying)
         paths = {m.path for m in ms}
@@ -440,8 +438,13 @@ class TestFaultModelOracleMutation:
         plan = ByzantinePlan(mask, (1 / 3, 1 / 3, 1 / 3), spawn_rng(7, "byz-mut-p"))
         honest = simulate(shape, t, byzantine=plan)
         assert honest.dropped + honest.corrupted + honest.misrouted > 0
+        lying_status = honest.message_status.copy()
+        lying_msg = honest.message_latencies.copy()
+        swallowed = int(np.flatnonzero(lying_status == MSG_DELIVERED)[0])
+        lying_status[swallowed] = MSG_DROPPED
+        lying_msg[swallowed] = -1
         lying = dataclasses.replace(
-            honest, dropped=honest.dropped + 1, delivered=honest.delivered - 1
+            honest, message_status=lying_status, message_latencies=lying_msg
         )
         ms = compare_sim_results(honest, lying)
         assert {m.path for m in ms} >= {"dropped", "delivered"}

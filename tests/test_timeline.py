@@ -32,8 +32,8 @@ class TestKinds:
         assert [e.step for e in evs] == list(range(SIZE))
 
     def test_uniform_matches_raw_permutation_stream(self):
-        """The single upfront permutation draw is the historical
-        fault_lifetime sampling, bit for bit."""
+        """The single upfront permutation draw is the historical bn
+        lifetime sampling, bit for bit."""
         evs = events_of(UniformTimeline(), seed=7)
         order = spawn_rng(7, "tl-test").permutation(SIZE)
         assert [e.node for e in evs] == [int(x) for x in order]

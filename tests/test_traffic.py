@@ -30,7 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.traffic import message_classes
+from repro.api.protocol import TrafficSpec
+from repro.api.traffic import message_classes, run_traffic_trial
 from repro.fastpath.traffic_batch import (
     ROUTE_BLOCK,
     link_ids,
@@ -52,7 +53,7 @@ from repro.sim.traffic import (
     pattern_destinations,
     transpose_index,
 )
-from repro.sim.workload import make_open_loop, open_loop_stats, saturation_sweep
+from repro.sim.workload import make_open_loop, open_loop_stats
 from repro.testkit.oracles import compare_sim_results
 from repro.testkit.strategies import (
     NON_POW2_SHAPES,
@@ -578,14 +579,27 @@ class TestWorkload:
         assert open_loop_stats(res, inject, horizon=lat - 1)["throughput"] == 0.0
 
     def test_saturation_sweep_offered_monotone(self):
-        rows = saturation_sweep(
-            (6, 6), "uniform", [0.01, 0.05, 0.2], cycles=60, warmup=10, seed=5,
-            max_cycles=400,
-        )
-        offered = [r["offered_rate"] for r in rows]
+        def ladder(engine):
+            return [
+                run_traffic_trial(
+                    (6, 6),
+                    TrafficSpec(injection="bernoulli", rate=rate, cycles=60,
+                                warmup=10, max_cycles=400),
+                    5, engine=engine,
+                ).to_dict()
+                for rate in (0.01, 0.05, 0.2)
+            ]
+
+        rows = ladder(simulate)
+        offered = [r["offered"] for r in rows]  # one 50-cycle window each
         assert offered == sorted(offered)
-        batch_rows = saturation_sweep(
-            (6, 6), "uniform", [0.01, 0.05, 0.2], cycles=60, warmup=10, seed=5,
-            max_cycles=400, engine=simulate_batch,
-        )
-        assert rows == batch_rows  # engines agree row for row
+        assert rows == ladder(simulate_batch)  # engines agree row for row
+
+    def test_open_loop_max_is_a_float(self):
+        """``max`` never flips type with emptiness (NaN when nothing was
+        delivered), as ``latency_stats`` promises."""
+        shape = (6, 6)
+        traffic, inject = make_open_loop(shape, "uniform", 0.05, 40, spawn_rng(4))
+        stats = open_loop_stats(simulate(shape, traffic, inject=inject), inject)
+        assert stats["delivered"] > 0
+        assert type(stats["max"]) is float

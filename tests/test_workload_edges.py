@@ -1,7 +1,7 @@
 """Edge cases of the open-loop workload model (``sim/workload.py``).
 
 Degenerate-but-legal inputs the saturation methodology must survive: a
-sweep with a single rate, a horizon that injects nothing, identity-
+rate ladder with a single rate, a horizon that injects nothing, identity-
 degenerate shapes under ``pattern_destinations`` (the PR-4
 ``ValueError`` contracts), and periodic injection whose period exceeds
 the run.
@@ -16,31 +16,49 @@ import pytest
 
 from repro.api.protocol import TrafficSpec
 from repro.api.traffic import run_traffic_trial
+from repro.fastpath.traffic_batch import simulate_batch
 from repro.sim.engine import simulate
 from repro.sim.traffic import pattern_destinations
-from repro.sim.workload import make_open_loop, open_loop_stats, saturation_sweep
+from repro.sim.workload import make_open_loop, open_loop_stats
 from repro.util.rng import spawn_rng
+
+
+def rate_ladder(rates, engine, *, seed, **spec):
+    """One open-loop ``run_traffic_trial`` row per rate: the saturation
+    sweep ``repro-ft traffic --rate a,b,c`` runs, on a 6x6 torus."""
+    return [
+        run_traffic_trial(
+            (6, 6), TrafficSpec(injection="bernoulli", rate=rate, **spec), seed,
+            engine=engine,
+        ).to_dict()
+        for rate in rates
+    ]
 
 
 class TestSaturationSweepSingleRate:
     def test_single_rate_yields_one_complete_row(self):
-        rows = saturation_sweep((6, 6), "uniform", [0.05], cycles=40, warmup=10,
-                                seed=3, max_cycles=500)
-        assert len(rows) == 1
-        (row,) = rows
-        assert row["rate"] == 0.05
-        for key in ("offered", "delivered", "timed_out", "window",
-                    "offered_rate", "throughput", "mean", "p50", "p99", "max"):
-            assert key in row
-        assert row["window"] == 30  # cycles - warmup, never the drain
+        for engine in (simulate, simulate_batch):
+            rows = rate_ladder([0.05], engine, seed=3, cycles=40, warmup=10,
+                               max_cycles=500)
+            assert len(rows) == 1
+            (row,) = rows
+            for key in ("offered", "delivered", "timed_out", "cycles", "max_queue",
+                        "throughput", "mean_latency", "p50", "p99", "max_latency"):
+                assert key in row
+            # The window is cycles - warmup = 30, never the drain:
+            # throughput counts the deliveries completing inside it.
+            assert row["cycles"] > 40
+            in_window = row["throughput"] * 30
+            assert in_window == pytest.approx(round(in_window))
+            assert 0 < round(in_window) <= row["delivered"]
 
     def test_single_rate_matches_the_same_point_of_a_ladder(self):
         """Seed discipline: each rate draws its own keyed stream, so a
-        1-rate sweep equals that rate's row in any larger sweep."""
-        solo = saturation_sweep((6, 6), "uniform", [0.05], cycles=40, seed=3)
-        ladder = saturation_sweep((6, 6), "uniform", [0.01, 0.05, 0.2],
-                                  cycles=40, seed=3)
-        assert solo[0] == ladder[1]
+        1-rate ladder equals that rate's row in any larger ladder."""
+        for engine in (simulate, simulate_batch):
+            solo = rate_ladder([0.05], engine, seed=3, cycles=40)
+            ladder = rate_ladder([0.01, 0.05, 0.2], engine, seed=3, cycles=40)
+            assert solo[0] == ladder[1]
 
 
 class TestZeroInjectionHorizon:
