@@ -6,7 +6,8 @@ sockets, concurrent clients mixing fault/repair ingest with live traffic
 queries), and records sustained requests/sec plus p50/p99 request latency
 in ``BENCH_serve.json`` at the repo root.  The full tier also records the
 per-layer split of a traced perfbench ``serve`` run (``stage_split``:
-route builds per query and the route, arbitration and health shares),
+route builds per query, the route, arbitration, simulation and health
+shares, cycles per query, and the share of event latency spent waiting),
 for this checkout and, with ``--split-against CHECKOUT``, for another one
 such as the parent commit, each beside that checkout's untraced perfbench
 ``serve`` throughput measured on the same machine.
@@ -64,7 +65,10 @@ STAGE_METRICS = (
     "fastpath.traffic_batch.routes_calls_per_query",
     "fastpath.traffic_batch.routes_share",
     "fastpath.traffic_batch.arbitrate_share",
+    "fastpath.traffic_batch.simulate_share",
+    "fastpath.traffic_batch.cycles_per_trial",
     "sim.lifetime_traffic.health_share",
+    "serve.event.wait_frac",
 )
 
 #: Keys a machine telemetry snapshot must carry to count as well-formed.

@@ -180,9 +180,11 @@ class TrafficResult:
             f"thpt={self.mean_throughput:.3g}/cyc, "
             f"lat mean={self.mean_latency:.3g} p99<={self.worst_p99:g}"
         ]
-        dropped = sum(o.timed_out for o in self.outcomes)
-        if dropped:
-            parts.append(f"timed_out={dropped}")
+        # Name every bucket a message can end in besides a clean delivery.
+        for key in ("timed_out", "undeliverable", "dropped", "corrupted", "misrouted"):
+            count = sum(getattr(o, key) for o in self.outcomes)
+            if count:
+                parts.append(f"{key}={count}")
         return "; ".join(parts)
 
     # -- persistence / merging ---------------------------------------------

@@ -24,6 +24,14 @@ advances *all* live messages of one simulation in lockstep:
   link the lowest ``(class, id)`` key among its requesters — the scalar
   engine's winner — and ``add.at`` counts them for the queue depth; both
   tables are reset where they were touched;
+* cycles in which no two messages want the same link are not arbitrated
+  one by one: after a cycle without contention, one sort of
+  ``k * n_links + link`` keys over the live messages' next hops
+  (:func:`_free_window`) finds how many cycles every requester keeps
+  winning — up to the next injection, ``max_cycles``, the last delivery
+  and, while arrivals wait for credits, the first one — and every live
+  message advances that far in one step.  A 32-message serve query on
+  the 36x36 guest runs about 32 cycles and arbitrates about 1.4 of them;
 * winners advance, finishers record ``cycle + 1 - inject`` latencies, and
   the loop repeats until everything is delivered or ``max_cycles`` hits.
 
@@ -39,6 +47,7 @@ recorded in BENCH_traffic.json and gated in CI).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -366,6 +375,41 @@ def link_ids(shape: tuple[int, ...], nodes: np.ndarray) -> np.ndarray:
 _NO_KEY = np.iinfo(np.int64).max
 
 
+def _arbitrate(best, queue, wanted, lkey) -> tuple[np.ndarray, int]:
+    """One ordinary cycle's link arbitration.
+
+    Each wanted link keeps the lowest key among its requesters and
+    counts them; both tables are reset where touched.  Returns ``(win,
+    depth)``: which requesters won their link, and the deepest queue.
+    """
+    np.minimum.at(best, wanted, lkey)
+    win = best[wanted] == lkey
+    best[wanted] = _NO_KEY
+    np.add.at(queue, wanted, 1)
+    depth = int(queue[wanted].max())
+    queue[wanted] = 0
+    return win, depth
+
+
+def _free_window(flat, cursor, rem, cap: int, n_links: int) -> int:
+    """Cycles, up to ``cap``, before two live messages want one link.
+
+    While every requester wins, live message ``i`` asks for
+    ``flat[cursor[i] + k]`` ``k`` cycles from now, for ``k`` below its
+    remaining hops ``rem[i]``.  One key ``k * n_links + link`` per
+    message and offset below ``cap``, sorted, puts equal keys side by
+    side; the smallest repeated key holds the first contended offset.
+    Returns that offset, or ``cap`` when no key repeats.
+    """
+    n = np.minimum(rem, cap)
+    k = np.arange(int(n.sum()))
+    k -= np.repeat(np.cumsum(n) - n, n)
+    keys = flat[np.repeat(cursor, n) + k] + k * n_links
+    keys.sort()
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    return int(repeated[0]) // n_links if len(repeated) else cap
+
+
 def simulate_batch(
     shape: tuple[int, ...],
     traffic: np.ndarray,
@@ -433,12 +477,13 @@ def simulate_batch(
         pools = [arrivals[:0]] * num_classes
     else:
         queued = entering(arrivals)
-    n_links = CoordCodec(shape).size * 2 * len(shape)
+    n_links = math.prod(shape) * 2 * len(shape)
     best = np.full(n_links, _NO_KEY)
     queue = np.zeros(n_links, dtype=np.int64)
     admitted = waiting = 0
     cycles = 0
     max_queue = 0
+    look = False
     while cycles < max_cycles and (admitted < len(due) or waiting or len(lkey)):
         entered = []
         if admitted < len(due):
@@ -465,29 +510,52 @@ def simulate_batch(
             cursor, end, lkey = (
                 np.concatenate(parts) for parts in zip((cursor, end, lkey), *entered)
             )
-        if len(lkey):
+        if not len(lkey):
+            look = False
+            cycles += 1
+            continue
+        span = 0
+        if look:
+            # The last cycle had no contention: look for a window of
+            # cycles in which every requester wins.  It also ends at the
+            # next injection, at max_cycles, at the last delivery, and,
+            # while arrivals wait for credits, at the first delivery (its
+            # credit admits one the cycle after).
+            span = max_cycles - cycles
+            if admitted < len(due):
+                span = min(span, int(due[admitted]) - cycles)
+            if span > 1:
+                rem = end - cursor
+                span = min(span, int(rem.min() if waiting else rem.max()))
+            span = _free_window(flat, cursor, rem, span, n_links) if span > 1 else 0
+        if span:
+            # Fast-forward: every live message takes ``span`` hops, or its
+            # ``rem`` last ones, and the cycle after is ordinary.  No queue
+            # holds two messages, and the cycle before already put
+            # max_queue at 1.
+            look = False
+            fin = rem <= span
+            arrived = cycles + rem[fin]
+            cursor += span
+        else:
             # intp link ids spare each table access below a conversion.
-            wanted = flat[cursor].astype(np.intp)
-            # Each wanted link keeps the lowest key among its requesters
-            # and counts them; both tables are reset where touched.
-            np.minimum.at(best, wanted, lkey)
-            win = best[wanted] == lkey
-            best[wanted] = _NO_KEY
-            np.add.at(queue, wanted, 1)
-            max_queue = max(max_queue, int(queue[wanted].max()))
-            queue[wanted] = 0
+            win, depth = _arbitrate(best, queue, flat[cursor].astype(np.intp), lkey)
+            max_queue = max(max_queue, depth)
+            look = depth == 1
             cursor += win
             fin = cursor == end
-            if fin.any():
-                ids = lkey[fin] % m
-                done[ids] = True
-                latencies[ids] = cycles + 1 - start[ids]
-                if credits:
-                    # Credits released by deliveries feed next cycle's admission.
-                    avail += np.bincount(cls[ids], minlength=num_classes)
-                keep = ~fin
-                cursor, end, lkey = cursor[keep], end[keep], lkey[keep]
-        cycles += 1
+            arrived = cycles + 1
+            span = 1
+        if fin.any():
+            ids = lkey[fin] % m
+            done[ids] = True
+            latencies[ids] = arrived - start[ids]
+            if credits:
+                # Credits released by deliveries feed the next admission.
+                avail += np.bincount(cls[ids], minlength=num_classes)
+            keep = ~fin
+            cursor, end, lkey = cursor[keep], end[keep], lkey[keep]
+        cycles += span
     return sim_result(done, routable, latencies, actions, cycles, max_queue)
 
 

@@ -40,3 +40,31 @@ def dn2_small() -> DnParams:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def kernel_log(monkeypatch) -> dict:
+    """Record how the vectorized traffic kernel spends its cycles.
+
+    ``ordinary`` counts the cycles it arbitrates one at a time;
+    ``windows`` lists one ``(cap, span)`` pair per look-ahead: the
+    longest window the look was allowed, and the contention-free cycles
+    it found and fast-forwarded (0 when the first cycle is contended).
+    """
+    from repro.fastpath import traffic_batch as kernel
+
+    log = {"ordinary": 0, "windows": []}
+    arbitrate, free_window = kernel._arbitrate, kernel._free_window
+
+    def counted(*args):
+        log["ordinary"] += 1
+        return arbitrate(*args)
+
+    def logged(flat, cursor, rem, cap, n_links):
+        span = free_window(flat, cursor, rem, cap, n_links)
+        log["windows"].append((cap, span))
+        return span
+
+    monkeypatch.setattr(kernel, "_arbitrate", counted)
+    monkeypatch.setattr(kernel, "_free_window", logged)
+    return log

@@ -315,3 +315,37 @@ class TestOpenLoopConservation:
             batch = run_traffic_trial((8, 8), spec, seed, engine=simulate_batch)
             assert scalar.to_dict() == batch.to_dict()
             assert scalar.corrupted + scalar.misrouted <= scalar.delivered
+
+
+class TestSummaryNamesEveryBucket:
+    """The one-line ``TrafficResult.summary`` the CLI prints names every
+    bucket a message can end in besides a plain delivery, each only when
+    it is nonzero."""
+
+    @staticmethod
+    def _result(model=None, **knobs):
+        from repro.api.protocol import TrafficSpec
+        from repro.api.traffic import aggregate_traffic, run_traffic_trial
+
+        spec = TrafficSpec(pattern="uniform", messages=48, fault_model=model, **knobs)
+        return aggregate_traffic(
+            run_traffic_trial(SHAPE, spec, seed, engine=simulate_batch) for seed in range(3)
+        )
+
+    def test_byzantine_drops_are_named(self):
+        res = self._result({"name": "byzantine", "rate": 0.15, "drop": 2})
+        assert res.summary().endswith("; dropped=22; corrupted=4; misrouted=5")
+        assert sum(o.dropped for o in res.outcomes) == 22
+
+    def test_crash_refusals_are_named(self):
+        res = self._result({"name": "bernoulli", "p": 0.1})
+        assert res.summary().endswith("; undeliverable=43")
+        assert sum(o.undeliverable for o in res.outcomes) == 43
+
+    def test_clean_run_summary_is_unchanged(self):
+        assert self._result().summary() == (
+            "3 runs: delivered 100.0%, thpt=6.95/cyc, lat mean=3.48 p99<=7.53"
+        )
+        assert self._result(max_cycles=5).summary() == (
+            "3 runs: delivered 90.3%, thpt=8.67/cyc, lat mean=3.18 p99<=5; timed_out=14"
+        )

@@ -43,6 +43,7 @@ from repro.sim.engine import MSG_DELIVERED, MSG_UNDELIVERABLE, simulate
 from repro.sim.metrics import per_class_stats
 from repro.sim.routing import (
     ROUTERS,
+    ByzantinePlan,
     adaptive_route,
     dimension_ordered_route,
     embedded_predicates,
@@ -50,6 +51,7 @@ from repro.sim.routing import (
     route_is_healthy,
 )
 from repro.sim.traffic import make_traffic
+from repro.sim.workload import make_open_loop
 from repro.testkit.oracles import adaptive_router_oracle, compare_sim_results
 from repro.testkit.strategies import patterns_for, shapes, traffic_specs
 from repro.util.rng import spawn_rng
@@ -297,6 +299,39 @@ class TestBackendIdentity:
         assert not compare_sim_results(scalar, live)
         assert live.message_status.tolist() == [MSG_UNDELIVERABLE, MSG_DELIVERED]
         assert lengths.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("credits", [0, 1])
+    def test_fast_forward_with_classes_byzantine_plan_and_detours(
+        self, kernel_log, credits
+    ):
+        """Three QoS classes, a Byzantine plan and adaptive detours around
+        crash faults in one sparse open-loop run: the kernel fast-forwards
+        the cycles between contended ones and still matches the scalar
+        engine field for field, with or without credit-gated admission."""
+        shape = (8, 8)
+        faults = spawn_rng(1, "ff-crash").random(64) < 0.1
+        traitors = spawn_rng(1, "ff-traitors").random(64) < 0.15
+        node_ok, edge_ok = fault_predicates(faults)
+        traffic, inject = make_open_loop(shape, "uniform", 0.02, 60, spawn_rng(1, "ff-t"))
+        kwargs = dict(
+            inject=inject, router="adaptive", node_ok=node_ok, edge_ok=edge_ok,
+            classes=message_classes(len(traffic), 3), credits=credits,
+        )
+
+        def plan():
+            return ByzantinePlan(traitors, (0.5, 0.25, 0.25), spawn_rng(1, "ff-plan"))
+
+        batch = simulate_batch(shape, traffic, byzantine=plan(), **kwargs)
+        assert not compare_sim_results(simulate(shape, traffic, byzantine=plan(), **kwargs),
+                                       batch)
+        skipped = sum(span for _, span in kernel_log["windows"])
+        assert skipped > batch.cycles // 4
+        assert batch.misrouted and batch.dropped and batch.corrupted
+        ecube = simulate_batch(shape, traffic, inject=inject, node_ok=node_ok, edge_ok=edge_ok)
+        detoured = (ecube.message_status == MSG_UNDELIVERABLE) & (
+            batch.message_status != MSG_UNDELIVERABLE
+        )
+        assert detoured.any()
 
     def test_batch_route_builder_matches_scalar_routes(self):
         """Each ragged row is the link ids of the scalar adaptive route —

@@ -34,6 +34,7 @@ from repro.api.protocol import TrafficSpec
 from repro.api.traffic import message_classes, run_traffic_trial
 from repro.fastpath.traffic_batch import (
     ROUTE_BLOCK,
+    _free_window,
     link_ids,
     routes_batch,
     simulate_batch,
@@ -221,7 +222,7 @@ class TestBatchKernelEquivalence:
         injection=st.sampled_from(["bernoulli", "periodic"]),
         rate=st.sampled_from([0.01, 0.05, 0.2]),
         cycles=st.sampled_from([1, 13, 60]),
-        max_cycles=st.sampled_from([5, 10_000]),
+        max_cycles=st.sampled_from([3, 5, 12, 10_000]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_open_loop_identical(
@@ -457,6 +458,116 @@ class TestDenseLinkKernel:
         block = 8 * ROUTE_BLOCK * nodes.shape[1] * 8
         assert peak <= ids.nbytes + table + block
         assert table + block < 8 * ids.size  # tighter than one int64 (M, L) copy
+
+
+def _node(shape, row, col):
+    return row * shape[1] + col
+
+
+def _meeting_pair(shape, k):
+    """Two messages whose e-cube routes first want the same link at hop
+    ``k``: message 0 goes ``k`` hops down column 0, then along row ``k``;
+    message 1 starts ``k`` hops before column 0 on row ``k`` and runs the
+    same way, so both ask for the link ``(k, 0) -> (k, 1)`` at hop ``k``."""
+    return np.array([
+        [_node(shape, 0, 0), _node(shape, k, 6)],
+        [_node(shape, k, -k % shape[1]), _node(shape, k, 2)],
+    ])
+
+
+class TestFastForward:
+    """The kernel fast-forwards runs of cycles in which every requester
+    wins its link; each case must still match the scalar engine."""
+
+    shape = (16, 16)
+    n_links = 16 * 16 * 4
+
+    def _window(self, traffic, cap, advance=0):
+        flat, offsets, lengths = routes_batch(self.shape, traffic)
+        return _free_window(flat, offsets + advance, lengths - advance, cap, self.n_links)
+
+    def test_disjoint_routes_give_the_whole_window(self):
+        rows = np.array([[_node(self.shape, r, 0), _node(self.shape, r, 7)] for r in (0, 3, 9)])
+        assert self._window(rows, 7) == 7
+        assert self._window(rows, 4) == 4
+        assert self._window(rows, 5, advance=2) == 5
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 6])
+    def test_routes_meeting_at_hop_k_give_k(self, k):
+        pair = _meeting_pair(self.shape, k)
+        assert self._window(pair, 20) == k
+        assert self._window(pair, k + 1) == k
+        if k:
+            assert self._window(pair, k) == k  # the cap stops short of the meeting
+            assert self._window(pair, 20, advance=1) == k - 1
+
+    def test_routes_meet_inside_a_window(self, kernel_log):
+        """Cycle 0 runs alone; the look at cycle 1 finds the meeting at
+        hop 4, so cycles 1-3 are fast-forwarded and cycle 4 is arbitrated:
+        message 0 wins, message 1 waits one cycle."""
+        pair = _meeting_pair(self.shape, 4)
+        batch = simulate_batch(self.shape, pair)
+        assert_results_identical(simulate(self.shape, pair), batch)
+        assert kernel_log["windows"][0] == (9, 3)
+        assert batch.message_latencies.tolist() == [10, 7] and batch.max_queue == 2
+
+    def test_window_ends_at_the_next_injection(self, kernel_log):
+        """An open-loop schedule with gaps: each window stops at the next
+        injection, whose cycle admits the new message as usual."""
+        s = self.shape
+        traffic = np.array([
+            [_node(s, 0, 0), _node(s, 8, 8)],
+            [_node(s, 3, 3), _node(s, 10, 1)],
+            [_node(s, 1, 9), _node(s, 5, 15)],
+        ])
+        inject = np.array([0, 6, 20])
+        batch = simulate_batch(s, traffic, inject=inject)
+        assert_results_identical(simulate(s, traffic, inject=inject), batch)
+        assert kernel_log["windows"][0] == (5, 5)  # cycles 1-5, then 6 admits
+        assert batch.message_latencies.tolist() == [16, 9, 10]
+
+    @pytest.mark.parametrize("max_cycles", [2, 3, 7, 12])
+    def test_max_cycles_inside_a_window(self, kernel_log, max_cycles):
+        """The window after cycle 0 ends at ``max_cycles``; with one cycle
+        left there is nothing to look for."""
+        route = np.array([[_node(self.shape, 0, 0), _node(self.shape, 8, 8)]])
+        batch = simulate_batch(self.shape, route, max_cycles=max_cycles)
+        assert_results_identical(simulate(self.shape, route, max_cycles=max_cycles), batch)
+        assert batch.cycles == max_cycles and batch.timed_out == 1
+        left = max_cycles - 1
+        assert kernel_log["windows"] == ([(left, left)] if left > 1 else [])
+
+    def test_window_stops_at_the_first_delivery_while_credits_wait(self, kernel_log):
+        """Two credits, four messages at cycle 0 and one late: two wait in
+        the pool, so the first window ends when message 0 delivers — its
+        credit admits message 2 the cycle after."""
+        s = self.shape
+        traffic = np.array([
+            [_node(s, 0, 0), _node(s, 0, 3)],
+            [_node(s, 2, 0), _node(s, 7, 5)],
+            [_node(s, 9, 9), _node(s, 12, 12)],
+            [_node(s, 10, 1), _node(s, 14, 4)],
+            [_node(s, 5, 5), _node(s, 5, 9)],
+        ])
+        inject = np.array([0, 0, 0, 0, 30])
+        batch = simulate_batch(s, traffic, inject=inject, credits=2)
+        assert_results_identical(simulate(s, traffic, inject=inject, credits=2), batch)
+        assert kernel_log["windows"][0] == (2, 2)
+        assert batch.message_latencies.tolist() == [3, 10, 9, 16, 4]
+
+    def test_serve_query_runs_few_ordinary_cycles(self, kernel_log):
+        """32 uniform messages on the 36x36 guest, as a serve query sends
+        them, run about 32 cycles of which on average at most 3 are
+        arbitrated one at a time; the rest are fast-forwarded."""
+        shape, queries = (36, 36), 40
+        cycles = 0
+        for seed in range(queries):
+            traffic = make_traffic(shape, "uniform", 32, spawn_rng(seed, "serve-traffic"))
+            batch = simulate_batch(shape, traffic)
+            cycles += batch.cycles
+            assert_results_identical(simulate(shape, traffic), batch)
+        assert cycles >= 25 * queries
+        assert kernel_log["ordinary"] <= 3 * queries
 
 
 # ---------------------------------------------------------------------------
