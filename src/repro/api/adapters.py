@@ -108,14 +108,20 @@ class _AdapterBase:
         """Recovery attempt for a boolean fault array of ``_lifetime_shape``."""
         return self.recover(faults)
 
+    #: What a recovery's outcome depends on, as a function of the fault
+    #: array (see :class:`FullRecomputeMachine`); ``None``: the array.
+    _lifetime_key = None
+
     def lifetime_rng(self, seed: int) -> np.random.Generator:
         """The stream a lifetime trial's timeline draws from."""
         return spawn_rng(seed, f"{self.name}-lifetime")
 
     def live_machine(self):
         """A fresh fault-free live machine (see :mod:`repro.api.lifetime`);
-        this generic one recovers from scratch after every new fault."""
-        return FullRecomputeMachine(self._lifetime_shape(), self._lifetime_recover)
+        this generic one recovers from scratch after every new fault that
+        leaves ``_lifetime_key`` different from the last recovery's."""
+        return FullRecomputeMachine(self._lifetime_shape(), self._lifetime_recover,
+                                    key=self._lifetime_key)
 
     def lifetime_trial(self, spec: LifetimeSpec, seed: int) -> LifetimeOutcome:
         """One seeded fault-arrival timeline driven to first failure."""
@@ -339,6 +345,13 @@ class AnConstruction(_TorusTrafficMixin, _AdapterBase):
 
     def _lifetime_shape(self) -> tuple:
         return (self.params.num_supernodes, self.params.h)
+
+    def _lifetime_key(self, faults):
+        """The bad-supernode mask.  Lifetime recoveries run at ``q = 0``,
+        where the host ``B^d`` sees only this mask and, once it recovers,
+        the greedy seating and its verification cannot fail
+        (docs/fastpath.md), so the mask decides the outcome."""
+        return ~self.torus.good_supernodes(~faults, 0.0)
 
     def _lifetime_recover(self, faults):
         from repro.core.an import AnFaultState

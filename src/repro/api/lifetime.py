@@ -226,21 +226,41 @@ class FullRecomputeMachine:
     repair clears the bit without a recompute — a recovery valid for a
     fault superset stays valid.  This is the reference semantics the
     incremental :class:`~repro.core.online.OnlineRecovery` reproduces.
+
+    ``key`` maps the fault array to everything the recovery's outcome
+    depends on (``an``: the bad-supernode mask).  A new fault then
+    recovers only when it leaves the key different from the last
+    successful recovery's; otherwise that recovery's success stands.  The
+    tallies are the same either way: every new fault is ``"replaced"``.
+    Without a key, every new fault recovers.
     """
 
     #: No maintained embedding: queries serve the pristine guest.
     recovery = None
 
-    def __init__(self, shape: Sequence[int], recover: Callable[[np.ndarray], object]) -> None:
+    def __init__(
+        self,
+        shape: Sequence[int],
+        recover: Callable[[np.ndarray], object],
+        key: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> None:
         self.faults = np.zeros(tuple(int(s) for s in shape), dtype=bool)
         self._flat = self.faults.ravel()
         self._recover = recover
+        self._key = key
+        self._recovered_key: np.ndarray | None = None
 
     def add_fault(self, node: int) -> str:
         if self._flat[node]:
             return "masked"
         self._flat[node] = True
-        self._recover(self.faults)  # raises ReconstructionError on death
+        if self._key is None:
+            self._recover(self.faults)  # raises ReconstructionError on death
+            return "replaced"
+        key = self._key(self.faults)
+        if self._recovered_key is None or not np.array_equal(key, self._recovered_key):
+            self._recover(self.faults)
+            self._recovered_key = key
         return "replaced"
 
     def remove_fault(self, node: int) -> None:

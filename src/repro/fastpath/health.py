@@ -18,14 +18,18 @@ How the scalar loops become reductions (``T`` = trials, grid = tile grid):
   fault-free run inside each ``b^2``-row strip is computed with the
   running-streak trick (``idx - maximum.accumulate(where(faulty, idx,
   -1))``), no Python loop over bricks.
-* condition 3: a frame is fault-free iff (box fault count) - (interior
-  fault count) is zero; box sums over tiles are separable into per-axis
-  window sums, and "some enclosing frame exists" is an OR over the
-  ``sum_s (s-2)^d`` (size, offset) combinations of rolled copies — the
+* condition 3 (:func:`frame_enclosed`, which the lifetime kernel also
+  calls on its failed covers): a frame is fault-free iff (box fault
+  count) - (interior fault count) is zero; box sums over tiles are
+  separable into per-axis window sums (products with 0/1 band
+  matrices), and "some enclosing frame exists" is one more box sum per
+  size, over the ``(s-2)^d`` corners whose frame encloses a tile — the
   exact same candidate set the scalar centre-first search enumerates.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from repro.core.healthiness import HealthReport
 from repro.core.params import BnParams
 from repro.topology.grid import TileGeometry
 
-__all__ = ["check_healthiness_batch"]
+__all__ = ["check_healthiness_batch", "frame_enclosed"]
 
 
 def _window_reduce(arr: np.ndarray, width: int, axis: int, op) -> np.ndarray:
@@ -54,6 +58,52 @@ def _longest_false_run(marked: np.ndarray, axis: int) -> np.ndarray:
     last_true = np.maximum.accumulate(np.where(marked, idx, -1), axis=-1)
     # Streak of False ending at each position; 0 wherever marked is True.
     return (idx - last_true).max(axis=-1)
+
+
+def frame_enclosed(tile_faulty: np.ndarray, b: int) -> np.ndarray:
+    """Condition 3's frame search on a ``(T, *grid)`` faulty-tile stack:
+    per tile, whether some fault-free s-frame (``3 <= s <= b``) strictly
+    encloses it.
+
+    The candidates are every size and offset that
+    :func:`~repro.core.healthiness.find_enclosing_frame` tries, so a
+    faulty tile reads False here exactly when painting finds no frame for
+    it (``no-frame``).
+    """
+    faulty = tile_faulty.astype(np.float64)
+    enclosing = np.zeros(tile_faulty.shape)
+    for size in range(3, b + 1):
+        # The frame at corner c holds the box's faulty tiles minus its
+        # interior's (the box shifted by one, size - 2 wide).
+        free = _box_sums(faulty, 0, size) == _box_sums(faulty, 1, size - 2)
+        # It encloses tile t iff t - c lies in [1, size - 2] on every axis.
+        enclosing += _box_sums(free.astype(np.float64), 2 - size, size - 2)
+    return enclosing > 0
+
+
+def _box_sums(stack: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """Cyclic box sums of a ``(T, *grid)`` float stack: entry ``c`` of a
+    trial sums its tiles ``c + lo + [0, width)`` on every grid axis, one
+    product with a 0/1 band matrix per axis.  The sums are small integers,
+    exact in float64, which numpy multiplies several times faster than
+    int64 (2.8x at b=4)."""
+    # Sum along the last axis, then rotate it to the front of the grid
+    # axes; after one turn per axis the order is back where it started.
+    rotate = (0, stack.ndim - 1) + tuple(range(1, stack.ndim - 1))
+    for _ in range(1, stack.ndim):
+        stack = (stack @ _band(stack.shape[-1], lo, width)).transpose(rotate)
+    return stack
+
+
+@functools.lru_cache(maxsize=64)
+def _band(n: int, lo: int, width: int) -> np.ndarray:
+    """``(n, n)`` matrix with ``M[i, c] = 1`` iff ``(i - c - lo) mod n <
+    width``: a product with it along an axis sums the ``width`` cyclic
+    entries from ``c + lo`` on."""
+    idx = np.arange(n)
+    band = (((idx[:, None] - idx[None, :] - lo) % n) < width).astype(np.float64)
+    band.flags.writeable = False
+    return band
 
 
 def check_healthiness_batch(
@@ -113,25 +163,7 @@ def check_healthiness_batch(
 
     # Condition 3 — every tile strictly inside some fault-free s-frame.
     tile_faulty = counts > 0
-    has_frame = np.zeros_like(tile_faulty)
-    grid_axes = tuple(range(1, d + 1))
-    for size in range(3, b + 1):
-        box = tile_faulty.astype(np.int64)
-        inner = tile_faulty.astype(np.int64)
-        for axis in grid_axes:
-            box = _window_reduce(box, size, axis, np.add)
-            inner = _window_reduce(inner, size - 2, axis, np.add)
-        # Interior of the box at corner c starts at c + 1 on every axis.
-        for axis in grid_axes:
-            inner = np.roll(inner, -1, axis=axis)
-        frame_free = (box - inner) == 0  # frame at corner c is fault-free
-        # A frame at corner c encloses tile t iff t = c + off with
-        # off in [1, size-2]^d; roll by +off so index t reads corner t-off.
-        offsets = np.stack(
-            np.meshgrid(*([np.arange(1, size - 1)] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        for off in offsets:
-            has_frame |= np.roll(frame_free, shift=tuple(off), axis=grid_axes)
+    has_frame = frame_enclosed(tile_faulty, b)
     flat_frame = has_frame.reshape(trials, -1)
     flat_faulty = tile_faulty.reshape(trials, -1)
     cond3_ok = flat_frame.all(axis=1)

@@ -27,13 +27,20 @@ luck: the kernel replays the *same decision sequence* —
    :data:`STEP_BLOCK` steps, on every active trial's profile after each
    step of the block; the masked/replaced decisions are then replayed
    step by step from those covers;
-3. when the straight cover fails under the ``auto`` strategy, the paper
-   *placement* the scalar path's ``BTorus.recover`` runs first
-   (``place_bands(..., strategy="paper")``): if it raises, that is the
-   category the scalar path reports; if it succeeds (non-straight
-   incumbent — rare), the whole trial is delegated to the scalar
-   ``lifetime_trial``, the ground truth, so the kernel never extracts or
-   verifies a torus itself.
+3. a failed straight cover ends the trial in the kernel, and the slice
+   classifies all of them after its blocks.  Under the ``auto``
+   strategy the scalar path's ``BTorus.recover`` runs the paper
+   *placement* first (``place_bands(..., strategy="paper")``), and that
+   starts with ``paint_tiles``, which raises ``no-frame`` exactly when
+   some faulty tile lies in no fault-free s-frame.  So one batched frame
+   test (:func:`~repro.fastpath.health.frame_enclosed`, Lemma 4's
+   condition 3) over every failed trial's faulty-tile grid finds the
+   ``no-frame`` deaths, and only the other trials run the placement: if
+   it raises, that is the category the scalar path reports; if it
+   succeeds (non-straight incumbent — rare), the whole trial is
+   delegated to the scalar ``lifetime_trial``, the ground truth, so the
+   kernel never extracts or verifies a torus itself.  Under
+   ``straight``, ``place_straight_rows`` names the category.
 
 First-failure times, failure categories and masked/replaced tallies are
 therefore trial-for-trial identical (asserted in tests/test_fastpath.py).
@@ -41,6 +48,8 @@ therefore trial-for-trial identical (asserted in tests/test_fastpath.py).
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +58,7 @@ from repro.api.lifetime import LifetimeOutcome
 from repro.core.placement import place_bands, place_straight_rows
 from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import _masks_cover, _straight_cover, cover_bytes_per_trial
+from repro.fastpath.health import frame_enclosed
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
 
 __all__ = ["STEP_BLOCK", "lifetime_bytes_per_trial", "run_bn_lifetime_batch"]
@@ -111,11 +121,14 @@ def lifetime_bytes_per_trial(params, max_steps: int | None = None) -> int:
     """Per-trial working-set bytes of the lifetime kernel at its peak: the
     ``limit``-long arrival order in the smallest unsigned type that holds
     a node id, the bool row profile and the copy a block takes of it, the
-    int64 incumbent bottoms, the tallies (four int64, three bool and a
+    int64 incumbent bottoms, the tallies (three int64, one bool and a
     list slot: under 48 bytes), and one block's footprint — per step, the
     int64 arrival row, the bool prefix profile and what the shared
     classifier holds for it (:func:`cover_bytes_per_trial`).  The
-    one-trial permutation draw is not per trial."""
+    one-trial permutation draw is not per trial, and the frame test after
+    the blocks holds less than a block: per failed trial under 100 bytes
+    per tile and 40 per arrival before its failed cover (trials die
+    within tens of arrivals at the shapes the kernel serves)."""
     size = params.num_nodes
     limit = size if max_steps is None else min(max_steps, size)
     m, K = params.m, params.num_bands
@@ -144,14 +157,10 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     # profile.
     empty = place_straight_rows(params, np.empty(0, dtype=np.int64)).bottoms[:, 0]
     bottoms = np.repeat(empty[None, :], trials, axis=0)
-    active = np.ones(trials, dtype=bool)     # still advancing in the kernel
-    delegate = np.zeros(trials, dtype=bool)  # paper placement survived: scalar replay
-    lifetime = np.full(trials, limit, dtype=np.int64)
-    steps = np.full(trials, limit, dtype=np.int64)
+    active = np.ones(trials, dtype=bool)  # still advancing in the kernel
+    cut = np.full(trials, -1, dtype=np.int64)  # step whose straight cover failed
     masked_ct = np.zeros(trials, dtype=np.int64)
     replaced_ct = np.zeros(trials, dtype=np.int64)
-    failed = np.zeros(trials, dtype=bool)
-    category = ["ok"] * trials
 
     for k0 in range(0, limit, STEP_BLOCK):
         act = np.flatnonzero(active)
@@ -169,11 +178,11 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
         ok = ok.reshape(act.size, width)
         covers = covers.reshape(act.size, width, K)
 
-        # Replay the block's steps against the incumbent covers.
+        # Replay the block's steps against the incumbent covers; a failed
+        # cover ends the trial here, and is classified after the blocks.
         cur = bottoms[act]
         live = np.ones(act.size, dtype=bool)
         for j in range(width):
-            k = k0 + j
             covered = ((rows[:, j, None] - cur) % m < b).any(axis=1)
             masked_ct[act[live & covered]] += 1
             unmasked = np.flatnonzero(live & ~covered)
@@ -181,37 +190,41 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
             fixed = unmasked[repaired]
             cur[fixed] = covers[fixed, j]
             replaced_ct[act[fixed]] += 1
-            for u in unmasked[~repaired].tolist():
-                live[u] = False
-                t = act[u]
-                death = _cover_failure(adapter, orders[t, : k + 1], prefix[u, j])
-                if death is None:
-                    # Paper placement survived: the incumbent is no longer
-                    # straight, so this trial leaves the kernel and is
-                    # replayed on the scalar path (identical by determinism).
-                    delegate[t] = True
-                    continue
-                category[t] = death
-                failed[t] = True
-                lifetime[t] = k
-                steps[t] = k + 1
+            dead = unmasked[~repaired]
+            live[dead] = False
+            cut[act[dead]] = k0 + j
             if not live.any():
                 break
         bottoms[act] = cur
         fault_rows[act] = prefix[:, -1]
         active[act] = live
 
+    # Classify the failed covers.  Under ``auto`` a trial with a frameless
+    # faulty tile dies ``no-frame`` without painting: ``paint_tiles``
+    # skips a faulty tile only when an earlier fault-free frame encloses
+    # it, so it raises ``no-frame`` exactly then (step 3 above).
+    category: list[str | None] = ["ok"] * trials
+    dead = np.flatnonzero(cut >= 0)
+    framed = np.ones(dead.size, dtype=bool)
+    if adapter.strategy == "auto" and dead.size:
+        framed = _all_framed(adapter.torus.geo, orders, dead, cut[dead] + 1)
+    for t, ok in zip(dead.tolist(), framed.tolist()):
+        category[t] = _cover_failure(adapter, orders[t, : cut[t] + 1]) if ok else "no-frame"
     outcomes: list[LifetimeOutcome] = []
     for i, seed in enumerate(seeds):
-        if delegate[i]:
+        if category[i] is None:
+            # Paper placement survived: the incumbent is no longer
+            # straight, so this trial left the kernel and is replayed on
+            # the scalar path (identical by determinism).
             outcomes.append(adapter.lifetime_trial(spec, seed))
             continue
+        k = int(cut[i])
         outcomes.append(
             LifetimeOutcome(
-                lifetime=int(lifetime[i]),
-                steps=int(steps[i]),
+                lifetime=limit if k < 0 else k,
+                steps=limit if k < 0 else k + 1,
                 category=category[i],
-                failed=bool(failed[i]),
+                failed=k >= 0,
                 masked=int(masked_ct[i]),
                 replaced=int(replaced_ct[i]),
                 repaired=0,
@@ -220,15 +233,46 @@ def _run_lifetime_slice(adapter, spec, seeds: Sequence[int]) -> list[LifetimeOut
     return outcomes
 
 
-def _cover_failure(adapter, order: np.ndarray, row_profile: np.ndarray) -> str | None:
+def _all_framed(geo, orders: np.ndarray, trials: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per trial ``trials[i]``: whether, after its first ``lengths[i]``
+    arrivals, every faulty tile lies in some fault-free s-frame.  One
+    gather maps the arrival prefixes to tiles, and
+    :func:`~repro.fastpath.health.frame_enclosed` tests every trial's
+    tile grid at once."""
+    num = trials.size
+    total = int(lengths.sum())
+    owner = np.repeat(np.arange(num), lengths)
+    # Flat position of each prefix arrival in ``orders``.
+    starts = trials * orders.shape[1] - (np.cumsum(lengths) - lengths)
+    pos = np.arange(total) + np.repeat(starts, lengths)
+    tiles = _node_tiles(geo.shape, geo.tile_side)[orders.ravel()[pos]]
+    faulty = np.zeros((num, math.prod(geo.grid_shape)), dtype=bool)
+    faulty[owner, tiles] = True
+    faulty = faulty.reshape((num,) + geo.grid_shape)
+    return (frame_enclosed(faulty, geo.b) | ~faulty).reshape(num, -1).all(axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _node_tiles(shape: tuple[int, ...], tile_side: int) -> np.ndarray:
+    """Flat tile index of every flat node id of a ``shape`` torus cut into
+    tiles of side ``tile_side``; built once per shape."""
+    grid = tuple(side // tile_side for side in shape)
+    coords = np.indices(shape).reshape(len(shape), -1) // tile_side
+    tiles = np.ravel_multi_index(tuple(coords), grid)
+    tiles.flags.writeable = False
+    return tiles
+
+
+def _cover_failure(adapter, order: np.ndarray) -> str | None:
     """The category the scalar path reports when the straight cover of a
     trial fails after the arrivals ``order``, or ``None`` where its
     ``auto`` chain survives on the paper placement (the placement that
     ``BTorus.recover(strategy="paper")`` runs first)."""
     params = adapter.params
     if adapter.strategy == "straight":
+        rows = np.unique(order.astype(np.int64) // (params.num_nodes // params.m))
         try:
-            place_straight_rows(params, np.flatnonzero(row_profile))
+            place_straight_rows(params, rows)
         except ReconstructionError as exc:
             return exc.category
         raise AssertionError("straight cover unexpectedly succeeded")  # pragma: no cover

@@ -58,6 +58,7 @@ wall-clock win — see docs/traffic.md.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -302,25 +303,31 @@ def simulate(
             latencies[i] = 0
         else:
             pending.append(i)
-    while (live or pending) and cycles < max_cycles:
-        if pending:
-            # Admission: arrivals whose scheduled cycle has come, in id
-            # order; with credit flow control each class admits only while
-            # its pool has credits — the rest wait at the source.
-            arrived = [i for i in pending if start[i] <= cycles]
-            if arrived:
-                if avail is None:
-                    admitted = arrived
-                else:
-                    admitted = []
-                    for i in arrived:
-                        if avail[cls[i]] > 0:
-                            avail[cls[i]] -= 1
-                            admitted.append(i)
-                if admitted:
-                    taken = set(admitted)
-                    pending = [i for i in pending if start[i] > cycles or i not in taken]
-                    live = sorted(set(live) | taken)
+    # Messages not yet arrived, in injection order (a stable sort keeps id
+    # order within a cycle) behind a pointer; arrived ones that wait for
+    # a credit queue per class in id order.
+    pending.sort(key=start.__getitem__)
+    arrivals = 0
+    waiting: list[list[int]] = [[] for _ in range(num_classes)]
+    while (live or arrivals < len(pending) or any(waiting)) and cycles < max_cycles:
+        # Admission: arrivals whose scheduled cycle has come, in id order;
+        # with credit flow control each class admits only while its pool
+        # has credits — the rest wait at the source.
+        admitted = []
+        while arrivals < len(pending) and start[pending[arrivals]] <= cycles:
+            i = pending[arrivals]
+            arrivals += 1
+            if avail is None:
+                admitted.append(i)
+            else:
+                heapq.heappush(waiting[cls[i]], i)
+        if avail is not None:
+            for c, queue in enumerate(waiting):
+                while queue and avail[c] > 0:
+                    avail[c] -= 1
+                    admitted.append(heapq.heappop(queue))
+        if admitted:
+            live = sorted(live + admitted)
         wants: dict[tuple[int, int], list] = defaultdict(list)
         for i in live:
             r = routes[i]

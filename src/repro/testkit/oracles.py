@@ -15,6 +15,9 @@ diff outcomes field for field:
 * :func:`repair_mode_oracle` — incremental
   :class:`~repro.core.online.OnlineRecovery` vs the full-recompute
   reference, including surviving placements and embeddings;
+* :func:`recovery_key_oracle` — a live machine that recovers only when
+  its key changes (``an``: the bad-supernode mask) vs one that recovers
+  after every new fault;
 * :func:`sim_engines_oracle` — the scalar store-and-forward engine vs
   the vectorized traffic kernel on raw ``SimResult``\\ s.
 
@@ -70,6 +73,7 @@ __all__ = [
     "healthiness_oracle",
     "lifetime_record",
     "outcome_record",
+    "recovery_key_oracle",
     "reference_enclosing_frame",
     "reference_frame_and_interior",
     "repair_mode_oracle",
@@ -656,6 +660,35 @@ def repair_mode_oracle(params, cases: Sequence[tuple[int, LifetimeSpec]]) -> Ora
                 Mismatch("repair-modes", "incremental", "band-invariants",
                          f"{at}.validate", str(exc), "structurally valid placement")
             )
+    return report
+
+
+def recovery_key_oracle(construction, cases: Sequence[tuple[int, LifetimeSpec]]) -> OracleReport:
+    """A keyed live machine against the every-fault reference, per timeline.
+
+    ``construction.live_machine()`` recovers only when a new fault leaves
+    its ``_lifetime_key`` (``an``: the bad-supernode mask) different from
+    the last recovery's; the reference
+    :class:`~repro.api.lifetime.FullRecomputeMachine` has no key and
+    recovers after every new fault.  Both replay the identical event
+    stream (repairs included, which shrink the key); the oracle diffs the
+    outcome record and the final fault set.
+    """
+    from repro.api.lifetime import FullRecomputeMachine, drive_timeline
+
+    report = OracleReport("recovery-key", ("keyed", "every-fault"))
+    for seed, spec in cases:
+        keyed = construction.live_machine()
+        full = FullRecomputeMachine(keyed.faults.shape, construction._lifetime_recover)
+        out_keyed = drive_timeline(spec, keyed, construction.lifetime_rng(seed))
+        out_full = drive_timeline(spec, full, construction.lifetime_rng(seed))
+        report.cases += 1
+        report.mismatches += diff_values(
+            {"outcome": lifetime_record(out_keyed), "faults": keyed.faults.ravel()},
+            {"outcome": lifetime_record(out_full), "faults": full.faults.ravel()},
+            oracle="recovery-key", left="keyed", right="every-fault",
+            path=f"case[seed={seed},{spec.label()}]", max_mismatches=8,
+        )
     return report
 
 

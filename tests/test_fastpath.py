@@ -36,13 +36,16 @@ from repro.api import (
     LifetimeSpec,
     get,
 )
-from repro.core.healthiness import check_healthiness
+from repro.core.healthiness import check_healthiness, find_enclosing_frame
 from repro.core.params import BnParams
+from repro.core.placement import place_bands
+from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import sample_bn_faults_batch, straight_survival_batch
-from repro.fastpath.health import check_healthiness_batch
-from repro.fastpath.lifetime_batch import STEP_BLOCK
+from repro.fastpath.health import check_healthiness_batch, frame_enclosed
+from repro.fastpath.lifetime_batch import STEP_BLOCK, _all_framed
 from repro.testkit.oracles import health_record, lifetime_record, outcome_record
 from repro.testkit.strategies import BN_PARAM_SETS
+from repro.topology.grid import TileGeometry
 from repro.util.rng import spawn_rng
 
 
@@ -213,6 +216,76 @@ def test_lifetime_kernel_classifies_per_block_and_never_extracts(monkeypatch):
     assert [lifetime_record(o) for o in batch] == [lifetime_record(o) for o in scalar]
     longest = max(o.lifetime for o in scalar)
     assert len(calls) <= math.ceil(longest / STEP_BLOCK) + 1
+
+
+def test_lifetime_kernel_paints_only_framed_failures(monkeypatch):
+    """One batched frame test finds the ``no-frame`` deaths, so the kernel
+    runs ``paint_tiles`` once per failed cover whose faulty tiles all have
+    a fault-free frame (found here by the scalar frame search), and for no
+    other trial."""
+    from repro.core import placement
+
+    bn = get("bn", **B4)
+    spec = LifetimeSpec()
+    seeds = list(range(300, 348)) + [366]  # one slice
+    scalar = [bn.lifetime_trial(spec, s) for s in seeds]
+    delegated = [313, 366]  # their paper placement survives
+    geo = bn.torus.geo
+
+    def all_framed(faults):
+        faulty = geo.tile_fault_counts(faults).ravel() > 0
+        return all(find_enclosing_frame(geo, faulty, tuple(geo.grid.unravel(int(t))))
+                   for t in np.flatnonzero(faulty))
+
+    framed = len(delegated)
+    for seed, out in zip(seeds, scalar):
+        if seed not in delegated:
+            order = bn.lifetime_rng(seed).permutation(bn.params.num_nodes)
+            faults = np.zeros(bn.params.num_nodes, dtype=bool)
+            faults[order[: out.lifetime + 1]] = True
+            framed += all_framed(faults.reshape(bn.params.shape))
+    painted = []
+    paint = placement.paint_tiles
+    monkeypatch.setattr(placement, "paint_tiles",
+                        lambda p, faults, g: painted.append(faults) or paint(p, faults, g))
+    monkeypatch.setattr(bn, "lifetime_trial", lambda spec, seed: scalar[seeds.index(seed)])
+    batch = bn.run_lifetime_batch(spec, seeds)
+    assert [lifetime_record(o) for o in batch] == [lifetime_record(o) for o in scalar]
+    assert len(painted) == framed < len(seeds)
+    assert all(all_framed(faults) for faults in painted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params_kw=st.sampled_from(BN_PARAM_SETS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    lengths=st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=4),
+)
+def test_frame_test_is_the_no_frame_verdict(params_kw, seed, lengths):
+    """On random arrival prefixes, the batched frame test fails exactly
+    where the paper placement raises ``no-frame``: directly on each tile
+    grid, and through the lifetime kernel's gather of several prefixes."""
+    params = BnParams(**params_kw)
+    geo = TileGeometry(params.shape, params.b)
+    orders = np.stack([spawn_rng(seed, "frames", i).permutation(params.num_nodes)
+                       for i in range(len(lengths))])
+    lengths = np.minimum(lengths, params.num_nodes)
+    verdicts = []
+    for order, length in zip(orders, lengths.tolist()):
+        faults = np.zeros(params.num_nodes, dtype=bool)
+        faults[order[:length]] = True
+        faults = faults.reshape(params.shape)
+        faulty = geo.tile_fault_counts(faults) > 0
+        framed = bool((frame_enclosed(faulty[None], params.b)[0] | ~faulty).all())
+        try:
+            place_bands(params, faults, strategy="paper", geo=geo)
+            no_frame = False
+        except ReconstructionError as exc:
+            no_frame = exc.category == "no-frame"
+        assert framed != no_frame
+        verdicts.append(framed)
+    gathered = _all_framed(geo, orders, np.arange(len(lengths)), lengths)
+    assert gathered.tolist() == verdicts
 
 
 # ---------------------------------------------------------------------------

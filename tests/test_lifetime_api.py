@@ -133,8 +133,8 @@ class TestCapability:
             "replication": {"n": 8, "replication": 3},
             "sparerows": {"n": 10, "sigma": 4},
         }
-        # max_steps keeps the slow generic full-recompute adapters (an
-        # especially: ~3k arrivals to first failure) out of the test budget.
+        # max_steps keeps the generic full-recompute adapters, which
+        # recover after every new fault, out of the test budget.
         spec = LifetimeSpec(max_steps=40)
         for name in available():
             c = get(name, **params[name])
@@ -187,6 +187,37 @@ class TestCapability:
         assert not get("bn", **BN, strategy="paper").supports_lifetime_batch(
             LifetimeSpec()
         )
+
+
+class TestRecoveryKey:
+    """An ``an`` live machine recovers only when a new fault changes the
+    bad-supernode mask."""
+
+    def test_keyed_machine_matches_every_fault_reference(self):
+        """Uniform arrivals with repairs shrink the mask; bursts land
+        several faults in one supernode, which leaves the mask as it was."""
+        from repro.testkit.oracles import recovery_key_oracle
+
+        an = get("an", **BN, k_sub=2, h=4)
+        cases = [
+            (0, LifetimeSpec(repair_rate=0.2, max_steps=300)),
+            (1, LifetimeSpec(timeline="burst", burst=2, repair_rate=0.2, max_steps=60)),
+        ]
+        report = recovery_key_oracle(an, cases)
+        report.raise_on_mismatch()
+        assert report.cases == 2
+
+    def test_full_length_trial(self, monkeypatch):
+        """2,689 arrivals to first failure, 10 host recoveries."""
+        an = get("an", **BN, k_sub=2, h=8)
+        calls = []
+        recover = an.torus.recover
+        monkeypatch.setattr(an.torus, "recover",
+                            lambda state: calls.append(state) or recover(state))
+        out = an.lifetime_trial(LifetimeSpec(), seed=0)
+        assert (out.lifetime, out.steps, out.category) == (2689, 2690, "no-frame")
+        assert (out.masked, out.replaced) == (0, 2689)
+        assert len(calls) == 10
 
 
 class TestRunnerDispatch:
