@@ -6,8 +6,9 @@ sockets, concurrent clients mixing fault/repair ingest with live traffic
 queries), and records sustained requests/sec plus p50/p99 request latency
 in ``BENCH_serve.json`` at the repo root.  The full tier also records the
 per-layer split of a traced perfbench ``serve`` run (``stage_split``:
-route builds per query, the route, arbitration, simulation and health
-shares, cycles per query, and the share of event latency spent waiting),
+route builds per query, the route, arbitration and simulation shares,
+the self shares of the query handler and of the event loop, cycles per
+query, and the share of event latency spent waiting),
 for this checkout and, with ``--split-against CHECKOUT``, for another one
 such as the parent commit, each beside that checkout's untraced perfbench
 ``serve`` throughput measured on the same machine.
@@ -67,7 +68,8 @@ STAGE_METRICS = (
     "fastpath.traffic_batch.arbitrate_share",
     "fastpath.traffic_batch.simulate_share",
     "fastpath.traffic_batch.cycles_per_trial",
-    "sim.lifetime_traffic.health_share",
+    "serve.state.query_share",
+    "serve.server.self_share",
     "serve.event.wait_frac",
 )
 

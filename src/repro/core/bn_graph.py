@@ -13,6 +13,13 @@ Vertical jumps let a column's unmasked nodes hop over a band (gap of exactly
 ``b`` masked rows → span ``b+1``); diagonal jumps let a row shift by ``b``
 when crossing a band sideways.  This is precisely what the reconstruction
 (Lemma 6) consumes.
+
+Adjacency is answered two ways.  :meth:`BnGraph.is_adjacent` derives it
+from coordinates and is the reference every embedding verification uses.
+:meth:`BnGraph.has_edges` looks the pair up in the cached
+``(N, 6d - 2)`` :meth:`BnGraph.neighbor_table`; the live link check of
+:func:`repro.sim.lifetime_traffic.serve_traffic` uses it, where the
+analytic check was most of the route health check's time.
 """
 
 from __future__ import annotations
@@ -88,6 +95,32 @@ class BnGraph:
         if not hasattr(self, "_graph"):
             self._graph = CSRGraph(self.num_nodes, self.edges())
         return self._graph
+
+    def neighbor_table(self) -> np.ndarray:
+        """The read-only ``(N, 6d - 2)`` int32 table of every node's
+        neighbours (cached): the two torus steps along each axis, the two
+        vertical jumps ``±(b+1)``, then for each later axis the four
+        diagonal jumps ``(±1 along it, ±b along axis 0)``.  A row lists a
+        neighbour twice where two shifts reach the same node (a short
+        side)."""
+        if not hasattr(self, "_neighbors"):
+            p, codec = self.params, self.codec
+            idx = codec.all_indices()
+            cols = [codec.shift(idx, axis, step) for axis in range(p.d) for step in (1, -1)]
+            cols += [codec.shift(idx, 0, step * (p.b + 1)) for step in (1, -1)]
+            for axis in range(1, p.d):
+                for step in (1, -1):
+                    stepped = codec.shift(idx, axis, step)
+                    cols += [codec.shift(stepped, 0, delta) for delta in (p.b, -p.b)]
+            table = np.stack(cols, axis=1).astype(np.int32)
+            table.flags.writeable = False
+            self._neighbors = table
+        return self._neighbors
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Vectorised: is ``vs[i]`` in the :meth:`neighbor_table` row of
+        ``us[i]``?  The same answer as :meth:`is_adjacent`, by lookup."""
+        return (self.neighbor_table()[us] == np.asarray(vs)[..., None]).any(axis=-1)
 
     # -- adjacency predicate (no materialisation needed) ---------------------
 

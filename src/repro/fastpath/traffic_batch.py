@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.sim.engine import SimResult, check_sim_inputs, sim_result
 from repro.sim.routing import BYZ_DROP, BYZ_MISROUTE, ROUTERS, adaptive_route
-from repro.topology.coords import CoordCodec
+from repro.topology.coords import CoordCodec, shared_codec
 
 __all__ = [
     "build_routes_batch",
@@ -95,7 +95,7 @@ def _coord_table(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
     second run for ``sign = -1``.  Returns ``(table, first, span)``: axis
     ``a``'s runs start at ``first[a]`` and ``first[a] + span[a]``.
     """
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     ports = 2 * len(shape)
     runs, first, span = [], [], []
     for a, n in enumerate(shape):
@@ -115,7 +115,7 @@ def _coord_table(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
 def _link_heads(shape: tuple[int, ...]) -> np.ndarray:
     """``heads[u * 2d + port]``: the node link ``u * 2d + port`` enters
     (``u`` itself on a side-1 axis, whose ports no route uses)."""
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     coords = codec.unravel(codec.all_indices())
     heads = np.empty((codec.size, 2 * len(shape)), dtype=np.int64)
     for a, n in enumerate(shape):
@@ -167,7 +167,7 @@ def routes_batch(
     output and ``O(M * d)`` legs.  The side-2 ``-`` step uses the ``+``
     port, as in :func:`link_ids`.
     """
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     traffic = np.asarray(traffic, dtype=np.int64).reshape(-1, 2)
     m = len(traffic)
     table, first, span = _coord_table(tuple(shape))
@@ -353,7 +353,7 @@ def link_ids(shape: tuple[int, ...], nodes: np.ndarray) -> np.ndarray:
     Rows are handled in blocks of :data:`ROUTE_BLOCK`, so the peak is the
     output plus ``O(ROUTE_BLOCK * L)`` temporaries.
     """
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     size, ports = codec.size, 2 * len(shape)
     port = np.zeros(2 * size + 1, dtype=np.int64)  # indexed by v - u + size
     for a, n in enumerate(shape):

@@ -70,7 +70,9 @@ def serve_traffic(guest, traffic, machine=None, *, router: str = "dimension",
     With ``machine`` None the pristine guest serves every message.  Given
     a live ``bn`` machine, routes are checked through its maintained
     embedding ``recovery.phi`` against its fault set and host adjacency
-    (:func:`~repro.sim.routing.embedded_predicates`): a broken e-cube
+    (:func:`~repro.sim.routing.embedded_predicates` on the host's
+    neighbour-table lookup :meth:`~repro.core.bn_graph.BnGraph.has_edges`,
+    the same answer as the analytic ``is_adjacent``): a broken e-cube
     route is refused, or under ``router="adaptive"`` detoured around the
     live faults so only disconnected endpoints are refused.  The routes
     are built once, by :func:`~repro.fastpath.traffic_batch.build_routes_batch`,
@@ -84,7 +86,7 @@ def serve_traffic(guest, traffic, machine=None, *, router: str = "dimension",
     node_ok = edge_ok = None
     if machine is not None:
         node_ok, edge_ok = embedded_predicates(
-            machine.recovery.phi, machine.faults.ravel(), machine.bt.bn.is_adjacent
+            machine.recovery.phi, machine.faults.ravel(), machine.bt.bn.has_edges
         )
     routes = build_routes_batch(
         guest, traffic, router=router, node_ok=node_ok, edge_ok=edge_ok

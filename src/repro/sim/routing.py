@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.topology.coords import CoordCodec
+from repro.topology.coords import CoordCodec, shared_codec
 
 __all__ = [
     "BYZ_CORRUPT",
@@ -63,7 +63,7 @@ def _axis_step(src: int, dst: int, n: int) -> int:
 
 def dimension_ordered_route(shape: tuple[int, ...], src: int, dst: int) -> np.ndarray:
     """Node sequence of the e-cube route from ``src`` to ``dst`` (inclusive)."""
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     cur = codec.unravel(np.int64(src)).copy()
     goal = codec.unravel(np.int64(dst))
     path = [int(src)]
@@ -78,7 +78,7 @@ def dimension_ordered_route(shape: tuple[int, ...], src: int, dst: int) -> np.nd
 
 def route_length(shape: tuple[int, ...], src: int, dst: int) -> int:
     """Hop count of the minimal route (sum of cyclic distances)."""
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     a = codec.unravel(np.int64(src))
     b = codec.unravel(np.int64(dst))
     total = 0
@@ -191,7 +191,7 @@ def adaptive_route(
         return base
     if route_is_healthy(base, node_ok, edge_ok):
         return base
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     src, dst = int(src), int(dst)
     if node_ok is not None and not (
         bool(node_ok(np.array([src]))[0]) and bool(node_ok(np.array([dst]))[0])
@@ -275,7 +275,7 @@ class ByzantinePlan:
         route = np.asarray(route, dtype=np.int64)
         u = float(self.rng.random())
         if u < self.mix[0]:
-            codec = CoordCodec(shape)
+            codec = shared_codec(shape)
             here, nxt, dst = int(route[pos]), int(route[pos + 1]), int(route[-1])
             wrongs = [v for v in _torus_neighbors(codec, here) if v != nxt]
             if not wrongs:  # degree-1 corner case: nowhere wrong to send it

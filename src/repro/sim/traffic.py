@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.topology.coords import CoordCodec
+from repro.topology.coords import CoordCodec, shared_codec
 
 __all__ = [
     "TRAFFIC_PATTERNS",
@@ -65,7 +65,7 @@ def transpose_index(codec: CoordCodec, idx: np.ndarray) -> np.ndarray:
     transpose traffic to generate on those.
     """
     rolled_shape = tuple(int(s) for s in np.roll(codec.shape, 1))
-    rolled_codec = CoordCodec(rolled_shape)
+    rolled_codec = shared_codec(rolled_shape)
     # The map is linear in the (independently ranging) coordinates, so it is
     # the identity iff, on every axis of length > 1, the source stride equals
     # the stride of the axis the coordinate rotates into.
@@ -237,7 +237,7 @@ def make_traffic(
     """
     if pattern not in TRAFFIC_PATTERNS:
         raise KeyError(f"unknown pattern {pattern!r}; options {sorted(TRAFFIC_PATTERNS)}")
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     out = TRAFFIC_PATTERNS[pattern](codec, count, rng)
     assert len(out) == count, f"{pattern}: {len(out)} rows != requested {count}"
     return out
@@ -260,7 +260,7 @@ def pattern_destinations(
     the caller (:func:`repro.sim.workload.make_open_loop`) drops those
     messages, mirroring the closed-loop generators which never emit them.
     """
-    codec = CoordCodec(shape)
+    codec = shared_codec(shape)
     src = np.asarray(src, dtype=np.int64)
     if pattern == "uniform":
         _require_distinct_nodes(codec, pattern)

@@ -4,15 +4,18 @@ Nodes of a ``d``-dimensional ``n_1 x ... x n_d`` torus/mesh are identified
 with flat integer indices in row-major (C) order.  :class:`CoordCodec` is a
 thin, vectorised wrapper around ``ravel``/``unravel`` that also provides the
 neighbour-shift primitives used everywhere in the library.
+:func:`shared_codec` hands out one read-only codec per shape to the
+traffic paths, which would otherwise build several per query or route.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["CoordCodec"]
+__all__ = ["CoordCodec", "shared_codec"]
 
 
 class CoordCodec:
@@ -84,3 +87,20 @@ class CoordCodec:
 
     def all_indices(self) -> np.ndarray:
         return np.arange(self.size, dtype=np.int64)
+
+
+@lru_cache(maxsize=32)
+def _shared_codec(shape: tuple[int, ...]) -> CoordCodec:
+    codec = CoordCodec(shape)
+    codec.strides.flags.writeable = False
+    return codec
+
+
+def shared_codec(shape: Sequence[int]) -> CoordCodec:
+    """The one cached :class:`CoordCodec` of ``shape``.
+
+    Every caller of a shape gets the same object, so it is read-only:
+    its ``strides`` cannot be written, and nobody may rebind its
+    attributes.
+    """
+    return _shared_codec(tuple(shape))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.bn_graph import BnGraph
 from repro.core.params import BnParams
+from repro.testkit.strategies import BN_PARAM_SETS
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,36 @@ class TestEdgeFamilies:
         us = rng.integers(0, bn.num_nodes, 1000)
         vs = rng.integers(0, bn.num_nodes, 1000)
         assert (bn.is_adjacent(us, vs) == bn.is_adjacent(vs, us)).all()
+
+
+@pytest.mark.parametrize("params_kw", BN_PARAM_SETS)
+def test_neighbor_table_rows_are_the_neighbourhoods(params_kw):
+    """Each row of the cached ``(N, 6d - 2)`` table, as a set, is
+    ``graph().neighbors(u)`` and ``{v : is_adjacent(u, v)}``.
+
+    ``is_adjacent`` is asked about every pair on instances up to 2,000
+    nodes, and elsewhere about every node within ``b + 1`` rows and one
+    column step of ``u``, the reach of all three edge families.
+    """
+    bn = BnGraph(BnParams(**params_kw))
+    p, codec = bn.params, bn.codec
+    table = bn.neighbor_table()
+    assert table.shape == (bn.num_nodes, p.degree) and table.dtype == np.int32
+    assert bn.neighbor_table() is table and not table.flags.writeable
+    g = bn.graph()
+    for u in range(bn.num_nodes):
+        assert set(table[u].tolist()) == set(g.neighbors(u).tolist())
+    us = codec.all_indices()
+    if bn.num_nodes <= 2000:
+        candidates = [(us + k) % bn.num_nodes for k in range(1, bn.num_nodes)]
+    else:
+        columns = [us] + [codec.shift(us, a, step) for a in range(1, p.d) for step in (1, -1)]
+        candidates = [
+            codec.shift(col, 0, delta)
+            for col in columns for delta in range(-p.b - 1, p.b + 2)
+        ]
+    for vs in candidates:
+        assert (bn.is_adjacent(us, vs) == bn.has_edges(us, vs)).all()
 
 
 class TestEdgeFamiliesDescriptor:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.topology.coords import CoordCodec
+from repro.topology.coords import CoordCodec, shared_codec
 
 
 class TestBasics:
@@ -36,6 +36,20 @@ class TestBasics:
     def test_ravel_wrong_last_axis(self):
         with pytest.raises(ValueError):
             CoordCodec((3, 3)).ravel(np.zeros((5, 3), dtype=int))
+
+
+class TestSharedCodec:
+    def test_one_read_only_codec_per_shape(self):
+        """The traffic paths share one codec per shape, so a caller that
+        wrote its strides would corrupt every other caller's routes."""
+        codec = shared_codec((4, 5))
+        assert shared_codec([4, 5]) is codec
+        assert shared_codec((np.int64(4), 5)) is codec
+        assert shared_codec((5, 4)) is not codec
+        assert codec.strides.tolist() == [5, 1]
+        with pytest.raises(ValueError):
+            codec.strides[0] = 7
+        assert codec.strides.tolist() == [5, 1]
 
 
 class TestShift:

@@ -542,6 +542,42 @@ class TestTrafficQueries:
             assert r["offered"] == (r["delivered"] + r["timed_out"]
                                     + r.get("undeliverable", 0) + r.get("dropped", 0))
 
+    def test_swapped_embedding_is_refused_like_the_analytic_check(self):
+        """Swap the host images of two guest nodes on a fault-free
+        machine.  Every node stays healthy, but the guest links at the two
+        nodes now map to host pairs that are not adjacent, which only the
+        adjacency term of the link check can see.  The dimension router
+        refuses exactly the messages whose e-cube routes
+        ``embedded_predicates`` on the analytic ``is_adjacent`` finds
+        broken."""
+        from repro.sim.engine import MSG_UNDELIVERABLE
+        from repro.sim.lifetime_traffic import serve_traffic
+        from repro.sim.routing import (
+            dimension_ordered_route,
+            embedded_predicates,
+            route_is_healthy,
+        )
+        from repro.sim.traffic import make_traffic
+        from repro.util.rng import spawn_rng
+
+        state = MachineState("m", "bn", BN_PARAMS)
+        machine = state.machine
+        phi = machine.recovery.phi.reshape(-1)
+        phi[[5, 700]] = phi[[700, 5]]
+        assert not machine.faults.any()
+        guest = tuple(int(n) for n in state.construction.guest_shape())
+        traffic = make_traffic(guest, "uniform", 300, spawn_rng(2, "serve-traffic", "uniform"))
+        node_ok, edge_ok = embedded_predicates(
+            phi, machine.faults.ravel(), machine.bt.bn.is_adjacent
+        )
+        broken = [
+            not route_is_healthy(dimension_ordered_route(guest, s, d), node_ok, edge_ok)
+            for s, d in traffic
+        ]
+        result, _ = serve_traffic(guest, traffic, machine)
+        assert (result.message_status == MSG_UNDELIVERABLE).tolist() == broken
+        assert state.traffic_query("uniform", 300, 2)["undeliverable"] == sum(broken) > 0
+
     @pytest.mark.parametrize(
         "construction,live,router",
         [("bn", False, "dimension"), ("bn", True, "dimension"),

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.sim.engine import simulate
-from repro.sim.metrics import latency_stats
+from repro.serve.protocol import MAX_QUERY_CYCLES
+from repro.sim.engine import SimResult, sim_result, simulate
+from repro.sim.metrics import latency_stats, message_stats
 from repro.sim.routing import (
     all_pairs_mean_distance,
     dimension_ordered_route,
@@ -139,6 +144,59 @@ class TestEngine:
         t = make_traffic(shape, "transpose", 30, spawn_rng(5))
         res = simulate(shape, t)
         assert res.delivered == res.total
+
+
+#: Latency arrays: any values a serve query admits, heavy ties, all equal.
+_latencies = st.one_of(
+    st.lists(st.integers(0, MAX_QUERY_CYCLES), min_size=1, max_size=300),
+    st.lists(st.integers(0, 3), min_size=1, max_size=300),
+    st.builds(lambda v, n: [v] * n, st.integers(0, MAX_QUERY_CYCLES), st.integers(1, 60)),
+)
+
+
+@st.composite
+def _runs(draw) -> tuple[list, list]:
+    """Latencies and which of their messages were delivered."""
+    latencies = draw(_latencies)
+    n = len(latencies)
+    return latencies, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+def _delivered_result(latencies, delivered) -> SimResult:
+    """A run whose ``delivered`` messages took ``latencies``; the rest
+    timed out."""
+    done = np.asarray(delivered, dtype=bool)
+    lat = np.where(done, np.asarray(latencies, dtype=np.int64), -1)
+    return sim_result(done, np.ones(len(done), dtype=bool), lat,
+                      np.zeros(len(done), dtype=np.int8), cycles=1, max_queue=1)
+
+
+class TestMessageStats:
+    @given(run=_runs())
+    @example(run=([7], [True]))
+    @example(run=([5, 5, 5], [True, True, True]))
+    # p99 of two values has t = 0.99, so it takes _lerp's t >= 0.5
+    # branch, and here the other formula is one ulp off.
+    @example(run=([27148, 35750], [True, True]))
+    def test_percentiles_equal_numpy_bit_for_bit(self, run):
+        """p50/p99 come from one sort with numpy's linear-method
+        arithmetic; they must be ``np.percentile``'s floats exactly, and
+        NaN when nothing was delivered."""
+        latencies, delivered = run
+        stats = message_stats(_delivered_result(latencies, delivered))
+        got = np.asarray(latencies)[np.asarray(delivered, dtype=bool)]
+        if not len(got):
+            assert math.isnan(stats["p50"]) and math.isnan(stats["p99"])
+            return
+        want = np.percentile(got, (50, 99))
+        assert stats["p50"].hex() == float(want[0]).hex()
+        assert stats["p99"].hex() == float(want[1]).hex()
+
+    def test_nothing_delivered_gives_nan(self):
+        stats = message_stats(_delivered_result([3, 4], [False, False]))
+        assert stats["delivered"] == 0 and stats["timed_out"] == 2
+        for key in ("mean", "p50", "p99", "max"):
+            assert math.isnan(stats[key])
 
 
 class TestLifetimeTraffic:
