@@ -23,6 +23,12 @@ Runs two ways:
   below baseline_speedup / 1.3.  That ratio is machine-portable; raw
   seconds are recorded for humans.
 
+The full measurement also records ``stage_split``: perfbench
+``survival``'s ``ops_per_s`` beside the traced per-layer shares of the
+CLI, fault sampling, the scalar fallback and its painting
+(benchmarks/stage_split.py), for this checkout and, with
+``--split-against CHECKOUT``, another one as "before".
+
 ``BENCH_runner.json`` is regenerated here too (same harness, same
 machine) with ``machine_cpus`` taken from the actual runner instead of a
 hand-written single-CPU note.
@@ -37,12 +43,26 @@ import sys
 import time
 from pathlib import Path
 
+from stage_split import stage_split_block
+
 ROOT = Path(__file__).resolve().parent.parent
 FASTPATH_JSON = ROOT / "BENCH_fastpath.json"
 RUNNER_JSON = ROOT / "BENCH_runner.json"
 
 #: Gate tolerance: fail on >30% batched-kernel regression (ISSUE 2).
 TOLERANCE = 1.3
+
+#: Per-layer metrics of perfbench's traced ``survival`` workload (defined
+#: in perfbench/README.md): the CLI's own time, the share of trials that
+#: rerun on the scalar path and their recoveries and painting, and fault
+#: sampling, the RNG contract's floor.
+STAGE_METRICS = (
+    "cli.self_share",
+    "fastpath.bn_batch.fallback_frac",
+    "core.bn.recover_calls_per_trial",
+    "core.painting.share",
+    "fastpath.bn_batch.sample_share",
+)
 
 #: (construction, factory params, trials) per measured case.
 FULL_BN = dict(d=2, b=4, s=1, t=2)
@@ -245,9 +265,9 @@ def check_gate(data: dict, baselines: dict) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def measure_full() -> dict:
-    """The committed benchmark: bn (headline) + an, plus the quick config
-    the CI gate replays."""
+def measure_full(split_against: Path | None = None) -> dict:
+    """The committed benchmark: bn (headline) + an, the quick config the
+    CI gate replays, and perfbench survival's stage split."""
     bn = _measure("bn", FULL_BN, FULL_TRIALS)
     an = _measure("an", FULL_AN, FULL_TRIALS, p=0.1)
     gate = measure_gate_data()
@@ -277,6 +297,8 @@ def measure_full() -> dict:
         ),
         "bn_survival_d2_b4": bn,
         "an_survival": an,
+        "stage_split": stage_split_block(ROOT, "survival", STAGE_METRICS,
+                                         split_against),
     }
 
 
@@ -382,12 +404,18 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", metavar="PATH",
                     help="write measurement JSON here (full mode defaults to "
                          "BENCH_fastpath.json + BENCH_runner.json)")
+    ap.add_argument("--split-against", dest="split_against", type=Path,
+                    metavar="CHECKOUT",
+                    help="full mode: also measure stage_split on another "
+                         "checkout (e.g. the parent commit) as 'before'")
     args = ap.parse_args(argv)
+    if args.quick and args.split_against:
+        ap.error("--split-against belongs to the full measurement, not --quick")
 
     if args.quick:
         data = measure_gate_data()
     else:
-        data = measure_full()
+        data = measure_full(args.split_against)
     print(json.dumps(data, indent=2, sort_keys=True))
 
     for key in GATE_KEYS:

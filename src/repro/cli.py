@@ -25,6 +25,10 @@ through ``ExperimentRunner``, prints the summary and writes ``--out``::
                  --trials 20 --workers 8 --out results.json
     repro-ft run --construction bn --p 0.00137 --check-health --trials 100
     repro-ft traffic --construction bn --pattern transpose --messages 200
+
+The top-level parser registers each subcommand's name and help only; a
+subcommand's arguments are built when that subcommand is chosen
+(:class:`_LazySubparsers`), so one command line pays for its own flags.
 """
 
 from __future__ import annotations
@@ -569,6 +573,205 @@ def _add_experiment_args(parser: argparse.ArgumentParser, *, trials: int,
                         help="bn: band-placement strategy (auto | straight | paper)")
 
 
+def _run_args(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_args(parser, trials=10, construction=None)
+    parser.add_argument("--p", type=str, default="",
+                        help="comma-separated node-fault probabilities")
+    parser.add_argument("--q", type=float, default=0.0, help="edge-fault probability")
+    parser.add_argument("--pattern", type=str, default="",
+                        help="comma-separated adversarial patterns")
+    parser.add_argument("--k", type=int, default=None,
+                        help="adversarial fault budget (default: construction's rating)")
+    parser.add_argument("--fault-model", dest="fault_model", action="append",
+                        default=[], metavar="NAME[:key=val,...]",
+                        help="registered fault model as a grid point "
+                             "(repeatable), e.g. neighbor:p=0.002 or "
+                             "component:rate=0.01,width=2 — see docs/faults.md")
+    parser.add_argument("--check-health", dest="check_health", action="store_true",
+                        default=None,
+                        help="bn: also check each draw's healthiness (Lemma 4) "
+                             "and report the healthy/sufficient rates")
+    parser.set_defaults(fn=_cmd_run)
+
+
+def _info_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("construction", choices=["bn", "dn"])
+    parser.add_argument("--d", type=int, default=2)
+    parser.add_argument("--b", type=int, default=3)
+    parser.add_argument("--s", type=int, default=1)
+    parser.add_argument("--t", type=int, default=2)
+    parser.add_argument("--n", type=int, default=70)
+    parser.set_defaults(fn=_cmd_info)
+
+
+def _figures_args(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(fn=_cmd_figures)
+
+
+def _lifetime_args(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_args(parser, trials=5)
+    parser.add_argument("--timeline", choices=["uniform", "bernoulli", "burst",
+                                               "adversarial"], default="uniform")
+    parser.add_argument("--rate", type=float, default=0.0,
+                        help="bernoulli: per-step per-node fault probability")
+    parser.add_argument("--burst", type=int, default=0,
+                        help="burst: co-located faults per step")
+    parser.add_argument("--pattern", type=str, default="",
+                        help="adversarial: campaign pattern")
+    parser.add_argument("--k", type=int, default=None,
+                        help="adversarial: planned campaign size (default: all nodes)")
+    parser.add_argument("--fault-model", dest="fault_model", type=str, default="",
+                        metavar="NAME[:key=val,...]",
+                        help="drive arrivals from a registered fault model "
+                             "instead of --timeline (composes with "
+                             "--repair-rate/--max-steps; see docs/faults.md)")
+    parser.add_argument("--repair-rate", dest="repair_rate", type=float, default=0.0,
+                        help="probability each faulty node is fixed per step")
+    parser.add_argument("--max-steps", dest="max_steps", type=int, default=None,
+                        help="timeline step bound (required for bernoulli/burst)")
+    parser.add_argument("--traffic", type=str, default="",
+                        help="bn: route this traffic pattern on the evolving "
+                             "network at --checkpoints")
+    parser.add_argument("--messages", type=int, default=200)
+    parser.add_argument("--checkpoints", type=str, default="",
+                        help="comma-separated arrival counts for traffic snapshots")
+    parser.add_argument("--router", choices=["dimension", "adaptive"],
+                        default="dimension",
+                        help="traffic snapshots: 'adaptive' detours broken routes "
+                             "around the live fault set instead of refusing them")
+    parser.set_defaults(fn=_cmd_lifetime)
+
+
+def _traffic_args(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_args(parser, trials=5)
+    parser.add_argument("--pattern", type=str, default="uniform",
+                        help="comma-separated traffic patterns")
+    parser.add_argument("--messages", type=int, default=200,
+                        help="closed-loop batch size (ignored with --rate)")
+    parser.add_argument("--injection", choices=["bernoulli", "periodic"],
+                        default="bernoulli",
+                        help="open-loop injection process used with --rate")
+    parser.add_argument("--rate", type=str, default="",
+                        help="comma-separated per-node per-cycle injection "
+                             "rates; presence switches to the open-loop model")
+    parser.add_argument("--cycles", type=int, default=200,
+                        help="open-loop injection horizon")
+    parser.add_argument("--warmup", type=int, default=0,
+                        help="open-loop: measure messages injected at/after "
+                             "this cycle")
+    parser.add_argument("--max-cycles", dest="max_cycles", type=int, default=10_000,
+                        help="simulation bound; undelivered messages count "
+                             "as timed_out")
+    parser.add_argument("--router", choices=["dimension", "adaptive"],
+                        default="dimension",
+                        help="routing algorithm (see docs/routing.md); on the "
+                             "pristine guest torus both deliver identically")
+    parser.add_argument("--qos-classes", dest="qos_classes", type=int, default=1,
+                        help="priority classes (1-3); messages are assigned "
+                             "round-robin by id, class 0 wins arbitration")
+    parser.add_argument("--credits", type=int, default=0,
+                        help="per-class in-flight message budget "
+                             "(0 = unlimited); enables credit flow control")
+    parser.add_argument("--fault-model", dest="fault_model", type=str,
+                        default="", metavar="NAME[:key=val,...]",
+                        help="perturb the guest with a registered fault "
+                             "model: crash models break routes, byzantine "
+                             "nodes misroute/drop/corrupt traversing "
+                             "messages (see docs/faults.md)")
+    parser.set_defaults(fn=_cmd_traffic)
+
+
+def _conformance_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--quick", action="store_true",
+                        help="the CI tier: same oracles, reduced seed/shape matrix")
+    parser.add_argument("--update-golden", dest="update_golden", action="store_true",
+                        help="resnapshot the golden artifacts before checking "
+                             "(review the JSON diff like any source change)")
+    parser.add_argument("--golden-dir", dest="golden_dir", type=str, default="",
+                        help="golden artifact directory "
+                             "(default: tests/golden of the source checkout)")
+    parser.set_defaults(fn=_cmd_conformance)
+
+
+def _serve_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", type=str, default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7494,
+                        help="listen port (0 = ephemeral; see --port-file)")
+    parser.add_argument("--machine", action="append", default=[],
+                        metavar="NAME=CONSTRUCTION[:key=val,...]",
+                        help="machine to create at startup (repeatable), e.g. "
+                             "m0=bn:d=2,b=3,s=1,t=2; clients can also create "
+                             "machines over the wire")
+    parser.add_argument("--telemetry-interval", dest="telemetry_interval",
+                        type=float, default=1.0,
+                        help="seconds between pushed telemetry snapshots")
+    parser.add_argument("--subscriber-queue", dest="subscriber_queue",
+                        type=int, default=16,
+                        help="per-subscriber snapshot queue depth before "
+                             "drop-and-count backpressure kicks in")
+    parser.add_argument("--port-file", dest="port_file", type=str, default="",
+                        help="write the bound port here once listening "
+                             "(rendezvous for scripts using --port 0)")
+    parser.set_defaults(fn=_cmd_serve)
+
+
+def _loadgen_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", type=str, default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7494)
+    parser.add_argument("--machine", type=str, default="loadgen",
+                        help="machine name to create (exist_ok) and target")
+    parser.add_argument("--construction", choices=sorted(_RUN_PARAMS), default="bn")
+    parser.add_argument("--params", type=str, default="",
+                        help="construction kwargs, e.g. d=2,b=3,s=1,t=2")
+    parser.add_argument("--clients", type=int, default=4,
+                        help="concurrent client connections")
+    parser.add_argument("--requests", type=int, default=1000,
+                        help="total requests across all clients")
+    parser.add_argument("--event-fraction", dest="event_fraction", type=float,
+                        default=0.5,
+                        help="fraction of requests that are fault/repair events "
+                             "(the rest are live traffic queries)")
+    parser.add_argument("--pattern", type=str, default="uniform")
+    parser.add_argument("--messages", type=int, default=32,
+                        help="messages per traffic query")
+    parser.add_argument("--router", choices=["dimension", "adaptive"],
+                        default="dimension",
+                        help="router each traffic query asks the daemon for")
+    parser.add_argument("--qos-classes", dest="qos_classes", type=int, default=1,
+                        help="priority classes per traffic query (1-3)")
+    parser.add_argument("--credits", type=int, default=0,
+                        help="per-class in-flight budget per query (0 = unlimited)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=str, default="",
+                        help="write the full loadgen report JSON here")
+    parser.set_defaults(fn=_cmd_loadgen)
+
+
+class _LazySubparsers(argparse._SubParsersAction):
+    """Subcommand parsers that get their arguments only when chosen.
+
+    ``add_parser`` registers a subcommand's name and help together with
+    the function that adds its arguments; parsing the name runs that
+    function on the subcommand's parser, then argparse parses the rest of
+    the command line with it as usual.  So a command line builds the
+    arguments of its own subcommand and of no other.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_args: dict = {}
+
+    def add_parser(self, name, *, add_args, **kwargs):
+        self._add_args[name] = add_args
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        add_args = self._add_args.pop(values[0], None)
+        if add_args is not None:
+            add_args(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro-ft",
@@ -579,190 +782,35 @@ def build_parser() -> argparse.ArgumentParser:
                     default="info",
                     help="verbosity of status/diagnostic output on stderr "
                          "(primary results always go to stdout; default: info)")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p_run = sub.add_parser(
-        "run", help="one-shot survival trials over any registered construction"
+    sub = ap.add_subparsers(dest="cmd", required=True, action=_LazySubparsers)
+    sub.add_parser(
+        "run", help="one-shot survival trials over any registered construction",
+        add_args=_run_args,
     )
-    _add_experiment_args(p_run, trials=10, construction=None)
-    p_run.add_argument("--p", type=str, default="",
-                       help="comma-separated node-fault probabilities")
-    p_run.add_argument("--q", type=float, default=0.0, help="edge-fault probability")
-    p_run.add_argument("--pattern", type=str, default="",
-                       help="comma-separated adversarial patterns")
-    p_run.add_argument("--k", type=int, default=None,
-                       help="adversarial fault budget (default: construction's rating)")
-    p_run.add_argument("--fault-model", dest="fault_model", action="append",
-                       default=[], metavar="NAME[:key=val,...]",
-                       help="registered fault model as a grid point "
-                            "(repeatable), e.g. neighbor:p=0.002 or "
-                            "component:rate=0.01,width=2 — see docs/faults.md")
-    p_run.add_argument("--check-health", dest="check_health", action="store_true",
-                       default=None,
-                       help="bn: also check each draw's healthiness (Lemma 4) "
-                            "and report the healthy/sufficient rates")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_info = sub.add_parser("info", help="show derived parameters")
-    p_info.add_argument("construction", choices=["bn", "dn"])
-    p_info.add_argument("--d", type=int, default=2)
-    p_info.add_argument("--b", type=int, default=3)
-    p_info.add_argument("--s", type=int, default=1)
-    p_info.add_argument("--t", type=int, default=2)
-    p_info.add_argument("--n", type=int, default=70)
-    p_info.set_defaults(fn=_cmd_info)
-
-    p_fig = sub.add_parser("figures", help="regenerate paper Figures 1 and 2")
-    p_fig.set_defaults(fn=_cmd_figures)
-
-    p_life = sub.add_parser(
-        "lifetime",
-        help="fault-arrival timelines driven to first recovery failure",
+    sub.add_parser("info", help="show derived parameters", add_args=_info_args)
+    sub.add_parser("figures", help="regenerate paper Figures 1 and 2",
+                   add_args=_figures_args)
+    sub.add_parser(
+        "lifetime", help="fault-arrival timelines driven to first recovery failure",
+        add_args=_lifetime_args,
     )
-    _add_experiment_args(p_life, trials=5)
-    p_life.add_argument("--timeline", choices=["uniform", "bernoulli", "burst",
-                                               "adversarial"], default="uniform")
-    p_life.add_argument("--rate", type=float, default=0.0,
-                        help="bernoulli: per-step per-node fault probability")
-    p_life.add_argument("--burst", type=int, default=0,
-                        help="burst: co-located faults per step")
-    p_life.add_argument("--pattern", type=str, default="",
-                        help="adversarial: campaign pattern")
-    p_life.add_argument("--k", type=int, default=None,
-                        help="adversarial: planned campaign size (default: all nodes)")
-    p_life.add_argument("--fault-model", dest="fault_model", type=str, default="",
-                        metavar="NAME[:key=val,...]",
-                        help="drive arrivals from a registered fault model "
-                             "instead of --timeline (composes with "
-                             "--repair-rate/--max-steps; see docs/faults.md)")
-    p_life.add_argument("--repair-rate", dest="repair_rate", type=float, default=0.0,
-                        help="probability each faulty node is fixed per step")
-    p_life.add_argument("--max-steps", dest="max_steps", type=int, default=None,
-                        help="timeline step bound (required for bernoulli/burst)")
-    p_life.add_argument("--traffic", type=str, default="",
-                        help="bn: route this traffic pattern on the evolving "
-                             "network at --checkpoints")
-    p_life.add_argument("--messages", type=int, default=200)
-    p_life.add_argument("--checkpoints", type=str, default="",
-                        help="comma-separated arrival counts for traffic snapshots")
-    p_life.add_argument("--router", choices=["dimension", "adaptive"],
-                        default="dimension",
-                        help="traffic snapshots: 'adaptive' detours broken routes "
-                             "around the live fault set instead of refusing them")
-    p_life.set_defaults(fn=_cmd_lifetime)
-
-    p_traffic = sub.add_parser(
-        "traffic",
-        help="guest-torus workload measurements (closed batch or open loop)",
+    sub.add_parser(
+        "traffic", help="guest-torus workload measurements (closed batch or open loop)",
+        add_args=_traffic_args,
     )
-    _add_experiment_args(p_traffic, trials=5)
-    p_traffic.add_argument("--pattern", type=str, default="uniform",
-                           help="comma-separated traffic patterns")
-    p_traffic.add_argument("--messages", type=int, default=200,
-                           help="closed-loop batch size (ignored with --rate)")
-    p_traffic.add_argument("--injection", choices=["bernoulli", "periodic"],
-                           default="bernoulli",
-                           help="open-loop injection process used with --rate")
-    p_traffic.add_argument("--rate", type=str, default="",
-                           help="comma-separated per-node per-cycle injection "
-                                "rates; presence switches to the open-loop model")
-    p_traffic.add_argument("--cycles", type=int, default=200,
-                           help="open-loop injection horizon")
-    p_traffic.add_argument("--warmup", type=int, default=0,
-                           help="open-loop: measure messages injected at/after "
-                                "this cycle")
-    p_traffic.add_argument("--max-cycles", dest="max_cycles", type=int, default=10_000,
-                           help="simulation bound; undelivered messages count "
-                                "as timed_out")
-    p_traffic.add_argument("--router", choices=["dimension", "adaptive"],
-                           default="dimension",
-                           help="routing algorithm (see docs/routing.md); on the "
-                                "pristine guest torus both deliver identically")
-    p_traffic.add_argument("--qos-classes", dest="qos_classes", type=int, default=1,
-                           help="priority classes (1-3); messages are assigned "
-                                "round-robin by id, class 0 wins arbitration")
-    p_traffic.add_argument("--credits", type=int, default=0,
-                           help="per-class in-flight message budget "
-                                "(0 = unlimited); enables credit flow control")
-    p_traffic.add_argument("--fault-model", dest="fault_model", type=str,
-                           default="", metavar="NAME[:key=val,...]",
-                           help="perturb the guest with a registered fault "
-                                "model: crash models break routes, byzantine "
-                                "nodes misroute/drop/corrupt traversing "
-                                "messages (see docs/faults.md)")
-    p_traffic.set_defaults(fn=_cmd_traffic)
-
-    p_conf = sub.add_parser(
+    sub.add_parser(
         "conformance",
         help="differential-oracle + golden-artifact gate over every backend",
+        add_args=_conformance_args,
     )
-    p_conf.add_argument("--quick", action="store_true",
-                        help="the CI tier: same oracles, reduced seed/shape matrix")
-    p_conf.add_argument("--update-golden", dest="update_golden", action="store_true",
-                        help="resnapshot the golden artifacts before checking "
-                             "(review the JSON diff like any source change)")
-    p_conf.add_argument("--golden-dir", dest="golden_dir", type=str, default="",
-                        help="golden artifact directory "
-                             "(default: tests/golden of the source checkout)")
-    p_conf.set_defaults(fn=_cmd_conformance)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-lived operator daemon (event ingest, queries, telemetry)",
+    sub.add_parser(
+        "serve", help="long-lived operator daemon (event ingest, queries, telemetry)",
+        add_args=_serve_args,
     )
-    p_serve.add_argument("--host", type=str, default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7494,
-                         help="listen port (0 = ephemeral; see --port-file)")
-    p_serve.add_argument("--machine", action="append", default=[],
-                         metavar="NAME=CONSTRUCTION[:key=val,...]",
-                         help="machine to create at startup (repeatable), e.g. "
-                              "m0=bn:d=2,b=3,s=1,t=2; clients can also create "
-                              "machines over the wire")
-    p_serve.add_argument("--telemetry-interval", dest="telemetry_interval",
-                         type=float, default=1.0,
-                         help="seconds between pushed telemetry snapshots")
-    p_serve.add_argument("--subscriber-queue", dest="subscriber_queue",
-                         type=int, default=16,
-                         help="per-subscriber snapshot queue depth before "
-                              "drop-and-count backpressure kicks in")
-    p_serve.add_argument("--port-file", dest="port_file", type=str, default="",
-                         help="write the bound port here once listening "
-                              "(rendezvous for scripts using --port 0)")
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_load = sub.add_parser(
-        "loadgen",
-        help="sustained mixed workload against a running serve daemon",
+    sub.add_parser(
+        "loadgen", help="sustained mixed workload against a running serve daemon",
+        add_args=_loadgen_args,
     )
-    p_load.add_argument("--host", type=str, default="127.0.0.1")
-    p_load.add_argument("--port", type=int, default=7494)
-    p_load.add_argument("--machine", type=str, default="loadgen",
-                        help="machine name to create (exist_ok) and target")
-    p_load.add_argument("--construction", choices=sorted(_RUN_PARAMS), default="bn")
-    p_load.add_argument("--params", type=str, default="",
-                        help="construction kwargs, e.g. d=2,b=3,s=1,t=2")
-    p_load.add_argument("--clients", type=int, default=4,
-                        help="concurrent client connections")
-    p_load.add_argument("--requests", type=int, default=1000,
-                        help="total requests across all clients")
-    p_load.add_argument("--event-fraction", dest="event_fraction", type=float,
-                        default=0.5,
-                        help="fraction of requests that are fault/repair events "
-                             "(the rest are live traffic queries)")
-    p_load.add_argument("--pattern", type=str, default="uniform")
-    p_load.add_argument("--messages", type=int, default=32,
-                        help="messages per traffic query")
-    p_load.add_argument("--router", choices=["dimension", "adaptive"],
-                        default="dimension",
-                        help="router each traffic query asks the daemon for")
-    p_load.add_argument("--qos-classes", dest="qos_classes", type=int, default=1,
-                        help="priority classes per traffic query (1-3)")
-    p_load.add_argument("--credits", type=int, default=0,
-                        help="per-class in-flight budget per query (0 = unlimited)")
-    p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument("--out", type=str, default="",
-                        help="write the full loadgen report JSON here")
-    p_load.set_defaults(fn=_cmd_loadgen)
     return ap
 
 

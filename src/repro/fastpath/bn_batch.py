@@ -22,9 +22,17 @@ batched backend therefore works on a block of trials at a time:
    which returns the scalar greedy's exact bottoms;
 3. re-verifies coverage of every produced band set on ``(trials, m)``
    masks (defence in depth: a mismatch demotes the trial);
-4. classifies covered trials as straight-strategy successes and delegates
-   every other trial (greedy failure, paper-strategy territory,
-   adversarial specs) to the scalar path, which is the ground truth.
+4. classifies covered trials as straight-strategy successes, and settles
+   the ``no-frame`` deaths among the greedy failures in the kernel too:
+   under the ``auto`` strategy a failed greedy hands the scalar trial to
+   the paper placement, whose first step, ``paint_tiles``, raises
+   ``no-frame`` exactly when some faulty tile lies in no fault-free
+   s-frame — one batched frame test
+   (:func:`~repro.fastpath.health.faulty_tiles_framed`, Lemma 4's
+   condition 3) over the failed trials' faulty-tile grids finds them.
+   Every other trial (a paper success or another overflow, a demoted
+   cover, any failure under ``straight``) runs the scalar path, which is
+   the ground truth.
 
 Steps 1-3 replace the per-trial Python loops; step 4 guarantees the
 outcome sequence is identical to the scalar backend for every seed.
@@ -38,6 +46,11 @@ import numpy as np
 
 from repro.api.outcome import TrialOutcome
 from repro.core.params import BnParams
+from repro.fastpath.health import (
+    check_healthiness_batch,
+    faulty_tiles_framed,
+    tile_fault_counts,
+)
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
 from repro.util.rng import iter_rngs, spawn_rng
 
@@ -270,12 +283,13 @@ def straight_survival_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify a ``(trials, *shape)`` fault stack by straight-band cover.
 
-    Returns ``(covered, fault_rows)``: ``covered[t]`` is True when the
+    Returns ``(covered, failed)``: ``covered[t]`` is True when the
     straight-cover greedy succeeds for trial ``t`` *and* the batched
     re-check confirms its bands mask every faulty row — exactly the
     trials where the scalar ``auto`` strategy succeeds via its straight
-    fast path.  ``fault_rows`` is the ``(trials, m)`` faulty-row profile
-    (reused by callers for diagnostics).
+    fast path.  ``failed[t]`` is True when the greedy fails, where the
+    scalar ``auto`` strategy goes on to the paper placement.  A trial in
+    neither is one whose cover the re-check rejected.
     """
     trials = faults.shape[0]
     m, b, K = params.m, params.b, params.num_bands
@@ -285,7 +299,7 @@ def straight_survival_batch(
     # Any mismatch demotes the trial to the scalar path instead of
     # trusting the vectorized classification.
     covered = greedy_ok & _masks_cover(fault_rows, bottoms, b)
-    return covered, fault_rows
+    return covered, ~greedy_ok
 
 
 def run_bn_batch(
@@ -293,11 +307,11 @@ def run_bn_batch(
 ) -> list[TrialOutcome]:
     """Batched equivalent of ``[adapter.trial(spec, s) for s in seeds]``.
 
-    Requires a Bernoulli ``spec`` and the ``auto`` or ``straight``
-    placement strategy (callers gate on ``adapter.supports_batch``).
-    Outcome sequences are identical to the scalar path: fast-classified
-    trials match it by the straight-placement argument above, and every
-    other trial literally runs it.
+    Requires a Bernoulli or fault-model ``spec`` and the ``auto`` or
+    ``straight`` placement strategy (callers gate on
+    ``adapter.supports_batch``).  Outcome sequences are identical to the
+    scalar path: the trials settled here match it by the straight-placement
+    and frame arguments above, and every other trial literally runs it.
 
     The fault stack streams through one preallocated buffer in seed
     slices sized by ``max_batch_bytes`` (see ``fastpath/streaming.py``),
@@ -313,6 +327,9 @@ def run_bn_batch(
 
         model = make_fault_model(spec.fault_model)
         model_keys = adapter._trial_keys(spec)
+    # Model specs run the *generic* scalar trial, which reports no strategy
+    # or health.
+    check_health = adapter.check_health and model is None
     outcomes: list[TrialOutcome] = []
     buf: np.ndarray | None = None
     for sub in iter_seed_slices(seeds, bn_bytes_per_trial(params), max_batch_bytes):
@@ -333,43 +350,36 @@ def run_bn_batch(
             )
         trials = len(sub)
         num_faults = faults.reshape(trials, -1).sum(axis=1)
-        covered, _ = straight_survival_batch(params, faults)
-        if model is not None:
-            # Model specs run the *generic* scalar trial, which reports no
-            # strategy or health — covered trials emit its exact outcome.
-            for t, seed in enumerate(sub):
-                if covered[t]:
-                    outcomes.append(
-                        TrialOutcome(
-                            success=True, category="ok",
-                            num_faults=int(num_faults[t]),
-                        )
-                    )
-                else:
-                    outcomes.append(adapter.trial(spec, seed))
-            continue
-        healths = None
-        if adapter.check_health and covered.any():
-            # Only the fast-classified slices: fallback trials recompute their
-            # health inside the scalar path anyway, so checking them here would
-            # double the dominant cost of the high-fault-rate regime.
-            from repro.fastpath.health import check_healthiness_batch
-
-            reports = check_healthiness_batch(params, faults[covered], torus.geo)
-            healths = dict(zip(np.flatnonzero(covered).tolist(), reports))
+        covered, failed = straight_survival_batch(params, faults)
+        no_frame = np.zeros(trials, dtype=bool)
+        if adapter.strategy == "auto" and failed.any():
+            # The paper placement paints first, and painting raises
+            # ``no-frame`` exactly where a faulty tile has no frame.
+            idx = np.flatnonzero(failed)
+            tile_faulty = tile_fault_counts(faults[idx], torus.geo) > 0
+            no_frame[idx] = ~faulty_tiles_framed(tile_faulty, params.b)
+        settled = covered | no_frame
+        healths = {}
+        if check_health and settled.any():
+            # Only the settled trials: the scalar path computes its own
+            # trials' health anyway.
+            idx = np.flatnonzero(settled)
+            reports = check_healthiness_batch(params, faults[idx], torus.geo)
+            healths = dict(zip(idx.tolist(), reports))
         for t, seed in enumerate(sub):
-            if covered[t]:
-                health = healths[t] if healths is not None else None
-                outcomes.append(
-                    TrialOutcome(
-                        success=True,
-                        category="ok",
-                        healthy=None if health is None else health.healthy,
-                        num_faults=int(num_faults[t]),
-                        strategy_used="straight",
-                        health=health,
-                    )
-                )
-            else:
+            if not settled[t]:
                 outcomes.append(adapter.trial(spec, seed))
+                continue
+            success = bool(covered[t])
+            health = healths.get(t)
+            outcomes.append(
+                TrialOutcome(
+                    success=success,
+                    category="ok" if success else "no-frame",
+                    healthy=None if health is None else health.healthy,
+                    num_faults=int(num_faults[t]),
+                    strategy_used="straight" if success and model is None else "",
+                    health=health,
+                )
+            )
     return outcomes

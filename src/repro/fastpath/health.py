@@ -18,13 +18,15 @@ How the scalar loops become reductions (``T`` = trials, grid = tile grid):
   fault-free run inside each ``b^2``-row strip is computed with the
   running-streak trick (``idx - maximum.accumulate(where(faulty, idx,
   -1))``), no Python loop over bricks.
-* condition 3 (:func:`frame_enclosed`, which the lifetime kernel also
-  calls on its failed covers): a frame is fault-free iff (box fault
-  count) - (interior fault count) is zero; box sums over tiles are
+* condition 3 (:func:`frame_enclosed`): a frame is fault-free iff (box
+  fault count) - (interior fault count) is zero; box sums over tiles are
   separable into per-axis window sums (products with 0/1 band
   matrices), and "some enclosing frame exists" is one more box sum per
   size, over the ``(s-2)^d`` corners whose frame encloses a tile — the
   exact same candidate set the scalar centre-first search enumerates.
+  Its restriction to the faulty tiles, :func:`faulty_tiles_framed`, is
+  also how both bn kernels find their ``no-frame`` deaths without
+  painting.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from repro.core.healthiness import HealthReport
 from repro.core.params import BnParams
 from repro.topology.grid import TileGeometry
 
-__all__ = ["check_healthiness_batch", "frame_enclosed"]
+__all__ = ["check_healthiness_batch", "faulty_tiles_framed", "frame_enclosed",
+           "tile_fault_counts"]
 
 
 def _window_reduce(arr: np.ndarray, width: int, axis: int, op) -> np.ndarray:
@@ -106,6 +109,27 @@ def _band(n: int, lo: int, width: int) -> np.ndarray:
     return band
 
 
+def faulty_tiles_framed(tile_faulty: np.ndarray, b: int,
+                        enclosed: np.ndarray | None = None) -> np.ndarray:
+    """Per trial of a ``(T, *grid)`` faulty-tile stack: does every faulty
+    tile lie strictly inside some fault-free s-frame?  False exactly where
+    ``paint_tiles`` raises ``no-frame``: it skips a faulty tile only when an
+    earlier fault-free frame encloses it.  ``enclosed`` is
+    :func:`frame_enclosed` of the stack, when the caller has it already."""
+    if enclosed is None:
+        enclosed = frame_enclosed(tile_faulty, b)
+    return (enclosed | ~tile_faulty).all(axis=tuple(range(1, tile_faulty.ndim)))
+
+
+def tile_fault_counts(faults: np.ndarray, geo: TileGeometry) -> np.ndarray:
+    """Per-tile fault counts of a ``(T, *geo.shape)`` node stack, as a
+    ``(T, *geo.grid_shape)`` array."""
+    view = [faults.shape[0]]
+    for side in geo.grid_shape:
+        view += [side, geo.tile_side]
+    return faults.reshape(view).sum(axis=tuple(range(2, len(view), 2)))
+
+
 def check_healthiness_batch(
     params: BnParams,
     faults: np.ndarray,
@@ -126,12 +150,7 @@ def check_healthiness_batch(
     tile = geo.tile_side
     grid = geo.grid_shape  # (G0, G1, ..., G_{d-1})
     num_faults = faults.reshape(trials, -1).sum(axis=1)
-
-    # Per-tile fault counts: (T, G0, G1, ...).
-    view = [trials]
-    for g in range(d):
-        view += [grid[g], tile]
-    counts = faults.reshape(view).sum(axis=tuple(range(2, 2 * d + 1, 2)))
+    counts = tile_fault_counts(faults, geo)  # (T, G0, G1, ...)
 
     # Condition 2 — brick fault counts at every corner: bricks span one
     # tile along axis 0 and b tiles (cyclically) along every other axis.
@@ -164,10 +183,8 @@ def check_healthiness_batch(
     # Condition 3 — every tile strictly inside some fault-free s-frame.
     tile_faulty = counts > 0
     has_frame = frame_enclosed(tile_faulty, b)
-    flat_frame = has_frame.reshape(trials, -1)
-    flat_faulty = tile_faulty.reshape(trials, -1)
-    cond3_ok = flat_frame.all(axis=1)
-    cond3_faulty_ok = (flat_frame | ~flat_faulty).all(axis=1)
+    cond3_ok = has_frame.reshape(trials, -1).all(axis=1)
+    cond3_faulty_ok = faulty_tiles_framed(tile_faulty, b, has_frame)
 
     reports = []
     for t in range(trials):

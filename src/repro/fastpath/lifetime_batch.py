@@ -33,7 +33,7 @@ luck: the kernel replays the *same decision sequence* —
    *placement* first (``place_bands(..., strategy="paper")``), and that
    starts with ``paint_tiles``, which raises ``no-frame`` exactly when
    some faulty tile lies in no fault-free s-frame.  So one batched frame
-   test (:func:`~repro.fastpath.health.frame_enclosed`, Lemma 4's
+   test (:func:`~repro.fastpath.health.faulty_tiles_framed`, Lemma 4's
    condition 3) over every failed trial's faulty-tile grid finds the
    ``no-frame`` deaths, and only the other trials run the placement: if
    it raises, that is the category the scalar path reports; if it
@@ -58,7 +58,7 @@ from repro.api.lifetime import LifetimeOutcome
 from repro.core.placement import place_bands, place_straight_rows
 from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import _masks_cover, _straight_cover, cover_bytes_per_trial
-from repro.fastpath.health import frame_enclosed
+from repro.fastpath.health import faulty_tiles_framed
 from repro.fastpath.streaming import iter_seed_slices, record_buffer
 
 __all__ = ["STEP_BLOCK", "lifetime_bytes_per_trial", "run_bn_lifetime_batch"]
@@ -237,8 +237,8 @@ def _all_framed(geo, orders: np.ndarray, trials: np.ndarray, lengths: np.ndarray
     """Per trial ``trials[i]``: whether, after its first ``lengths[i]``
     arrivals, every faulty tile lies in some fault-free s-frame.  One
     gather maps the arrival prefixes to tiles, and
-    :func:`~repro.fastpath.health.frame_enclosed` tests every trial's
-    tile grid at once."""
+    :func:`~repro.fastpath.health.faulty_tiles_framed` tests every
+    trial's tile grid at once."""
     num = trials.size
     total = int(lengths.sum())
     owner = np.repeat(np.arange(num), lengths)
@@ -248,8 +248,7 @@ def _all_framed(geo, orders: np.ndarray, trials: np.ndarray, lengths: np.ndarray
     tiles = _node_tiles(geo.shape, geo.tile_side)[orders.ravel()[pos]]
     faulty = np.zeros((num, math.prod(geo.grid_shape)), dtype=bool)
     faulty[owner, tiles] = True
-    faulty = faulty.reshape((num,) + geo.grid_shape)
-    return (frame_enclosed(faulty, geo.b) | ~faulty).reshape(num, -1).all(axis=1)
+    return faulty_tiles_framed(faulty.reshape((num,) + geo.grid_shape), geo.b)
 
 
 @functools.lru_cache(maxsize=8)

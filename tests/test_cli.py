@@ -6,12 +6,33 @@ output parses (tables render, JSON loads), not exact survival numbers.
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _RUN_PARAMS, build_parser, main
+
+_spec = importlib.util.spec_from_file_location(
+    "check_docs", Path(__file__).resolve().parent.parent / "tools" / "check_docs.py"
+)
+check_docs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_docs)
+
+SUBCOMMANDS = ("run", "info", "figures", "lifetime", "traffic", "conformance",
+               "serve", "loadgen")
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action._name_parser_map
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> list:
+    return [a.option_strings for a in parser._actions]
 
 
 class TestParser:
@@ -28,6 +49,45 @@ class TestParser:
             main(["--help"])
         assert ("{run,info,figures,lifetime,traffic,conformance,serve,loadgen}"
                 in capsys.readouterr().out)
+
+
+class TestLazyParser:
+    """Each subcommand's arguments are added when that subcommand is
+    parsed, and ``tools/check_docs.py`` reads them from the source."""
+
+    def test_fully_built_parser_matches_the_docs_gate(self, capsys):
+        parser = build_parser()
+        subs = _subparsers(parser)
+        for name in subs:
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--help"])
+        capsys.readouterr()
+        flags = {
+            opt
+            for p in (parser, *subs.values())
+            for opts in _option_strings(p)
+            for opt in opts
+            if opt.startswith("--") and opt != "--help"
+        }
+        assert tuple(subs) == SUBCOMMANDS
+        assert set(subs) == check_docs.cli_subcommands()
+        assert flags == check_docs.cli_flags()
+
+    def test_parsing_builds_only_the_chosen_subcommand(self):
+        parser = build_parser()
+        args = parser.parse_args(["run", "--construction", "bn", "--p", "0.001"])
+        assert (args.cmd, args.construction, args.p) == ("run", "bn", "0.001")
+        subs = _subparsers(parser)
+        assert ["--p"] in _option_strings(subs["run"])
+        others = {name: _option_strings(p) for name, p in subs.items() if name != "run"}
+        assert others == {name: [["-h", "--help"]] for name in SUBCOMMANDS if name != "run"}
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_help_exits_zero(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro-ft {cmd} [-h]")
 
 
 class TestRunParams:

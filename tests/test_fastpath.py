@@ -41,7 +41,7 @@ from repro.core.params import BnParams
 from repro.core.placement import place_bands
 from repro.errors import ReconstructionError
 from repro.fastpath.bn_batch import sample_bn_faults_batch, straight_survival_batch
-from repro.fastpath.health import check_healthiness_batch, frame_enclosed
+from repro.fastpath.health import check_healthiness_batch, faulty_tiles_framed
 from repro.fastpath.lifetime_batch import STEP_BLOCK, _all_framed
 from repro.testkit.oracles import health_record, lifetime_record, outcome_record
 from repro.testkit.strategies import BN_PARAM_SETS
@@ -95,6 +95,76 @@ def test_bn_strategy_straight_batch_equals_scalar():
     scalar = [bn.trial(spec, s) for s in seeds]
     assert [outcome_record(o) for o in batch] == [outcome_record(o) for o in scalar]
     assert any(not o.success for o in batch)  # the point: mixed outcomes
+
+
+# The bn kernel settles its own ``no-frame`` deaths: (factory params, spec,
+# trials) at points where many trials die that way.
+NO_FRAME_POINTS = [
+    (dict(d=2, b=3), FaultSpec(p=0.004), 300),
+    (dict(d=2, b=4), FaultSpec(p=0.002), 40),
+    (dict(d=2, b=4), FaultSpec(p=0.001), 60),  # region overflows too
+    (dict(d=1, b=3), FaultSpec(p=0.05), 600),
+    (dict(d=2, b=3), FaultSpec(p=0.0005, q=0.002), 100),
+    (dict(d=2, b=3, check_health=True), FaultSpec(p=0.004), 200),
+    (dict(d=2, b=3), FaultSpec(fault_model={"name": "neighbor", "p": 0.002}), 200),
+    # The generic trial of a model spec reports no health, checked or not.
+    (dict(d=2, b=3, check_health=True),
+     FaultSpec(fault_model={"name": "neighbor", "p": 0.002}), 100),
+]
+
+
+@pytest.mark.parametrize("kw, spec, trials", NO_FRAME_POINTS)
+def test_bn_batch_settles_no_frame_deaths_as_the_scalar_trial(kw, spec, trials):
+    bn = get("bn", **kw)
+    seeds = list(range(trials))
+    scalar = [bn.trial(spec, s) for s in seeds]
+    batch = bn.run_batch(spec, seeds)
+    assert [outcome_record(o) for o in batch] == [outcome_record(o) for o in scalar]
+    assert sum(o.category == "no-frame" for o in scalar) >= 10
+
+
+def _spy_on_trial(monkeypatch, bn, scalar):
+    """Record each seed the kernel hands to the scalar trial, answering
+    with the precomputed scalar outcome."""
+    seen = []
+    monkeypatch.setattr(bn, "trial", lambda spec, seed: seen.append(seed) or scalar[seed])
+    return seen
+
+
+def test_bn_batch_runs_the_scalar_trial_only_for_framed_failures(monkeypatch):
+    """Only the failed straight covers whose faulty tiles all have a
+    fault-free frame reach the scalar trial: here the two region
+    overflows among 37 ``no-frame`` deaths."""
+    bn = get("bn", d=2, b=4, s=1, t=2)
+    spec = FaultSpec(p=0.001)
+    seeds = list(range(60))
+    scalar = [bn.trial(spec, s) for s in seeds]
+    framed_failures = [s for s in seeds if scalar[s].strategy_used != "straight"
+                       and scalar[s].category != "no-frame"]
+    seen = _spy_on_trial(monkeypatch, bn, scalar)
+    batch = bn.run_batch(spec, seeds)
+    assert [outcome_record(o) for o in batch] == [outcome_record(o) for o in scalar]
+    assert seen == framed_failures == [22, 40]
+
+
+def test_bn_batch_demoted_cover_still_runs_the_scalar_trial(monkeypatch):
+    """A cover the re-check rejects is no failed greedy: its trial goes to
+    the scalar path, never to the frame test, while the failed greedy
+    covers beside it are still settled in the kernel."""
+    from repro.fastpath import bn_batch
+
+    bn = get("bn", d=2, b=3, s=1, t=2)
+    spec = FaultSpec(p=0.004)
+    seeds = list(range(80))
+    scalar = [bn.trial(spec, s) for s in seeds]
+    monkeypatch.setattr(bn_batch, "_masks_cover",
+                        lambda rows, bottoms, b: np.zeros(len(rows), dtype=bool))
+    seen = _spy_on_trial(monkeypatch, bn, scalar)
+    batch = bn.run_batch(spec, seeds)
+    assert [outcome_record(o) for o in batch] == [outcome_record(o) for o in scalar]
+    straight = [s for s in seeds if scalar[s].strategy_used == "straight"]
+    assert straight and seen == straight
+    assert any(o.category == "no-frame" for o in scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +346,7 @@ def test_frame_test_is_the_no_frame_verdict(params_kw, seed, lengths):
         faults[order[:length]] = True
         faults = faults.reshape(params.shape)
         faulty = geo.tile_fault_counts(faults) > 0
-        framed = bool((frame_enclosed(faulty[None], params.b)[0] | ~faulty).all())
+        framed = bool(faulty_tiles_framed(faulty[None], params.b)[0])
         try:
             place_bands(params, faults, strategy="paper", geo=geo)
             no_frame = False
@@ -336,10 +406,9 @@ def test_straight_survival_batch_classification():
     faults = np.zeros((3,) + params.shape, dtype=bool)
     faults[1, 0, 0] = True                       # one fault: coverable
     faults[2, :: params.b, 0] = True             # a fault every b rows: hopeless
-    covered, fault_rows = straight_survival_batch(params, faults)
+    covered, failed = straight_survival_batch(params, faults)
     assert covered.tolist() == [True, True, False]
-    assert fault_rows.shape == (3, params.m)
-    assert fault_rows[1].sum() == 1
+    assert failed.tolist() == [False, False, True]
 
 
 def test_batch_capability_surface():
